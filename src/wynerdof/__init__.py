@@ -21,8 +21,7 @@ from .schemes import (TransmissionPlan, asym_plan, certify_plan,
                       sym_symmetric_si_plan)
 from .converse import (GeniePartition, build_asym_genie, build_offset_genie,
                        build_sym_genie_ub1, build_sym_genie_ub2,
-                       genie_entropy_check, mac_bound_value,
-                       verify_reconstruction)
+                       genie_entropy_check, verify_reconstruction)
 from .simulator import (offset_experiment, plan_sum_rate,
                         random_gain_rank_trials, slope_estimate)
 

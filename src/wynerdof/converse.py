@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .netmodel import ASYMMETRIC, SYMMETRIC, ChannelModel, NetworkParams
-from .tridiag import (AlphaLike, RootAlpha, alpha_float, build_m_and_inverse,
+from .tridiag import (AlphaLike, alpha_float, alpha_token, build_m_and_inverse,
                       u_is_zero, v_sequence)
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "build_offset_genie",
     "verify_reconstruction",
     "genie_entropy_check",
-    "mac_bound_value",
     "ReconstructionReport",
     "EntropyReport",
 ]
@@ -105,11 +104,6 @@ class GeniePartition:
                         "inputs": {str(k): c for k, c in g.input_coeff}}
                        for g in self.genies],
         }
-
-
-def mac_bound_value(partition: GeniePartition) -> int:
-    """The multiplexing-gain bound delivered by the partition: |R_A|."""
-    return partition.bound
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +187,6 @@ def _materialize(bag: _TermBag, target: int, round_no: int, genie_index: int,
     ))
 
 
-def _alpha_token(alpha) -> Optional[str]:
-    if alpha is None:
-        return None
-    if isinstance(alpha, RootAlpha):
-        return alpha.token()
-    return repr(float(alpha))
-
-
 # ---------------------------------------------------------------------------
 # asymmetric construction
 # ---------------------------------------------------------------------------
@@ -223,7 +209,7 @@ def build_asym_genie(params: NetworkParams, alpha: AlphaLike) -> GeniePartition:
     gamma = 0 if num <= 0 else -((-num) // beta)
     if gamma == 0:
         every = tuple(range(1, K + 1))
-        return GeniePartition(params, ASYMMETRIC, "asym", _alpha_token(alpha),
+        return GeniePartition(params, ASYMMETRIC, "asym", alpha_token(alpha),
                               group_a=every, groups_b=(), r_a=every,
                               genies=(), steps=())
 
@@ -263,7 +249,7 @@ def build_asym_genie(params: NetworkParams, alpha: AlphaLike) -> GeniePartition:
             x_terms=tuple(sorted((k, v) for k, v in xterms.items() if 1 <= k <= K)),
             v_terms=((m, 1.0),),
         ))
-    return GeniePartition(params, ASYMMETRIC, "asym", _alpha_token(alpha),
+    return GeniePartition(params, ASYMMETRIC, "asym", alpha_token(alpha),
                           group_a=tuple(group_a), groups_b=(b1,),
                           r_a=_reach_of(params, group_a),
                           genies=tuple(genies), steps=tuple(steps))
@@ -312,7 +298,7 @@ def build_sym_genie_ub1(params: NetworkParams, alpha: AlphaLike) -> GeniePartiti
         return _mirror_partition(build_sym_genie_ub1(params.mirrored(), alpha), params)
     if gamma == 0 and theta == 0:
         every = tuple(range(1, K + 1))
-        return GeniePartition(params, SYMMETRIC, "ub1", _alpha_token(alpha),
+        return GeniePartition(params, SYMMETRIC, "ub1", alpha_token(alpha),
                               group_a=every, groups_b=(), r_a=every,
                               genies=(), steps=())
 
@@ -367,7 +353,7 @@ def build_sym_genie_ub1(params: NetworkParams, alpha: AlphaLike) -> GeniePartiti
         _desc_expr(bag, K, 1, pR, binv, a, 1.0)
         _materialize(bag, K, 1, gi, genies, steps)
         gi += 1
-    return GeniePartition(params, SYMMETRIC, "ub1", _alpha_token(alpha),
+    return GeniePartition(params, SYMMETRIC, "ub1", alpha_token(alpha),
                           group_a=tuple(group_a), groups_b=(b1,),
                           r_a=_reach_of(params, group_a),
                           genies=tuple(genies), steps=tuple(steps))
@@ -440,7 +426,7 @@ def build_sym_genie_ub2(params: NetworkParams, alpha: AlphaLike,
 
     if gamma == 0 and theta == 0:
         every = tuple(range(1, K + 1))
-        return GeniePartition(params, SYMMETRIC, "ub2", _alpha_token(alpha),
+        return GeniePartition(params, SYMMETRIC, "ub2", alpha_token(alpha),
                               group_a=every, groups_b=(), r_a=every,
                               genies=(), steps=())
 
@@ -494,7 +480,7 @@ def build_sym_genie_ub2(params: NetworkParams, alpha: AlphaLike,
     leftover = set(range(1, K + 1)) - set(group_a) - {k for b in groups_b for k in b}
     if leftover:
         groups_b.append(tuple(sorted(leftover)))
-    return GeniePartition(params, SYMMETRIC, "ub2", _alpha_token(alpha),
+    return GeniePartition(params, SYMMETRIC, "ub2", alpha_token(alpha),
                           group_a=tuple(group_a), groups_b=tuple(groups_b),
                           r_a=_reach_of(params, group_a),
                           genies=tuple(genies), steps=tuple(steps))
@@ -582,7 +568,7 @@ def build_offset_genie(L: int, alpha: AlphaLike, K: int,
     v_norm_sq = float(sum(vs[j] ** 2 for j in range(0, L + 1)))
     info = {"v_top": float(vs[L + 1]), "v_norm_sq": v_norm_sq,
             "L": L, "q": q, "prelog_bound": K - q}
-    return GeniePartition(params, SYMMETRIC, "offset", _alpha_token(alpha),
+    return GeniePartition(params, SYMMETRIC, "offset", alpha_token(alpha),
                           group_a=tuple(group_a), groups_b=(b1, rest),
                           r_a=_reach_of(params, group_a),
                           genies=tuple(genies), steps=tuple(steps),

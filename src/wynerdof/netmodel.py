@@ -161,9 +161,6 @@ class ChannelModel:
     def equal_alpha(self) -> Optional[AlphaLike]:
         return self.gains.alpha if self.gains.kind == "equal" else None
 
-    def submatrix(self, rx_indices: Iterable[int], tx_indices: Iterable[int]) -> np.ndarray:
-        return submatrix(self, rx_indices, tx_indices)
-
 
 def _resolve_gains(K: int, topology: str, gains: CrossGainAssignment):
     """Per-link (sub, sup) gain arrays of length K-1 each."""

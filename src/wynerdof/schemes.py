@@ -30,8 +30,8 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from .netmodel import ASYMMETRIC, SYMMETRIC, ChannelModel, NetworkParams
-from .tridiag import AlphaLike, RootAlpha, alpha_float, u_is_zero
+from .netmodel import ASYMMETRIC, SYMMETRIC, ChannelModel, NetworkParams, submatrix
+from .tridiag import AlphaLike, alpha_float, alpha_token, u_is_zero
 
 __all__ = [
     "StrategyTag",
@@ -153,14 +153,6 @@ class TransmissionPlan:
 # small helpers
 # ---------------------------------------------------------------------------
 
-def _alpha_token(alpha: Optional[AlphaLike]) -> Optional[str]:
-    if alpha is None:
-        return None
-    if isinstance(alpha, RootAlpha):
-        return alpha.token()
-    return repr(float(alpha))
-
-
 def _reduce_asym(params: NetworkParams, n_active: int) -> Tuple[int, int, int, int]:
     """Clip side-information so that r_l'+t_l'+t_r'+r_r'+1 == n_active.
 
@@ -204,7 +196,7 @@ def _finalize(params, topology, family, silenced_tx, silenced_rx, subnets, deps,
         signal_deps=tuple(sorted((t, tuple(sorted(d))) for t, d in deps.items())),
         message_prelog=tuple(sorted(prelog.items())),
         claimed_dof=claimed,
-        alpha_token=_alpha_token(alpha),
+        alpha_token=alpha_token(alpha),
     )
 
 
@@ -794,7 +786,7 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
         for j, sb in enumerate(plan.subnets):
             if i == j:
                 continue
-            sub = model.submatrix(sa.rx_antennas, sb.active_tx)
+            sub = submatrix(model, sa.rx_antennas, sb.active_tx)
             if sub.size and np.any(sub != 0):
                 return fail(f"subnets {i} and {j} couple through the channel")
     checks.append("non-interference")
@@ -854,7 +846,7 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
                     if m not in set(params.tx_window(t)):
                         return fail(f"transmitter {t} does not know message {m}")
             want = sum(w for _, w in blk.prelog) + sum(prelog.get(m, 0) for m in blk.coupled)
-            r = _numeric_rank(model.submatrix(blk.antennas, blk.tx))
+            r = _numeric_rank(submatrix(model, blk.antennas, blk.tx))
             if r < want:
                 return fail(f"rank {r} < required {want} in subnet {si}")
             certified += sum(w for _, w in blk.prelog)

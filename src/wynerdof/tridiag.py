@@ -6,23 +6,29 @@ recursion
 
     u_{p+2} = u_{p+1} - alpha^2 * u_p,     u_0 = u_1 = 1,
 
-so u_p is a polynomial with integer coefficients in beta = alpha^2.  That
-makes exact zero tests and exact root isolation possible, which matters
-because the multiplexing-gain case split is discontinuous in alpha.
+so u_p is a polynomial with integer coefficients in beta = alpha^2, and it
+has the Chebyshev closed form
+
+    u_p(alpha) = prod_{j=1..p} (1 + 2 alpha cos(j pi/(p+1))).
+
+The positive roots are therefore alpha_{p,k} = 1/(2 cos(k pi/(p+1))) for
+1 <= k <= p//2, ascending in k, and each is simple because the cosines are
+distinct.  u_q vanishes at alpha_{p,k} iff cos^2(k pi/(p+1)) is one of the
+cos^2(j pi/(q+1)), that is iff (q+1) k = 0 (mod p+1): the exact zero test at
+a critical gain is an integer test.  That matters because the
+multiplexing-gain case split is discontinuous in alpha.
+
+The float value of a critical gain is sqrt of the correctly rounded beta-root,
+not the correctly rounded alpha; it is found from the closed form by stepping
+one ulp at a time until the exact rational signs of u_p at the two rounding
+midpoints differ.  An independent Sturm/gcd isolation of the same roots lives
+in the test suite (tests/exact_roots.py) as the oracle for both.
 
 Also provided: the normalized sequence v_p = u_p / (-alpha)^p with its own
 recursion and row identity, and the upper-banded matrices M_p(alpha)
 (alpha / 1 / alpha on the diagonal and first two super-diagonals) whose
 inverse rows supply noise-combination coefficients for the converse
 constructions.
-
-Roots of u_p are isolated with Sturm sequences over exact rationals on the
-beta-polynomial.  The classical eigenvalue factorization
-det H_p(alpha) = prod_k (1 + 2 alpha cos(k pi/(p+1))) is deliberately NOT
-used here; it serves as an independent oracle in the test suite.  The exact
-squarefree test run during root isolation has confirmed simple roots for
-every order exercised so far (the code still computes multiplicities rather
-than assuming 1).
 """
 
 from __future__ import annotations
@@ -31,19 +37,18 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
-Rational = Union[int, Fraction]
 AlphaLike = Union[int, float, Fraction, "RootAlpha"]
 
 __all__ = [
     "det_h",
     "h_matrix",
-    "u_beta_coeffs",
     "u_is_zero",
     "alpha_float",
+    "alpha_token",
     "rank_h",
     "neighbor_nonzero_check",
     "critical_roots",
@@ -73,14 +78,16 @@ def det_h(p: int, alpha: AlphaLike):
     if isinstance(alpha, RootAlpha):
         if p >= 2 and alpha.is_root_of(p):
             return 0.0
-        return _u_recursion(p, float(alpha))
-    if isinstance(alpha, (int, Fraction)) and not isinstance(alpha, bool):
-        return _u_recursion(p, Fraction(alpha))
-    return _u_recursion(p, float(alpha))
+        alpha = float(alpha)
+    elif isinstance(alpha, (int, Fraction)) and not isinstance(alpha, bool):
+        alpha = Fraction(alpha)
+    else:
+        alpha = float(alpha)
+    return _u_recursion(p, alpha * alpha)
 
 
-def _u_recursion(p, alpha):
-    beta = alpha * alpha
+def _u_recursion(p, beta):
+    """u_p as a function of beta = alpha^2, in beta's arithmetic type."""
     one = beta * 0 + 1  # coerce to the input's arithmetic type
     prev, cur = one, one  # u_0, u_1
     for _ in range(p - 1):
@@ -107,23 +114,13 @@ def alpha_float(alpha: AlphaLike) -> float:
     return float(alpha)
 
 
-@lru_cache(maxsize=None)
-def u_beta_coeffs(p: int) -> tuple:
-    """Integer coefficients (ascending) of u_p as a polynomial in beta = alpha^2."""
-    if p < 0:
-        raise ValueError("order p must be nonnegative")
-    if p == 0:
-        return (1,)
-    prev, cur = (1,), (1,)  # u_0, u_1
-    for _ in range(p - 1):
-        shifted = (0,) + prev
-        n = max(len(cur), len(shifted))
-        nxt = tuple(
-            (cur[i] if i < len(cur) else 0) - (shifted[i] if i < len(shifted) else 0)
-            for i in range(n)
-        )
-        prev, cur = cur, nxt
-    return cur
+def alpha_token(alpha: Optional[AlphaLike]) -> Optional[str]:
+    """Serialized cross-gain: 'root:p:k' for a RootAlpha, else repr of the float."""
+    if alpha is None:
+        return None
+    if isinstance(alpha, RootAlpha):
+        return alpha.token()
+    return repr(float(alpha))
 
 
 def u_is_zero(p: int, alpha: AlphaLike, tol: float = 1e-9) -> bool:
@@ -133,8 +130,10 @@ def u_is_zero(p: int, alpha: AlphaLike, tol: float = 1e-9) -> bool:
     if isinstance(alpha, RootAlpha):
         return alpha.is_root_of(p)
     if isinstance(alpha, (int, Fraction)) and not isinstance(alpha, bool):
-        return _u_recursion(p, Fraction(alpha)) == 0
-    return abs(_u_recursion(p, float(alpha))) <= tol
+        a = Fraction(alpha)
+        return _u_recursion(p, a * a) == 0
+    a = float(alpha)
+    return abs(_u_recursion(p, a * a)) <= tol
 
 
 def rank_h(p: int, alpha: AlphaLike, tol: float = 1e-9) -> int:
@@ -158,154 +157,38 @@ def neighbor_nonzero_check(p: int, alpha: AlphaLike, tol: float = 1e-9) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial helpers (Fraction coefficients, ascending order)
+# critical gains (roots of u_p) in closed form
 # ---------------------------------------------------------------------------
 
-def _trim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _peval(c, x):
-    acc = Fraction(0)
-    for coef in reversed(c):
-        acc = acc * x + coef
-    return acc
-
-
-def _pderiv(c):
-    return _trim(tuple(c[i] * i for i in range(1, len(c))))
-
-
-def _pdivmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = Fraction(1) / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        f = a[i + len(b) - 1] * inv
-        q[i] = f
-        for j, bc in enumerate(b):
-            a[i + j] -= f * bc
-    return _trim(q), _trim(a)
-
-
-def _pgcd(a, b):
-    a, b = _trim(a), _trim(b)
-    while b:
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = tuple(coef / lead for coef in a)
-    return a
-
-
-def _sturm_chain(c):
-    chain = [_trim(c), _pderiv(c)]
-    while chain[-1]:
-        _, r = _pdivmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(tuple(-x for x in r))
-    return [q for q in chain if q]
-
-
-def _sign_variations(chain, x):
-    signs = []
-    for c in chain:
-        v = _peval(c, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _count_roots(chain, lo, hi):
-    """Number of distinct real roots in (lo, hi]."""
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
-
-
-def _isolate_positive_roots(coeffs):
-    """Isolating intervals (lo, hi] for every distinct positive root, ascending."""
-    chain = _sturm_chain(coeffs)
-    bound = Fraction(1) + max(abs(Fraction(c)) for c in coeffs[:-1]) / abs(Fraction(coeffs[-1]))
-    stack = [(Fraction(0), bound)]
-    found = []
-    while stack:
-        lo, hi = stack.pop()
-        n = _count_roots(chain, lo, hi)
-        if n == 0:
-            continue
-        if n == 1:
-            found.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        while _peval(coeffs, mid) == 0:
-            # never split on a root; nudge the split point
-            mid = lo + (hi - lo) * Fraction(3, 7)
-        stack.append((lo, mid))
-        stack.append((mid, hi))
-    return sorted(found)
-
-
-def _refine(coeffs, lo, hi, width):
-    """Shrink an isolating interval of `coeffs` to the requested width."""
-    flo = _peval(coeffs, lo)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fmid = _peval(coeffs, mid)
-        if fmid == 0:
-            eps = (hi - lo) / 1024
-            return mid - eps, mid + eps
-        if (flo > 0) != (fmid > 0):
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return lo, hi
-
-
 @lru_cache(maxsize=None)
-def _beta_poly(p: int):
-    return _trim(tuple(Fraction(c) for c in u_beta_coeffs(p)))
+def _root_magnitude(p: int, k: int) -> float:
+    """alpha_{p,k} as sqrt of the correctly rounded beta-root of u_p.
 
-
-@lru_cache(maxsize=None)
-def _beta_roots(p: int):
-    """Isolated beta-roots of u_p with multiplicities: ((lo, hi, mult), ...)."""
-    coeffs = _beta_poly(p)
-    intervals = _isolate_positive_roots(coeffs)
-    out = []
-    for lo, hi in intervals:
-        lo, hi = _refine(coeffs, lo, hi, Fraction(1, 10**40))
-        mult = 1
-        g = _pgcd(coeffs, _pderiv(coeffs))
-        while len(g) > 1 and _count_roots(_sturm_chain(g), lo, hi) >= 1:
-            mult += 1
-            g = _pgcd(g, _pderiv(g))
-        out.append((lo, hi, mult))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _shares_root(p: int, k: int, q: int) -> bool:
-    """Exact test: is the k-th positive beta-root of u_p also a root of u_q?"""
-    if q <= 1:
-        return False
-    g = _pgcd(_beta_poly(p), _beta_poly(q))
-    if len(g) <= 1:
-        return False
-    lo, hi, _ = _beta_roots(p)[k - 1]
-    return _count_roots(_sturm_chain(g), lo, hi) >= 1
+    The guess 1/(4 s^2), with s = cos(k pi/(p+1)) written as a sine of a
+    small argument for relative accuracy, is within a few ulps; the float b
+    that rounds the root is the one whose two rounding midpoints give u_p
+    exact rational values of opposite sign.
+    """
+    s = math.sin((p + 1 - 2 * k) * math.pi / (2 * (p + 1)))
+    guess = 1 / (4 * s * s)
+    up, down = guess, math.nextafter(guess, 0)
+    for _ in range(64):
+        for b in (up, down):
+            lo = (Fraction(math.nextafter(b, 0)) + Fraction(b)) / 2
+            hi = (Fraction(b) + Fraction(math.nextafter(b, math.inf))) / 2
+            if (_u_recursion(p, lo) > 0) != (_u_recursion(p, hi) > 0):
+                return math.sqrt(b)
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, 0)
+    raise ArithmeticError(f"no float within 64 ulps rounds root {k} of u_{p}")
 
 
 @dataclass(frozen=True)
 class RootAlpha:
     """Exact algebraic cross-gain: the k-th positive root of u_p (times sign).
 
-    Carries an isolating rational interval for beta = alpha^2, so zero tests
-    of any u_q at this value are exact (via polynomial gcds and Sturm counts)
-    even though the value itself is irrational.
+    alpha_{p,k} = sign / (2 cos(k pi/(p+1))), 1 <= k <= p//2.  Zero tests of
+    any u_q at this value are exact integer tests even though the value
+    itself is irrational.
     """
 
     p: int
@@ -317,32 +200,24 @@ class RootAlpha:
             raise ValueError("u_p has roots only for p >= 2")
         if self.sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
-        roots = _beta_roots(self.p)
-        if not 1 <= self.k <= len(roots):
-            raise ValueError(f"u_{self.p} has {len(roots)} positive roots; got k={self.k}")
-
-    @property
-    def _interval(self):
-        lo, hi, _ = _beta_roots(self.p)[self.k - 1]
-        return lo, hi
+        if not 1 <= self.k <= self.p // 2:
+            raise ValueError(f"u_{self.p} has {self.p // 2} positive roots; got k={self.k}")
 
     @property
     def multiplicity(self) -> int:
-        return _beta_roots(self.p)[self.k - 1][2]
+        """Always 1: the cosines cos(j pi/(p+1)) are distinct."""
+        return 1
 
     @property
     def value(self) -> float:
-        lo, hi = self._interval
-        return self.sign * math.sqrt(float((lo + hi) / 2))
+        return self.sign * _root_magnitude(self.p, self.k)
 
     def __float__(self) -> float:
         return self.value
 
     def is_root_of(self, q: int) -> bool:
         """Exactly decide u_q(self) = 0."""
-        if q == self.p:
-            return True
-        return _shares_root(self.p, self.k, q)
+        return q >= 2 and (q + 1) * self.k % (self.p + 1) == 0
 
     def token(self) -> str:
         return f"root:{self.p}:{self.k}" if self.sign > 0 else f"-root:{self.p}:{self.k}"
@@ -370,27 +245,19 @@ class RootSet:
 
 
 def critical_roots(p: int) -> RootSet:
-    """Every real alpha with u_p(alpha) = 0, found by exact isolation.
+    """Every real alpha with u_p(alpha) = 0, from the closed form.
 
     Roots come in +/- pairs since u_p depends on alpha only through alpha^2,
     and alpha = 0 is never a root (u_p(0) = 1).  Requires p >= 2.
     """
     if p < 2:
         raise ValueError("u_p has no real roots for p < 2")
-    entries = []
-    positives = []
-    for k, (lo, hi, mult) in enumerate(_beta_roots(p), start=1):
-        ra = RootAlpha(p, k)
-        positives.append((ra, mult))
-    for ra, mult in positives:
-        entries.append((-ra.value, mult, RootAlpha(ra.p, ra.k, -1)))
-    for ra, mult in positives:
-        entries.append((ra.value, mult, ra))
-    entries.sort(key=lambda t: t[0])
+    positives = [RootAlpha(p, k) for k in range(1, p // 2 + 1)]
+    root_alphas = [RootAlpha(p, ra.k, -1) for ra in reversed(positives)] + positives
     return RootSet(
         p=p,
-        roots=tuple((a, m) for a, m, _ in entries),
-        root_alphas=tuple(ra for _, _, ra in entries),
+        roots=tuple((ra.value, ra.multiplicity) for ra in root_alphas),
+        root_alphas=tuple(root_alphas),
     )
 
 
@@ -416,9 +283,9 @@ class VSequence:
 
     def definitional_residual(self) -> float:
         """max_p |v_p * (-alpha)^p - u_p| over the computed range."""
-        worst = 0.0
+        a, worst = self.alpha, 0.0
         for p in range(0, self.pmax + 1):
-            worst = max(worst, abs(self[p] * (-self.alpha) ** p - _u_recursion(p, self.alpha)))
+            worst = max(worst, abs(self[p] * (-a) ** p - _u_recursion(p, a * a)))
         return worst
 
 

@@ -31,6 +31,13 @@ class TestMg:
         code, _, err = run(capsys, "mg", "--K", "5")
         assert code == 2 and "error" in err
 
+    def test_root_index_past_the_last_root_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "mg", "--topology", "symmetric", "--K", "40",
+                             "--tl", "1", "--tr", "1", "--rl", "1", "--rr", "1",
+                             "--alpha", "root:30:16")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "u_30 has 15 positive roots" in err
+
 
 class TestRoots:
     def test_order_three(self, capsys):

@@ -24,7 +24,7 @@ class TestAsymGenie:
         g = cv.build_asym_genie(p, 0.7)
         assert g.group_a == (4, 5, 6, 7)
         assert g.r_a == tuple(range(2, 8))
-        assert cv.mac_bound_value(g) == 6
+        assert g.bound == 6
 
     def test_two_period_example(self):
         g = cv.build_asym_genie(P(K=4), 0.7)

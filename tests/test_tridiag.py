@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import exact_roots as ex
 from wynerdof import tridiag as td
 
 
@@ -59,16 +60,16 @@ class TestDetH:
 
 class TestBetaPolynomial:
     def test_small_coefficients(self):
-        assert td.u_beta_coeffs(0) == (1,)
-        assert td.u_beta_coeffs(1) == (1,)
-        assert td.u_beta_coeffs(2) == (1, -1)
-        assert td.u_beta_coeffs(3) == (1, -2)
-        assert td.u_beta_coeffs(5) == (1, -4, 3)
+        assert ex.u_beta_coeffs(0) == (1,)
+        assert ex.u_beta_coeffs(1) == (1,)
+        assert ex.u_beta_coeffs(2) == (1, -1)
+        assert ex.u_beta_coeffs(3) == (1, -2)
+        assert ex.u_beta_coeffs(5) == (1, -4, 3)
 
     def test_evaluates_like_the_recursion(self):
         for p in range(0, 12):
             for a in (0.3, 1.1, -0.8):
-                val = sum(c * (a * a) ** i for i, c in enumerate(td.u_beta_coeffs(p)))
+                val = sum(c * (a * a) ** i for i, c in enumerate(ex.u_beta_coeffs(p)))
                 assert abs(val - td.det_h(p, a)) < 1e-10
 
 
@@ -108,8 +109,30 @@ class TestCriticalRoots:
     def test_no_two_consecutive_orders_share_a_root(self):
         # exact integer-polynomial gcd in beta
         for p in range(2, 21):
-            g = td._pgcd(td._beta_poly(p), td._beta_poly(p + 1))
+            g = ex._pgcd(ex._beta_poly(p), ex._beta_poly(p + 1))
             assert len(g) == 1
+
+    def test_zero_test_matches_the_sturm_gcd_oracle(self):
+        for p in range(2, 17):
+            for k in range(1, p // 2 + 1):
+                ra = td.RootAlpha(p, k)
+                for q in range(2, 31):
+                    assert ra.is_root_of(q) == ex._shares_root(p, k, q), (p, k, q)
+
+    def test_value_is_sqrt_of_the_rounded_oracle_beta(self):
+        for p in range(2, 25):
+            oracle = ex._beta_roots(p)
+            assert len(oracle) == p // 2
+            for k, (lo, hi, mult) in enumerate(oracle, start=1):
+                ra = td.RootAlpha(p, k)
+                assert mult == ra.multiplicity == 1
+                want = math.sqrt(float((lo + hi) / 2))
+                assert ra.value == want and td.RootAlpha(p, k, -1).value == -want, (p, k)
+
+    @pytest.mark.parametrize("p, k", [(2, 0), (5, 0), (2, 2), (5, 3), (30, 16), (1, 1)])
+    def test_root_index_out_of_range_is_rejected(self, p, k):
+        with pytest.raises(ValueError):
+            td.RootAlpha(p, k)
 
     def test_root_object_exact_membership(self):
         ra = td.RootAlpha(3, 1)
