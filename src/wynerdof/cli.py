@@ -153,11 +153,11 @@ def _cmd_plan(args) -> int:
 
 def _cmd_certify(args) -> int:
     model = _instance_from_args(args)
-    if args.plan:
+    if args.plan == "-":
+        plan = schemes.plan_from_json(json.load(sys.stdin))
+    elif args.plan:
         with open(args.plan) as fh:
             plan = schemes.plan_from_json(json.load(fh))
-    elif not sys.stdin.isatty():
-        plan = schemes.plan_from_json(json.load(sys.stdin))
     else:
         plan = _plan_from_args(args, model.params)
     cert = schemes.certify_plan(plan, model)
@@ -240,10 +240,19 @@ def _cmd_random_check(args) -> int:
 
 
 def _sweep_one(idx, inst, checks):
+    """One CSV row; a check that does not apply ends the row in an `error` cell."""
+    row = {"index": idx, **inst}
+    try:
+        _sweep_checks(row, inst, checks)
+    except ValueError as exc:  # NotApplicableError included
+        row["error"] = str(exc)
+    return row
+
+
+def _sweep_checks(row, inst, checks):
     params = NetworkParams(K=inst["K"], t_left=inst["tl"], t_right=inst["tr"],
                            r_left=inst["rl"], r_right=inst["rr"])
     alpha = parse_alpha_token(inst["alpha"])
-    row = {"index": idx, **inst}
     topology = inst.get("topology", SYMMETRIC)
     model = build_channel(params, topology, CrossGainAssignment.equal(alpha))
     if "mg" in checks:
@@ -268,7 +277,13 @@ def _sweep_one(idx, inst, checks):
         rep = converse.verify_reconstruction(part, model, trials=20)
         row["converse_bound"] = part.bound
         row["converse_ok"] = rep.ok
-    return row
+
+
+def _csv_cell(value) -> str:
+    text = str(value)
+    if any(c in text for c in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _cmd_sweep(args) -> int:
@@ -299,7 +314,7 @@ def _cmd_sweep(args) -> int:
     cols = sorted({k for r in rows for k in r}, key=lambda c: (c != "index", c))
     lines = [",".join(cols)]
     for r in rows:
-        lines.append(",".join(str(r.get(c, "")) for c in cols))
+        lines.append(",".join(_csv_cell(r.get(c, "")) for c in cols))
     _emit("\n".join(lines))
     return _EXIT_OK
 
@@ -336,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="certify a plan against a channel")
     _add_instance_flags(p)
-    p.add_argument("--plan", help="plan JSON file (else stdin, else re-synthesized)")
+    p.add_argument("--plan", help="plan JSON file, or - to read it from stdin "
+                                  "(default: re-synthesized from the flags)")
     p.add_argument("--bound-label")
     p.set_defaults(func=_cmd_certify)
 

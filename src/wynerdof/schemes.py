@@ -756,6 +756,40 @@ def _numeric_rank(a: np.ndarray, rel_tol: float = 1e-8) -> int:
     return int(np.sum(s > rel_tol * s[0]))
 
 
+def _first_coupling(subnets, model: ChannelModel) -> Optional[Tuple[int, int]]:
+    """Lexicographically first (i, j), i != j, with H[a, t] != 0 for an
+    antenna a of subnet i and an active transmitter t of subnet j.
+
+    One scan of the channel's nonzeros against per-index owner lists; the
+    lists keep every subnet naming an index, so shared indices still couple.
+    An index outside 1..K raises ValueError (from `submatrix`) when the
+    first pair naming it is not after the first coupling.
+    """
+    rx_owners: Dict[int, List[int]] = {}
+    tx_owners: Dict[int, List[int]] = {}
+    for i, sn in enumerate(subnets):
+        for a in sn.rx_antennas:
+            rx_owners.setdefault(a, []).append(i)
+        for t in sn.active_tx:
+            tx_owners.setdefault(t, []).append(i)
+    first = None
+    rows, cols = np.nonzero(model.matrix)
+    for a, t in zip(rows.tolist(), cols.tolist()):
+        for i in rx_owners.get(a + 1, ()):
+            for j in tx_owners.get(t + 1, ()):
+                if i != j and (first is None or (i, j) < first):
+                    first = (i, j)
+    if len(subnets) >= 2:
+        bad = lambda idx: any(not 1 <= x <= model.K for x in idx)
+        other = lambda i: 1 if i == 0 else 0
+        raising = [(i, other(i)) for i, sn in enumerate(subnets) if bad(sn.rx_antennas)]
+        raising += [(other(j), j) for j, sn in enumerate(subnets) if bad(sn.active_tx)]
+        if raising and (first is None or min(raising) <= first):
+            i, j = min(raising)
+            submatrix(model, subnets[i].rx_antennas, subnets[j].active_tx)  # raises
+    return first
+
+
 def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
     """Verify a plan against a concrete channel: non-interference,
     side-information feasibility, chain pivots/removability, block ranks,
@@ -782,13 +816,9 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
         return fail("silenced transmitter listed as active")
 
     # (a) subnets do not interfere
-    for i, sa in enumerate(plan.subnets):
-        for j, sb in enumerate(plan.subnets):
-            if i == j:
-                continue
-            sub = submatrix(model, sa.rx_antennas, sb.active_tx)
-            if sub.size and np.any(sub != 0):
-                return fail(f"subnets {i} and {j} couple through the channel")
+    coupling = _first_coupling(plan.subnets, model)
+    if coupling is not None:
+        return fail("subnets {} and {} couple through the channel".format(*coupling))
     checks.append("non-interference")
 
     # (b) encoder-side feasibility
@@ -798,6 +828,9 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
             return fail(f"transmitter {t} uses messages {sorted(dset - win)} outside its window")
     checks.append("encoder-feasibility")
 
+    # block ranks for this call only: equal gains make H Toeplitz, so most
+    # blocks repeat one submatrix
+    ranks: Dict[Tuple[Tuple[int, ...], bytes], int] = {}
     certified = 0
     for si, sn in enumerate(plan.subnets):
         decoded: set = set()
@@ -843,10 +876,14 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
                 return fail("joint decoder does not cover the block antennas")
             for m, group in blk.tx_of:
                 for t in group:
-                    if m not in set(params.tx_window(t)):
+                    if m not in params.tx_window(t):
                         return fail(f"transmitter {t} does not know message {m}")
             want = sum(w for _, w in blk.prelog) + sum(prelog.get(m, 0) for m in blk.coupled)
-            r = _numeric_rank(submatrix(model, blk.antennas, blk.tx))
+            sub = submatrix(model, blk.antennas, blk.tx)
+            key = (sub.shape, sub.tobytes())
+            if key not in ranks:
+                ranks[key] = _numeric_rank(sub)
+            r = ranks[key]
             if r < want:
                 return fail(f"rank {r} < required {want} in subnet {si}")
             certified += sum(w for _, w in blk.prelog)

@@ -176,10 +176,24 @@ def _root_magnitude(p: int, k: int) -> float:
         for b in (up, down):
             lo = (Fraction(math.nextafter(b, 0)) + Fraction(b)) / 2
             hi = (Fraction(b) + Fraction(math.nextafter(b, math.inf))) / 2
-            if (_u_recursion(p, lo) > 0) != (_u_recursion(p, hi) > 0):
+            if _u_positive(p, lo) != _u_positive(p, hi):
                 return math.sqrt(b)
         up, down = math.nextafter(up, math.inf), math.nextafter(down, 0)
     raise ArithmeticError(f"no float within 64 ulps rounds root {k} of u_{p}")
+
+
+def _u_positive(p: int, beta: Fraction) -> bool:
+    """Whether u_p(beta) > 0 at a dyadic beta = m/2^e, in integers only.
+
+    W_j = 2^(e*(j//2)) u_j has the sign of u_j and obeys
+    W_{j+2} = (W_{j+1} << s_j) - m W_j with s_j = e for even j, 0 for odd j,
+    so no rational gcds are taken.
+    """
+    m, e = beta.numerator, beta.denominator.bit_length() - 1
+    prev, cur = 1, 1  # W_0, W_1
+    for j in range(p - 1):
+        prev, cur = cur, (cur << (0 if j % 2 else e)) - m * prev
+    return cur > 0
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -92,6 +94,22 @@ class TestPlanCertifyRoundTrip:
         assert code2 == 1
         assert not json.loads(out2)["ok"]
 
+    def test_plan_read_from_stdin_only_with_dash(self, capsys, tmp_path, monkeypatch):
+        argv = ["--topology", "symmetric", "--K", "7", "--tl", "1", "--tr", "1",
+                "--rl", "1", "--rr", "1", "--alpha", "0.3"]
+        _, plan, _ = run(capsys, "plan", *argv)
+        monkeypatch.setattr("sys.stdin", io.StringIO(plan))
+        code, out, _ = run(capsys, "certify", *argv, "--plan", "-")
+        assert code == 0 and json.loads(out)["certified_dof"] == 6
+
+    def test_certify_without_plan_ignores_a_non_tty_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        code, out, err = run(capsys, "certify", "--topology", "symmetric", "--K", "7",
+                             "--tl", "1", "--tr", "1", "--rl", "1", "--rr", "1",
+                             "--alpha", "0.3")
+        assert code == 0 and err == ""
+        assert json.loads(out)["ok"]
+
 
 class TestDeterminism:
     def test_byte_identical_output(self, capsys):
@@ -122,6 +140,22 @@ class TestSweep:
         _, seq, _ = run(capsys, "sweep", "--spec", str(f), "--jobs", "1")
         _, par, _ = run(capsys, "sweep", "--spec", str(f), "--jobs", "4")
         assert seq == par
+        assert "error" not in seq.splitlines()[0]
+
+    def test_a_row_that_does_not_apply_keeps_the_sweep_going(self, capsys, tmp_path):
+        spec = {"K": [7], "tl": [1], "tr": [0, 1], "rl": [1], "rr": [1],
+                "alpha": [0.3, "root:3"], "checks": ["certify"]}
+        f = tmp_path / "sweep.json"
+        f.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "sweep", "--spec", str(f))
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["index"], r["tr"], r["alpha"]) for r in rows] == [
+            ("0", "0", "0.3"), ("1", "0", "root:3"), ("2", "1", "0.3"), ("3", "1", "root:3")]
+        assert rows[0]["error"] == "requires symmetric side-information"
+        assert rows[0]["certified"] == ""
+        assert rows[1]["error"].startswith("bad root token 'root:3'") and "," in rows[1]["error"]
+        assert rows[2]["error"] == "" and rows[2]["certified"] == "6"
 
 
 class TestSimulateAndOffset:

@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import pairwise_coupling as pw
 from wynerdof import dofcalc as dc
 from wynerdof import netmodel as nm
 from wynerdof import schemes as sc
@@ -278,6 +279,131 @@ class TestCertification:
         bad = dataclasses.replace(plan, claimed_dof=plan.claimed_dof + 1)
         cert = sc.certify_plan(bad, model(p, nm.ASYMMETRIC, 0.5))
         assert not cert.ok and "claimed" in cert.failure
+
+
+def every_family():
+    """(plan, channel) pairs from every plan family at a few sizes."""
+    out = []
+    for K, side in product((5, 9, 14), [(1, 1, 1, 1), (0, 1, 2, 0), (2, 0, 1, 1), (0, 0, 0, 0)]):
+        p = P(K, *side)
+        asym = model(p, nm.ASYMMETRIC, 0.6)
+        out += [(plan, asym) for plan in [sc.asym_plan(p)] + sc.fair_time_sharing_plan(p)]
+        for alpha in (0.3, ROOT3, RootAlpha(2, 1)):
+            sym = model(p, nm.SYMMETRIC, alpha)
+            for label in ("lb-combined", "lb-left-chain", "lb-right-chain", "lb-central-mimo"):
+                try:
+                    out.append((sc.sym_general_plan(p, label), sym))
+                except sc.NotApplicableError:
+                    pass
+            if side[0] + side[2] == side[1] + side[3]:
+                out += [(sc.sym_symmetric_si_plan(p, alpha, force_case=case), sym)
+                        for case in (None, 1, 2, 3, 4)]
+    return out
+
+
+class TestNonInterferenceOracle:
+    """certify_plan against the same check with the pairwise submatrix loop."""
+
+    @staticmethod
+    def both(plan, m, monkeypatch):
+        def run():
+            try:
+                return sc.certify_plan(plan, m)
+            except ValueError as exc:
+                return repr(exc)
+        fast = run()
+        with monkeypatch.context() as mp:
+            mp.setattr(sc, "_first_coupling", pw.first_coupling)
+            return fast, run()
+
+    def test_every_family_matches_the_oracle(self, monkeypatch):
+        plans = every_family()
+        families = {plan.family.rsplit("-", 1)[0] if "rotation" in plan.family else plan.family
+                    for plan, _ in plans}
+        assert {"asym-silencing", "asym-rotation", "sym-lb-combined", "sym-lb-left-chain",
+                "sym-lb-right-chain", "sym-lb-central-mimo"} <= families
+        assert {f"sym-si-case{c}" for c in (1, 2, 3, 4)} <= families
+        outcomes = set()
+        for plan, m in plans:
+            fast, slow = self.both(plan, m, monkeypatch)
+            assert fast == slow, plan.family
+            outcomes.add(fast.failure.split(" ")[0] if fast.failure else "ok")
+        assert {"ok", "rank"} <= outcomes
+
+    def test_antenna_across_a_cut_couples(self, monkeypatch):
+        tampered = 0
+        for plan, m in every_family():
+            for i, sn in enumerate(plan.subnets[:-1]):
+                nxt = plan.subnets[i + 1].rx_antennas[0]
+                if nxt in sn.rx_antennas:
+                    continue
+                bad = dataclasses.replace(plan, subnets=plan.subnets[:i] + (
+                    dataclasses.replace(sn, rx_antennas=sn.rx_antennas + (nxt,)),)
+                    + plan.subnets[i + 1:])
+                fast, slow = self.both(bad, m, monkeypatch)
+                assert fast == slow, plan.family
+                tampered += "couple through the channel" in (fast.failure or "")
+        assert tampered > 50
+
+    def test_transmitter_in_two_subnets_couples(self, monkeypatch):
+        p = P(K=9, t_left=1, t_right=1, r_left=1, r_right=1)
+        plan = sc.sym_symmetric_si_plan(p, 0.3)
+        a, b = plan.subnets[0], plan.subnets[1]
+        bad = dataclasses.replace(plan, subnets=(
+            dataclasses.replace(a, active_tx=a.active_tx + b.active_tx[:1]),) + plan.subnets[1:])
+        fast, slow = self.both(bad, model(p, nm.SYMMETRIC, 0.3), monkeypatch)
+        assert fast == slow
+        assert fast.failure == "subnets 1 and 0 couple through the channel"
+        assert fast.checks == ()
+
+    @pytest.mark.parametrize("where", ["rx", "tx"])
+    def test_index_past_k_still_raises(self, monkeypatch, where):
+        p = P(K=8, t_left=1, r_left=1)
+        plan = sc.asym_plan(p)
+        last = plan.subnets[-1]
+        field = "rx_antennas" if where == "rx" else "active_tx"
+        bad_sn = dataclasses.replace(last, **{field: getattr(last, field) + (p.K + 1,)})
+        bad = dataclasses.replace(plan, subnets=plan.subnets[:-1] + (bad_sn,))
+        m = model(p, nm.ASYMMETRIC, 0.5)
+        fast, slow = self.both(bad, m, monkeypatch)
+        assert fast == slow == repr(ValueError("index 9 outside 1..8"))
+
+    @pytest.mark.parametrize("bad_subnet, raises", [(2, False), (1, True)])
+    def test_a_bad_index_raises_only_at_or_before_the_first_coupling(
+            self, monkeypatch, bad_subnet, raises):
+        p = P(K=12, t_left=1, r_left=1)
+        plan = sc.asym_plan(p)
+        subs = list(plan.subnets)
+        assert len(subs) == 3
+        # antenna 5 is subnet 1's first: subnets 0 and 1 couple
+        subs[0] = dataclasses.replace(subs[0], rx_antennas=subs[0].rx_antennas + (5,))
+        subs[bad_subnet] = dataclasses.replace(
+            subs[bad_subnet], active_tx=subs[bad_subnet].active_tx + (0,))
+        fast, slow = self.both(dataclasses.replace(plan, subnets=tuple(subs)),
+                               model(p, nm.ASYMMETRIC, 0.5), monkeypatch)
+        assert fast == slow
+        if raises:
+            assert fast == repr(ValueError("index 0 outside 1..12"))
+        else:
+            assert fast.failure == "subnets 0 and 1 couple through the channel"
+
+    def test_certify_does_not_loop_over_subnet_pairs(self, monkeypatch):
+        p = P(K=240)
+        plan = sc.sym_symmetric_si_plan(p, 0.3)
+        blocks = sum(len(sn.mimo_blocks) for sn in plan.subnets)
+        assert len(plan.subnets) == 120 and blocks == 120
+        calls = []
+        submatrix = nm.submatrix
+
+        def counting(*args):
+            calls.append(args)
+            return submatrix(*args)
+
+        monkeypatch.setattr(sc, "submatrix", counting)
+        monkeypatch.setattr(nm, "submatrix", counting)
+        cert = sc.certify_plan(plan, model(p, nm.SYMMETRIC, 0.3))
+        assert cert.ok and cert.certified_dof == 120
+        assert len(calls) <= blocks
 
 
 class TestPlanJson:

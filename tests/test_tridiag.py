@@ -129,6 +129,31 @@ class TestCriticalRoots:
                 want = math.sqrt(float((lo + hi) / 2))
                 assert ra.value == want and td.RootAlpha(p, k, -1).value == -want, (p, k)
 
+    @pytest.mark.parametrize("p", [40, 64, 100])
+    def test_high_order_value_is_sqrt_of_the_rounded_beta_root(self, p):
+        """Past the Sturm oracle's reach: among the floats b near value^2
+        with sqrt(b) == value, exactly one has u_p of opposite exact signs at
+        its two rounding midpoints, i.e. rounds a beta-root of u_p."""
+        def u(beta):
+            prev, cur = Fraction(1), Fraction(1)
+            for _ in range(p - 1):
+                prev, cur = cur, cur - beta * prev
+            return cur
+
+        for k in (1, p // 4, p // 2):
+            value = td.RootAlpha(p, k).value
+            b = value * value
+            for _ in range(4):
+                b = math.nextafter(b, 0)
+            bracketing = 0
+            for _ in range(9):
+                if math.sqrt(b) == value:
+                    lo = (Fraction(math.nextafter(b, 0)) + Fraction(b)) / 2
+                    hi = (Fraction(b) + Fraction(math.nextafter(b, math.inf))) / 2
+                    bracketing += (u(lo) > 0) != (u(hi) > 0)
+                b = math.nextafter(b, math.inf)
+            assert bracketing == 1, (p, k)
+
     @pytest.mark.parametrize("p, k", [(2, 0), (5, 0), (2, 2), (5, 3), (30, 16), (1, 1)])
     def test_root_index_out_of_range_is_rejected(self, p, k):
         with pytest.raises(ValueError):
