@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
@@ -45,7 +44,6 @@ def _add_instance_flags(p: argparse.ArgumentParser, topology_required=True):
     p.add_argument("--tr", type=int, default=0)
     p.add_argument("--rl", type=int, default=0)
     p.add_argument("--rr", type=int, default=0)
-    p.add_argument("--power", type=float, default=1.0)
     p.add_argument("--alpha", help="equal cross-gain (decimal or root:p:k)")
     p.add_argument("--gains-seed", type=int, help="continuous random gains")
 
@@ -57,7 +55,7 @@ def _instance_from_args(args) -> netmodel.ChannelModel:
     if args.K is None or args.topology is None:
         raise ValueError("--K and --topology (or --instance) are required")
     params = NetworkParams(K=args.K, t_left=args.tl, t_right=args.tr,
-                           r_left=args.rl, r_right=args.rr, power=args.power)
+                           r_left=args.rl, r_right=args.rr)
     if args.gains_seed is not None:
         gains = CrossGainAssignment.random(args.gains_seed)
     elif args.alpha is not None:
@@ -71,7 +69,7 @@ def _params_from_args(args) -> NetworkParams:
     if args.K is None:
         raise ValueError("--K is required")
     return NetworkParams(K=args.K, t_left=args.tl, t_right=args.tr,
-                         r_left=args.rl, r_right=args.rr, power=args.power)
+                         r_left=args.rl, r_right=args.rr)
 
 
 # ---------------------------------------------------------------------------
@@ -165,25 +163,26 @@ def _cmd_certify(args) -> int:
     return _EXIT_OK if cert.ok else _EXIT_VERIFY
 
 
-def _cmd_converse(args) -> int:
-    model = _instance_from_args(args)
-    params = model.params
+_GENIE_BUILDERS = {
+    "asym": lambda p, alpha, mirror: converse.build_asym_genie(p, alpha),
+    "ub1": lambda p, alpha, mirror: converse.build_sym_genie_ub1(p, alpha),
+    "ub2": lambda p, alpha, mirror: converse.build_sym_genie_ub2(p, alpha, mirror=mirror),
+    "offset": lambda p, alpha, mirror: converse.build_offset_genie(
+        p.t_left + p.r_left, alpha, p.K, t_left=p.t_left, r_left=p.r_left,
+        t_right=p.t_right, r_right=p.r_right),
+}
+
+
+def _genie_from_args(args, model):
     alpha = model.equal_alpha
     if alpha is None:
         raise ValueError("converse constructions need equal gains (--alpha)")
-    if args.family == "asym":
-        part = converse.build_asym_genie(params, alpha)
-    elif args.family == "ub1":
-        part = converse.build_sym_genie_ub1(params, alpha)
-    elif args.family == "ub2":
-        part = converse.build_sym_genie_ub2(params, alpha, mirror=args.mirror)
-    elif args.family == "offset":
-        L = params.t_left + params.r_left
-        part = converse.build_offset_genie(
-            L, alpha, params.K, t_left=params.t_left, r_left=params.r_left,
-            t_right=params.t_right, r_right=params.r_right)
-    else:
-        raise ValueError(f"unknown family {args.family!r}")
+    return _GENIE_BUILDERS[args.family](model.params, alpha, args.mirror)
+
+
+def _cmd_converse(args) -> int:
+    model = _instance_from_args(args)
+    part = _genie_from_args(args, model)
     rep = converse.verify_reconstruction(part, model, trials=args.trials,
                                          tol=args.tol, seed=args.seed)
     ent = converse.genie_entropy_check(part, model)
@@ -196,15 +195,7 @@ def _cmd_converse(args) -> int:
 
 def _cmd_entropy(args) -> int:
     model = _instance_from_args(args)
-    alpha = model.equal_alpha
-    if args.family == "asym":
-        part = converse.build_asym_genie(model.params, alpha)
-    elif args.family == "ub1":
-        part = converse.build_sym_genie_ub1(model.params, alpha)
-    elif args.family == "ub2":
-        part = converse.build_sym_genie_ub2(model.params, alpha, mirror=args.mirror)
-    else:
-        raise ValueError(f"unknown family {args.family!r}")
+    part = _genie_from_args(args, model)
     rep = converse.genie_entropy_check(part, model)
     _emit(rep.to_json())
     return _EXIT_OK if rep.ok else _EXIT_VERIFY
@@ -301,7 +292,7 @@ def _cmd_sweep(args) -> int:
             inst["topology"] = spec["topology"]
         instances.append((idx, inst))
         idx += 1
-    jobs = args.jobs or int(os.environ.get("WYNERDOF_JOBS", "1"))
+    jobs = args.jobs or 1
     rows = [None] * len(instances)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as ex:

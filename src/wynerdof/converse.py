@@ -388,7 +388,7 @@ def _null_row_coeffs(pL: int, alpha: AlphaLike) -> np.ndarray:
 
 
 def build_sym_genie_ub2(params: NetworkParams, alpha: AlphaLike,
-                        mirror: bool = False, tol: float = 1e-9) -> GeniePartition:
+                        mirror: bool = False) -> GeniePartition:
     """Multi-round partition exploiting a singular H_{t_l+r_l+1}(alpha).
 
     Hides two adjacent antennas per period side_sum+3 (shorter than the
@@ -399,14 +399,14 @@ def build_sym_genie_ub2(params: NetworkParams, alpha: AlphaLike,
     """
     if mirror:
         return _mirror_partition(
-            build_sym_genie_ub2(params.mirrored(), alpha, mirror=False, tol=tol), params)
+            build_sym_genie_ub2(params.mirrored(), alpha), params)
     a = alpha_float(alpha)
     if a == 0:
         raise ValueError("nonzero cross-gain required")
     K = params.K
     tl, tr, rl, rr = params.t_left, params.t_right, params.r_left, params.r_right
     pL, pR = tl + rl + 1, tr + rr + 1
-    if not u_is_zero(pL, alpha, tol):
+    if not u_is_zero(pL, alpha):
         raise ValueError(f"requires singular H_{pL}(alpha)")
     beta = params.side_sum + 3
     gamma = K // beta

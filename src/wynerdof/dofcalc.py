@@ -152,7 +152,7 @@ def _require_symmetric_si(params: NetworkParams) -> int:
     return L
 
 
-def sym_mg_symmetric_si(params: NetworkParams, alpha: AlphaLike, tol: float = 1e-9) -> DofInterval:
+def sym_mg_symmetric_si(params: NetworkParams, alpha: AlphaLike) -> DofInterval:
     """Multiplexing-gain interval under equal gains and symmetric side-information.
 
     Four regimes, discontinuous in alpha through the zero pattern of the
@@ -172,16 +172,16 @@ def sym_mg_symmetric_si(params: NetworkParams, alpha: AlphaLike, tol: float = 1e
     L = _require_symmetric_si(params)
     K = params.K
     if K <= L + 1:
-        d1 = 1 if u_is_zero(K, alpha, tol) else 0
+        d1 = 1 if u_is_zero(K, alpha) else 0
         return DofInterval(K - d1, K - d1, "si-exact-full", "si-exact-full")
     if K == L + 2:
-        merged = sym_dof_interval(params, alpha, tol=tol)
+        merged = sym_dof_interval(params, alpha)
         return DofInterval(merged.lower, merged.upper, merged.lower_by, merged.upper_by,
                            note="K == t_left+r_left+2 is outside the case split; "
                                 "general bounds returned")
-    if not u_is_zero(L + 1, alpha, tol):
+    if not u_is_zero(L + 1, alpha):
         g = K // (L + 2)
-        if not u_is_zero(L, alpha, tol):
+        if not u_is_zero(L, alpha):
             return DofInterval(K - g, K - g, "si-periodic-exact", "si-periodic-exact")
         return DofInterval(K - g - 1, K - g, "si-periodic", "si-periodic")
     G = K // (L + 1)
@@ -191,13 +191,13 @@ def sym_mg_symmetric_si(params: NetworkParams, alpha: AlphaLike, tol: float = 1e
     return DofInterval(K - G, upper, "si-critical-lower", "si-critical-upper")
 
 
-def sym_mg_per_user(params: NetworkParams, alpha: AlphaLike, tol: float = 1e-9) -> PerUserAsymptote:
+def sym_mg_per_user(params: NetworkParams, alpha: AlphaLike) -> PerUserAsymptote:
     """Per-user asymptote under symmetric side-information (exact away from
     the critical gains, a rational bracket at them)."""
     if alpha_float(alpha) == 0:
         raise ValueError("nonzero cross-gain required")
     L = _require_symmetric_si(params)
-    if not u_is_zero(L + 1, alpha, tol):
+    if not u_is_zero(L + 1, alpha):
         v = Fraction(L + 1, L + 2)
         return PerUserAsymptote(v, v)
     return PerUserAsymptote(Fraction(L, L + 1), Fraction(2 * L + 1, 2 * L + 3))
@@ -220,25 +220,28 @@ def sym_lower_bounds(params: NetworkParams) -> List[BoundValue]:
     K = params.K
     tl, tr, rl, rr = params.t_left, params.t_right, params.r_left, params.r_right
     out = []
-
-    b1 = tl + tr + rl + rr
-    if b1 == 0:
-        out.append(BoundValue("lb-combined", None, False, "lower", "all side-information parameters are 0"))
-    else:
-        out.append(BoundValue("lb-combined", _clip(K - 2 * (K // b1) - _theta_012(K % b1), K), True, "lower"))
-
-    b2 = tl + rl + 1
-    out.append(BoundValue("lb-left-chain", _clip(K - 2 * (K // b2) - _theta_012(K % b2), K), True, "lower"))
-
-    b2m = tr + rr + 1
-    out.append(BoundValue("lb-right-chain", _clip(K - 2 * (K // b2m) - _theta_012(K % b2m), K), True, "lower"))
-
-    b3 = rl + rr + 3
-    out.append(BoundValue("lb-central-mimo", _clip(K - 2 * (K // b3) - _theta_012(K % b3), K), True, "lower"))
+    for label, beta in (("lb-combined", params.side_sum), ("lb-left-chain", tl + rl + 1),
+                        ("lb-right-chain", tr + rr + 1), ("lb-central-mimo", rl + rr + 3)):
+        if beta == 0:
+            out.append(BoundValue(label, None, False, "lower",
+                                  "all side-information parameters are 0"))
+        else:
+            out.append(BoundValue(label, _clip(K - 2 * (K // beta) - _theta_012(K % beta), K),
+                                  True, "lower"))
     return out
 
 
-def sym_upper_bounds(params: NetworkParams, alpha: AlphaLike, tol: float = 1e-9,
+def _ub_generic(params: NetworkParams, shift: int) -> BoundValue:
+    """The determinant-free genie bound; theta_4 = 1 iff
+    kappa_4 >= min(t_l+r_l, t_r+r_r) + shift."""
+    K = params.K
+    b4 = params.side_sum + 4
+    reach = min(params.t_left + params.r_left, params.t_right + params.r_right)
+    theta4 = 1 if K % b4 >= reach + shift else 0
+    return BoundValue("ub-generic", _clip(K - 2 * (K // b4) - theta4, K), True, "upper")
+
+
+def sym_upper_bounds(params: NetworkParams, alpha: AlphaLike,
                      theta4_variant: str = "statement") -> List[BoundValue]:
     """The three genie upper bounds under equal gains.
 
@@ -254,23 +257,17 @@ def sym_upper_bounds(params: NetworkParams, alpha: AlphaLike, tol: float = 1e-9,
         raise ValueError("theta4_variant must be 'statement' or 'prose'")
     K = params.K
     tl, tr, rl, rr = params.t_left, params.t_right, params.r_left, params.r_right
-    out = []
-
-    b4 = params.side_sum + 4
-    k4 = K % b4
-    shift = 2 if theta4_variant == "statement" else 1
-    theta4 = 1 if k4 >= min(tl + rl + shift, tr + rr + shift) else 0
-    out.append(BoundValue("ub-generic", _clip(K - 2 * (K // b4) - theta4, K), True, "upper"))
+    out = [_ub_generic(params, 2 if theta4_variant == "statement" else 1)]
 
     b5 = params.side_sum + 3
     k5 = K % b5
-    if u_is_zero(tl + rl + 1, alpha, tol):
+    if u_is_zero(tl + rl + 1, alpha):
         theta5 = 1 if k5 >= tr + rr + 1 else 0
         out.append(BoundValue("ub-singular-left", _clip(K - 2 * (K // b5) - theta5, K), True, "upper"))
     else:
         out.append(BoundValue("ub-singular-left", None, False, "upper",
                               f"needs det H_{tl + rl + 1}(alpha) = 0"))
-    if u_is_zero(tr + rr + 1, alpha, tol):
+    if u_is_zero(tr + rr + 1, alpha):
         theta5m = 1 if k5 >= tl + rl + 1 else 0
         out.append(BoundValue("ub-singular-right", _clip(K - 2 * (K // b5) - theta5m, K), True, "upper"))
     else:
@@ -280,8 +277,7 @@ def sym_upper_bounds(params: NetworkParams, alpha: AlphaLike, tol: float = 1e-9,
 
 
 def sym_dof_interval(params: NetworkParams,
-                     alpha_or_gains: Union[AlphaLike, CrossGainAssignment],
-                     tol: float = 1e-9) -> DofInterval:
+                     alpha_or_gains: Union[AlphaLike, CrossGainAssignment]) -> DofInterval:
     """Best merged bracket for a symmetric instance.
 
     Equal gains: all four lower bounds, the three upper bounds, and (when
@@ -299,11 +295,8 @@ def sym_dof_interval(params: NetworkParams,
 
     if isinstance(alpha_or_gains, CrossGainAssignment) and alpha_or_gains.kind != "equal":
         gains = alpha_or_gains
-        b4 = params.side_sum + 4
-        k4 = K % b4
-        theta4 = 1 if k4 >= min(params.t_left + params.r_left + 2,
-                                params.t_right + params.r_right + 2) else 0
-        ups.append((_clip(K - 2 * (K // b4) - theta4, K), "ub-generic"))
+        ub = _ub_generic(params, 2)
+        ups.append((ub.value, ub.label))
         note = None
         if gains.kind == "random":
             L = params.t_left + params.r_left
@@ -321,14 +314,14 @@ def sym_dof_interval(params: NetworkParams,
         return DofInterval(lower, upper, lower_by, upper_by, note=note)
 
     alpha = alpha_or_gains.alpha if isinstance(alpha_or_gains, CrossGainAssignment) else alpha_or_gains
-    for b in sym_upper_bounds(params, alpha, tol):
+    for b in sym_upper_bounds(params, alpha):
         if b.applicable:
             ups.append((b.value, b.label))
     note = None
     if params.t_left + params.r_left == params.t_right + params.r_right:
         L = params.t_left + params.r_left
         if K != L + 2:
-            si = sym_mg_symmetric_si(params, alpha, tol)
+            si = sym_mg_symmetric_si(params, alpha)
             lows.append((si.lower, si.lower_by))
             ups.append((si.upper, si.upper_by))
         else:

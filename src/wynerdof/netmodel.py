@@ -38,14 +38,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Problem instance descriptor: K pairs, side-information reach, power."""
+    """Problem instance descriptor: K pairs and side-information reach."""
 
     K: int
     t_left: int = 0
     t_right: int = 0
     r_left: int = 0
     r_right: int = 0
-    power: float = 1.0
 
     def __post_init__(self):
         if self.K < 1:
@@ -53,8 +52,6 @@ class NetworkParams:
         for name in ("t_left", "t_right", "r_left", "r_right"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.power <= 0:
-            raise ValueError("power must be positive")
 
     @property
     def side_sum(self) -> int:
@@ -70,8 +67,7 @@ class NetworkParams:
 
     def mirrored(self) -> "NetworkParams":
         """Left/right exchanged parameters (relabeling k -> K+1-k)."""
-        return NetworkParams(self.K, self.t_right, self.t_left,
-                             self.r_right, self.r_left, self.power)
+        return NetworkParams(self.K, self.t_right, self.t_left, self.r_right, self.r_left)
 
 
 @dataclass(frozen=True)
@@ -258,7 +254,6 @@ def instance_to_json(model: ChannelModel) -> dict:
         "t_right": p.t_right,
         "r_left": p.r_left,
         "r_right": p.r_right,
-        "power": p.power,
         "topology": model.topology,
         "gains": model.gains.to_json(),
     }
@@ -273,7 +268,6 @@ def instance_from_json(obj) -> ChannelModel:
         t_right=int(obj.get("t_right", 0)),
         r_left=int(obj.get("r_left", 0)),
         r_right=int(obj.get("r_right", 0)),
-        power=float(obj.get("power", 1.0)),
     )
     g = obj["gains"]
     kind = g["kind"]

@@ -24,7 +24,7 @@ which is tracked through a per-transmitter dependency map.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -241,109 +241,66 @@ def _asym_block(offset: int, red: Tuple[int, int, int, int]):
         for k in range(g2_end + 1, g3_end + 1):
             steps.append(ScalarStep(k + 1, k, k + 1, k + 1, StrategyTag.DPC_RIGHT_SCALED))
 
-    steps_g = tuple(replace(s, message=s.message + offset, tx=s.tx + offset,
-                            antenna=s.antenna + offset, decoder=s.decoder + offset)
-                    for s in steps)
-    deps_g = {t + offset: {m + offset for m in d} for t, d in deps.items()}
-    return steps_g, deps_g
+    shift = lambda i: i + offset
+    return _remap_steps(steps, shift), _remap_deps(deps, shift)
+
+
+def _rotation_plan(params: NetworkParams, i: int, family: str) -> TransmissionPlan:
+    """Silencing plan i of the asymmetric network, 1 <= i <= beta.
+
+    Silences {i, i+beta, i+2*beta, ...} (beta = t_l+t_r+r_l+r_r+2) and, when
+    the trailing segment is too long to keep all its pairs, transmitter K.
+    """
+    K = params.K
+    beta = params.side_sum + 2
+    if not 1 <= i <= beta:
+        raise ValueError(f"asymmetric rotation {i} outside 1..{beta}")
+    full = (params.t_left, params.t_right, params.r_left, params.r_right)
+    silenced = set(range(i, K + 1, beta))
+    if K not in silenced and K - max(silenced, default=0) > params.t_left + params.r_left + 1:
+        silenced.add(K)
+    subnets: List[Subnet] = []
+    deps: Dict[int, set] = {}
+    segments = []
+    prev = 0
+    for s in sorted(silenced):
+        segments.append((prev, s, True))  # antennas prev+1..s, tx s silenced
+        prev = s
+    if prev < K:
+        segments.append((prev, K, False))
+    for lo, hi, last_silenced in segments:
+        n_rx = hi - lo
+        n_active = n_rx - 1 if last_silenced else n_rx
+        if n_active <= 0:
+            continue
+        red = _reduce_asym(params, n_active)
+        steps, d = _asym_block(lo, red)
+        deps.update(d)
+        generic = n_rx == beta and red == full
+        subnets.append(Subnet(
+            active_tx=tuple(range(lo + 1, lo + n_active + 1)),
+            rx_antennas=tuple(range(lo + 1, hi + 1)),
+            kind="generic" if generic else "reduced",
+            reduced_params=None if generic else red,
+            scalar_steps=steps,
+            mimo_blocks=(),
+            claimed=n_active,
+        ))
+    return _finalize(params, ASYMMETRIC, family, silenced, (), subnets, deps)
 
 
 def asym_plan(params: NetworkParams) -> TransmissionPlan:
-    """Periodic-silencing plan for the asymmetric network.
-
-    Silences every beta-th transmitter (beta = t_l+t_r+r_l+r_r+2), plus the
-    last one when the leftover segment is too long to keep all its pairs.
-    """
-    K = params.K
-    beta = params.side_sum + 2
-    n_full = K // beta
-    kappa = K % beta
-    silenced = {j * beta for j in range(1, n_full + 1)}
-    if kappa > params.t_left + params.r_left + 1:
-        silenced.add(K)
-
-    subnets: List[Subnet] = []
-    deps: Dict[int, set] = {}
-    for j in range(1, n_full + 1):
-        offset = (j - 1) * beta
-        red = (params.t_left, params.t_right, params.r_left, params.r_right)
-        steps, d = _asym_block(offset, red)
-        deps.update(d)
-        subnets.append(Subnet(
-            active_tx=tuple(range(offset + 1, offset + beta)),
-            rx_antennas=tuple(range(offset + 1, offset + beta + 1)),
-            kind="generic",
-            reduced_params=None,
-            scalar_steps=steps,
-            mimo_blocks=(),
-            claimed=beta - 1,
-        ))
-    if kappa > 0:
-        offset = n_full * beta
-        n_active = kappa - 1 if K in silenced else kappa
-        if n_active > 0:
-            red = _reduce_asym(params, n_active)
-            steps, d = _asym_block(offset, red)
-            deps.update(d)
-            subnets.append(Subnet(
-                active_tx=tuple(range(offset + 1, offset + n_active + 1)),
-                rx_antennas=tuple(range(offset + 1, K + 1)),
-                kind="reduced",
-                reduced_params=red,
-                scalar_steps=steps,
-                mimo_blocks=(),
-                claimed=n_active,
-            ))
-    return _finalize(params, ASYMMETRIC, "asym-silencing", silenced, (), subnets, deps)
+    """Periodic-silencing plan for the asymmetric network: rotation beta,
+    which silences every beta-th transmitter (plus K when needed)."""
+    return _rotation_plan(params, params.side_sum + 2, "asym-silencing")
 
 
 def fair_time_sharing_plan(params: NetworkParams) -> List[TransmissionPlan]:
-    """beta rotated silencing plans; every message is served in most of them.
-
-    Plan i silences {i, i+beta, i+2*beta, ...} and, when the trailing
-    segment is too long, transmitter K as well.  Averaged over the beta
-    plans the multiplexing gain is at least K - gamma - 1.
-    """
-    K = params.K
-    beta = params.side_sum + 2
-    tl_rl = params.t_left + params.r_left
-    plans = []
-    for i in range(1, beta + 1):
-        silenced = {i + j * beta for j in range(0, (K - i) // beta + 1) if i + j * beta <= K}
-        last_regular = max(silenced) if silenced else 0
-        if K not in silenced and K - last_regular > tl_rl + 1:
-            silenced.add(K)
-        cuts = sorted(silenced)
-        subnets: List[Subnet] = []
-        deps: Dict[int, set] = {}
-        prev = 0
-        segments = []
-        for s in cuts:
-            segments.append((prev, s, True))  # antennas prev+1..s, tx s silenced
-            prev = s
-        if prev < K:
-            segments.append((prev, K, False))
-        for lo, hi, last_silenced in segments:
-            n_rx = hi - lo
-            n_active = n_rx - 1 if last_silenced else n_rx
-            if n_active <= 0:
-                continue
-            red = _reduce_asym(params, n_active)
-            steps, d = _asym_block(lo, red)
-            deps.update(d)
-            full = (params.t_left, params.t_right, params.r_left, params.r_right)
-            subnets.append(Subnet(
-                active_tx=tuple(range(lo + 1, lo + n_active + 1)),
-                rx_antennas=tuple(range(lo + 1, hi + 1)),
-                kind="generic" if (n_rx == beta and red == full) else "reduced",
-                reduced_params=None if (n_rx == beta and red == full) else red,
-                scalar_steps=steps,
-                mimo_blocks=(),
-                claimed=n_active,
-            ))
-        plans.append(_finalize(params, ASYMMETRIC, f"asym-rotation-{i}",
-                               silenced, (), subnets, deps))
-    return plans
+    """All beta rotated silencing plans; every message is served in most of
+    them, so averaged over the beta plans the multiplexing gain is at least
+    K - gamma - 1."""
+    return [_rotation_plan(params, i, f"asym-rotation-{i}")
+            for i in range(1, params.side_sum + 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +308,14 @@ def fair_time_sharing_plan(params: NetworkParams) -> List[TransmissionPlan]:
 # ---------------------------------------------------------------------------
 
 def _mimo_subnet(params: NetworkParams, offset: int, size: int,
-                 alpha: AlphaLike, tol: float,
-                 assume_full: bool = False) -> Tuple[Subnet, Dict[int, set]]:
+                 alpha: AlphaLike, assume_full: bool = False) -> Tuple[Subnet, Dict[int, set]]:
     """One pair-silencing subnet handled as a joint MIMO block."""
     kappa = size
     tl_ = max(0, kappa - 1 - params.r_left)
     rl_ = kappa - 1 - tl_
     tr_ = max(0, kappa - 1 - params.r_right)
     rr_ = kappa - 1 - tr_
-    full_rank = assume_full or not u_is_zero(kappa, alpha, tol)
+    full_rank = assume_full or not u_is_zero(kappa, alpha)
     claimed = kappa if full_rank else kappa - 1
 
     txs = tuple(range(offset + 1, offset + kappa + 1))
@@ -425,7 +381,7 @@ def _mimo_subnet(params: NetworkParams, offset: int, size: int,
     return sn, deps
 
 
-def _pair_silencing_subnets(params, silenced_pairs, alpha, tol, assume_full=False):
+def _pair_silencing_subnets(params, silenced_pairs, alpha, assume_full=False):
     K = params.K
     subnets = []
     deps: Dict[int, set] = {}
@@ -434,7 +390,7 @@ def _pair_silencing_subnets(params, silenced_pairs, alpha, tol, assume_full=Fals
     for s in cut + [K + 1]:
         if s - prev > 1:
             offset, size = prev, s - prev - 1
-            sn, d = _mimo_subnet(params, offset, size, alpha, tol, assume_full)
+            sn, d = _mimo_subnet(params, offset, size, alpha, assume_full)
             subnets.append(sn)
             deps.update(d)
         prev = s
@@ -442,7 +398,7 @@ def _pair_silencing_subnets(params, silenced_pairs, alpha, tol, assume_full=Fals
 
 
 def sym_symmetric_si_plan(params: NetworkParams, alpha: AlphaLike,
-                          tol: float = 1e-9, force_case: Optional[int] = None) -> TransmissionPlan:
+                          force_case: Optional[int] = None) -> TransmissionPlan:
     """Pair-silencing plan for equal gains and symmetric side-information.
 
     The silencing period tracks the determinant pattern of alpha: period
@@ -461,9 +417,9 @@ def sym_symmetric_si_plan(params: NetworkParams, alpha: AlphaLike,
     if force_case is None:
         if K <= L + 1:
             case = 1
-        elif u_is_zero(L + 1, alpha, tol):
+        elif u_is_zero(L + 1, alpha):
             case = 4
-        elif u_is_zero(L, alpha, tol):
+        elif u_is_zero(L, alpha):
             case = 2
         else:
             case = 3
@@ -478,7 +434,7 @@ def sym_symmetric_si_plan(params: NetworkParams, alpha: AlphaLike,
         g = K // period
         silenced = [m * period for m in range(1, g + 1)]
         kappa = K % period
-        if adapt and case == 3 and kappa >= 2 and u_is_zero(kappa, alpha, tol):
+        if adapt and case == 3 and kappa >= 2 and u_is_zero(kappa, alpha):
             # shift the last cut so every block stays full rank
             silenced = [m * period for m in range(1, g)] + [g * period - 1]
     else:
@@ -486,10 +442,10 @@ def sym_symmetric_si_plan(params: NetworkParams, alpha: AlphaLike,
         g = K // period
         silenced = [m * period for m in range(1, g + 1)]
         kappa = K % period
-        if adapt and kappa >= 2 and u_is_zero(kappa, alpha, tol):
+        if adapt and kappa >= 2 and u_is_zero(kappa, alpha):
             silenced = [m * period for m in range(1, g)] + [g * period - 1]
 
-    subnets, deps = _pair_silencing_subnets(params, silenced, alpha, tol,
+    subnets, deps = _pair_silencing_subnets(params, silenced, alpha,
                                             assume_full=not adapt)
     return _finalize(params, SYMMETRIC, f"sym-si-case{case}", silenced, silenced,
                      subnets, deps, alpha=alpha)
@@ -525,21 +481,28 @@ def _f_block(rl_: int, tl_: int, t_end: int):
     return tuple(steps), deps
 
 
-def _mirror_local(steps, deps, size):
-    """Reflect local indices i -> size+1-i (left/right exchange)."""
-    ref = lambda i: size + 1 - i
-    msteps = tuple(ScalarStep(ref(s.message), ref(s.tx), ref(s.antenna), ref(s.decoder),
-                              StrategyTag.MIRRORED_DOUBLE_PAIR) for s in steps)
-    mdeps = {ref(t): {ref(m) for m in d} for t, d in deps.items()}
-    return msteps, mdeps
+def _remap_steps(steps, f, tag: Optional[StrategyTag] = None):
+    """Steps with every index i moved to f(i); `tag` replaces their tags."""
+    return tuple(ScalarStep(f(s.message), f(s.tx), f(s.antenna), f(s.decoder), tag or s.tag)
+                 for s in steps)
 
 
-def _shift(steps, deps, offset):
-    s = tuple(replace(st, message=st.message + offset, tx=st.tx + offset,
-                      antenna=st.antenna + offset, decoder=st.decoder + offset)
-              for st in steps)
-    d = {t + offset: {m + offset for m in dd} for t, dd in deps.items()}
-    return s, d
+def _remap_deps(deps, f):
+    return {f(t): {f(m) for m in d} for t, d in deps.items()}
+
+
+def _remap_block(b: MimoBlock, f) -> MimoBlock:
+    """Block with every index moved by f; index lists stay ascending."""
+    ids = lambda idx: tuple(sorted(map(f, idx)))
+    return MimoBlock(
+        tag=b.tag,
+        tx=ids(b.tx),
+        antennas=ids(b.antennas),
+        prelog=tuple((f(m), w) for m, w in b.prelog),
+        tx_of=tuple((f(m), ids(g)) for m, g in b.tx_of),
+        decoders=tuple((f(r), ids(ants)) for r, ants in b.decoders),
+        coupled=ids(b.coupled),
+    )
 
 
 def _pair_tx_silencing(K: int, beta: int):
@@ -570,30 +533,17 @@ def _lb_chain_blocks(params, beta, block_builder, family):
         segments.append((gamma * beta, kappa, "reduced"))
     for offset, size, kind in segments:
         steps, blocks, d = block_builder(size)
-        steps, d = _shift(steps, d, offset)
-        blocks = tuple(_shift_block(b, offset) for b in blocks)
-        deps.update(d)
+        shift = lambda i: i + offset
+        deps.update(_remap_deps(d, shift))
         subnets.append(Subnet(
             active_tx=tuple(range(offset + 2, offset + size)),
             rx_antennas=tuple(range(offset + 1, offset + size + 1)),
             kind=kind, reduced_params=None,
-            scalar_steps=steps,
-            mimo_blocks=blocks,
+            scalar_steps=_remap_steps(steps, shift),
+            mimo_blocks=tuple(_remap_block(b, shift) for b in blocks),
             claimed=max(size - 2, 0),
         ))
     return _finalize(params, SYMMETRIC, family, silenced, (), subnets, deps)
-
-
-def _shift_block(b: MimoBlock, offset: int) -> MimoBlock:
-    return MimoBlock(
-        tag=b.tag,
-        tx=tuple(t + offset for t in b.tx),
-        antennas=tuple(a + offset for a in b.antennas),
-        prelog=tuple((m + offset, w) for m, w in b.prelog),
-        tx_of=tuple((m + offset, tuple(t + offset for t in g)) for m, g in b.tx_of),
-        decoders=tuple((r + offset, tuple(a + offset for a in ants)) for r, ants in b.decoders),
-        coupled=tuple(m + offset for m in b.coupled),
-    )
 
 
 def _split_reach(total: int, r_side: int, t_side: int):
@@ -652,7 +602,9 @@ def sym_general_plan(params: NetworkParams, bound_label: str) -> TransmissionPla
             rr_e, tr_e = _split_reach(rtot - 1, rr, tr) if rtot >= 1 else (0, 0)
             lsteps, ldeps = _f_block(rl_e, tl_e, ltot)
             rsteps, rdeps = _f_block(rr_e, tr_e, rtot)
-            rsteps, rdeps = _mirror_local(rsteps, rdeps, size)
+            ref = lambda i: size + 1 - i
+            rsteps = _remap_steps(rsteps, ref, StrategyTag.MIRRORED_DOUBLE_PAIR)
+            rdeps = _remap_deps(rdeps, ref)
             deps = dict(ldeps)
             deps.update(rdeps)
             return lsteps + rsteps, (), deps
@@ -695,38 +647,20 @@ def sym_general_plan(params: NetworkParams, bound_label: str) -> TransmissionPla
 
 
 def _mirror_plan(plan: TransmissionPlan, params: NetworkParams, family: str) -> TransmissionPlan:
-    K = params.K
-    ref = lambda i: K + 1 - i
-    subnets = []
-    for sn in reversed(plan.subnets):
-        steps = tuple(ScalarStep(ref(s.message), ref(s.tx), ref(s.antenna), ref(s.decoder),
-                                 StrategyTag.MIRRORED_DOUBLE_PAIR)
-                      for s in sn.scalar_steps)
-        blocks = tuple(MimoBlock(
-            tag=b.tag,
-            tx=tuple(sorted(ref(t) for t in b.tx)),
-            antennas=tuple(sorted(ref(a) for a in b.antennas)),
-            prelog=tuple((ref(m), w) for m, w in b.prelog),
-            tx_of=tuple((ref(m), tuple(sorted(ref(t) for t in g))) for m, g in b.tx_of),
-            decoders=tuple((ref(r), tuple(sorted(ref(a) for a in ants))) for r, ants in b.decoders),
-            coupled=tuple(sorted(ref(m) for m in b.coupled)),
-        ) for b in sn.mimo_blocks)
-        subnets.append(Subnet(
-            active_tx=tuple(sorted(ref(t) for t in sn.active_tx)),
-            rx_antennas=tuple(sorted(ref(a) for a in sn.rx_antennas)),
-            kind=sn.kind,
-            reduced_params=None if sn.reduced_params is None else (
-                sn.reduced_params[1], sn.reduced_params[0],
-                sn.reduced_params[3], sn.reduced_params[2]),
-            scalar_steps=steps,
-            mimo_blocks=blocks,
-            claimed=sn.claimed,
-        ))
-    deps = {ref(t): {ref(m) for m in d} for t, d in plan.deps_map().items()}
-    return _finalize(params, SYMMETRIC, family,
-                     [ref(s) for s in plan.silenced_tx],
-                     [ref(s) for s in plan.silenced_rx],
-                     subnets, deps)
+    ref = lambda i: params.K + 1 - i
+    subnets = [Subnet(
+        active_tx=tuple(sorted(map(ref, sn.active_tx))),
+        rx_antennas=tuple(sorted(map(ref, sn.rx_antennas))),
+        kind=sn.kind,
+        reduced_params=None if sn.reduced_params is None else (
+            sn.reduced_params[1], sn.reduced_params[0],
+            sn.reduced_params[3], sn.reduced_params[2]),
+        scalar_steps=_remap_steps(sn.scalar_steps, ref, StrategyTag.MIRRORED_DOUBLE_PAIR),
+        mimo_blocks=tuple(_remap_block(b, ref) for b in sn.mimo_blocks),
+        claimed=sn.claimed,
+    ) for sn in reversed(plan.subnets)]
+    return _finalize(params, SYMMETRIC, family, map(ref, plan.silenced_tx),
+                     map(ref, plan.silenced_rx), subnets, _remap_deps(plan.deps_map(), ref))
 
 
 # ---------------------------------------------------------------------------
@@ -924,9 +858,9 @@ def synthesize_plan(params: NetworkParams, topology: str, family: str,
                     alpha: Optional[AlphaLike] = None,
                     bound_label: Optional[str] = None) -> TransmissionPlan:
     """Re-create a plan from its descriptor (families are deterministic)."""
-    if family.startswith("asym-rotation"):
-        idx = int(family.rsplit("-", 1)[1])
-        return fair_time_sharing_plan(params)[idx - 1]
+    if family.startswith("asym-rotation-"):
+        i = int(family[len("asym-rotation-"):])
+        return _rotation_plan(params, i, f"asym-rotation-{i}")
     if family == "asym-silencing":
         return asym_plan(params)
     if family.startswith("sym-si"):

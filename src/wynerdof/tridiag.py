@@ -123,8 +123,12 @@ def alpha_token(alpha: Optional[AlphaLike]) -> Optional[str]:
     return repr(float(alpha))
 
 
-def u_is_zero(p: int, alpha: AlphaLike, tol: float = 1e-9) -> bool:
-    """Whether u_p(alpha) = 0; exact for RootAlpha/rational alpha, else |u_p| <= tol."""
+# float zero-test bound: absolute, not scaled to the order p
+_ZERO_TOL = 1e-9
+
+
+def u_is_zero(p: int, alpha: AlphaLike) -> bool:
+    """Whether u_p(alpha) = 0; exact for RootAlpha/rational alpha, else |u_p| <= 1e-9."""
     if p <= 1:
         return False
     if isinstance(alpha, RootAlpha):
@@ -133,24 +137,24 @@ def u_is_zero(p: int, alpha: AlphaLike, tol: float = 1e-9) -> bool:
         a = Fraction(alpha)
         return _u_recursion(p, a * a) == 0
     a = float(alpha)
-    return abs(_u_recursion(p, a * a)) <= tol
+    return abs(_u_recursion(p, a * a)) <= _ZERO_TOL
 
 
-def rank_h(p: int, alpha: AlphaLike, tol: float = 1e-9) -> int:
+def rank_h(p: int, alpha: AlphaLike) -> int:
     """rank H_p(alpha): p when u_p(alpha) != 0, else p-1 (the only two cases)."""
     if p < 1:
         raise ValueError("order p must be positive")
-    return p - 1 if u_is_zero(p, alpha, tol) else p
+    return p - 1 if u_is_zero(p, alpha) else p
 
 
-def neighbor_nonzero_check(p: int, alpha: AlphaLike, tol: float = 1e-9) -> dict:
+def neighbor_nonzero_check(p: int, alpha: AlphaLike) -> dict:
     """Given u_p(alpha) = 0, return the neighboring determinants.
 
     Returns {order: value} for orders p-2 (when p > 2), p-1, p+1, p+2, all of
     which are necessarily nonzero at a root of u_p.  Calling this when
     u_p(alpha) != 0 is a misuse and raises ValueError.
     """
-    if not u_is_zero(p, alpha, tol):
+    if not u_is_zero(p, alpha):
         raise ValueError(f"u_{p}(alpha) != 0; neighbor check applies at roots only")
     orders = ([p - 2] if p > 2 else []) + [p - 1, p + 1, p + 2]
     return {q: det_h(q, alpha) for q in orders}

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from wynerdof import cli
+from wynerdof import cli, schemes
+from wynerdof.netmodel import NetworkParams
 
 
 def run(capsys, *argv):
@@ -69,6 +70,13 @@ class TestConverse:
                            "--alpha", "0.7")
         assert code == 2 and "singular" in err
 
+    def test_entropy_rejects_unequal_gains_in_one_line(self, capsys):
+        code, out, err = run(capsys, "entropy", "--family", "ub1",
+                             "--topology", "symmetric", "--K", "12", "--tl", "1",
+                             "--tr", "1", "--rl", "1", "--rr", "1", "--gains-seed", "3")
+        assert code == 2 and out == ""
+        assert err == "error: converse constructions need equal gains (--alpha)\n"
+
 
 class TestPlanCertifyRoundTrip:
     def test_round_trip(self, capsys, tmp_path):
@@ -101,6 +109,31 @@ class TestPlanCertifyRoundTrip:
         monkeypatch.setattr("sys.stdin", io.StringIO(plan))
         code, out, _ = run(capsys, "certify", *argv, "--plan", "-")
         assert code == 0 and json.loads(out)["certified_dof"] == 6
+
+    def test_instance_file_with_a_power_key_certifies_a_plan_file(self, capsys, tmp_path):
+        argv = ["--topology", "symmetric", "--K", "7", "--tl", "1", "--tr", "1",
+                "--rl", "1", "--rr", "1", "--alpha", "0.3"]
+        _, plan, _ = run(capsys, "plan", *argv)
+        (tmp_path / "plan.json").write_text(plan)
+        instance = {"K": 7, "t_left": 1, "t_right": 1, "r_left": 1, "r_right": 1,
+                    "power": 2.0, "topology": "symmetric",
+                    "gains": {"kind": "equal", "alpha": 0.3}}
+        (tmp_path / "inst.json").write_text(json.dumps(instance))
+        code, out, err = run(capsys, "certify", "--instance", str(tmp_path / "inst.json"),
+                             "--plan", str(tmp_path / "plan.json"))
+        assert code == 0 and err == "" and json.loads(out)["certified_dof"] == 6
+
+    @pytest.mark.parametrize("rotation", [0, 5, -4])
+    def test_rotation_outside_one_to_beta_is_usage_error(self, capsys, tmp_path, rotation):
+        argv = ["--topology", "asymmetric", "--K", "9", "--tl", "1", "--rl", "1",
+                "--alpha", "0.5"]
+        blob = schemes.plan_to_json(schemes.asym_plan(NetworkParams(K=9, t_left=1, r_left=1)))
+        blob["family"] = f"asym-rotation-{rotation}"  # beta = 4 here
+        f = tmp_path / "plan.json"
+        f.write_text(json.dumps(blob))
+        code, out, err = run(capsys, "certify", *argv, "--plan", str(f))
+        assert code == 2 and out == ""
+        assert err == f"error: asymmetric rotation {rotation} outside 1..4\n"
 
     def test_certify_without_plan_ignores_a_non_tty_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(""))

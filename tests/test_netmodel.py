@@ -104,7 +104,7 @@ class TestSampler:
 
 class TestJson:
     def test_round_trip(self):
-        p = nm.NetworkParams(K=4, t_left=1, t_right=2, r_left=0, r_right=1, power=3.5)
+        p = nm.NetworkParams(K=4, t_left=1, t_right=2, r_left=0, r_right=1)
         m = nm.build_channel(p, nm.SYMMETRIC, equal(0.7))
         again = nm.instance_from_json(json.dumps(nm.instance_to_json(m)))
         assert again.params == p
@@ -130,8 +130,6 @@ class TestParams:
             nm.NetworkParams(K=0)
         with pytest.raises(ValueError):
             nm.NetworkParams(K=2, t_left=-1)
-        with pytest.raises(ValueError):
-            nm.NetworkParams(K=2, power=0.0)
 
     def test_windows_clip(self):
         p = nm.NetworkParams(K=5, t_left=2, t_right=1, r_left=1, r_right=2)
