@@ -34,7 +34,7 @@ import numpy as np
 
 from .netmodel import ASYMMETRIC, SYMMETRIC, ChannelModel, NetworkParams
 from .tridiag import (AlphaLike, alpha_float, alpha_token, build_m_and_inverse,
-                      u_is_zero, v_sequence)
+                      h_matrix, u_is_zero, v_sequence)
 
 __all__ = [
     "GenieSignal",
@@ -137,54 +137,66 @@ class _TermBag:
         return tuple(sorted((k, v) for k, v in d.items() if v != 0))
 
 
-def _desc_expr(bag: _TermBag, c: int, row: int, pR: int, binv: np.ndarray,
-               a: float, scale: float):
-    """Add scale * (X_{c-row+1} + noise-combination) expressed through the
-    descending output window Y_{c-1}..Y_{c-pR} and two boundary inputs."""
+def _window_expr(bag: _TermBag, origin: int, step: int, row: int, p: int,
+                 inv: np.ndarray, a: float, scale: float):
+    """Add scale * (X_{origin+step*(row-1)} + noise-combination) expressed
+    through the outputs Y_{origin+step*j}, j = 1..p, and the two boundary
+    inputs at origin+step*p and origin+step*(p+1).  step = -1 reads the
+    window below origin, step = +1 the window above it."""
     r = row - 1
-    for j in range(1, pR + 1):
-        bag.add("y", c - j, scale * binv[r, j - 1])
-        bag.add("n", c - j, -scale * binv[r, j - 1])
-    if pR >= 2:
-        bag.add("x", c - pR, -scale * binv[r, pR - 2] * a)
-    bag.add("x", c - pR, -scale * binv[r, pR - 1])
-    bag.add("x", c - pR - 1, -scale * binv[r, pR - 1] * a)
+    for j in range(1, p + 1):
+        bag.add("y", origin + step * j, scale * inv[r, j - 1])
+        bag.add("n", origin + step * j, -scale * inv[r, j - 1])
+    if p >= 2:
+        bag.add("x", origin + step * p, -scale * inv[r, p - 2] * a)
+    bag.add("x", origin + step * p, -scale * inv[r, p - 1])
+    bag.add("x", origin + step * (p + 1), -scale * inv[r, p - 1] * a)
 
 
-def _asc_expr(bag: _TermBag, c: int, row: int, pL: int, ainv: np.ndarray,
-              a: float, scale: float):
-    """Mirror of _desc_expr: scale * (X_{c+row} + noise) through
-    Y_{c+2}..Y_{c+pL+1} and the two inputs just above the window."""
-    r = row - 1
-    for j in range(1, pL + 1):
-        bag.add("y", c + 1 + j, scale * ainv[r, j - 1])
-        bag.add("n", c + 1 + j, -scale * ainv[r, j - 1])
-    if pL >= 2:
-        bag.add("x", c + pL + 1, -scale * ainv[r, pL - 2] * a)
-    bag.add("x", c + pL + 1, -scale * ainv[r, pL - 1])
-    bag.add("x", c + pL + 2, -scale * ainv[r, pL - 1] * a)
+def _rebuild(bag: _TermBag, t: int, lo: int, hi: int, below, above, a: float):
+    """Add the inputs of Y_t = a X_{t-1} + X_t + a X_{t+1} + N_t, in that
+    order.  An input at or below lo goes through the (p, inverse) window
+    `below` under lo, any other through the window `above` over hi+1; a row
+    past a one-output window is added as a known input.  Inputs outside
+    1..K are zero, and so is every term of their windows."""
+    for i, w in ((t - 1, a), (t, 1.0), (t + 1, a)):
+        (p, inv), origin, step = (below, lo, -1) if i <= lo else (above, hi + 1, 1)
+        row = step * (i - origin) + 1
+        if row > p:
+            bag.add("x", i, w)
+        elif 1 <= i <= bag.K:
+            _window_expr(bag, origin, step, row, p, inv, a, w)
 
 
-def _materialize(bag: _TermBag, target: int, round_no: int, genie_index: int,
-                 genies: list, steps: list, extra_inputs: Terms = ()):
-    """Close a recipe: the leftover noise mismatch becomes the genie signal.
+def _materialize(bag: _TermBag, target: int, round_no: int,
+                 genies: list, steps: list):
+    """Close a recipe: the leftover noise mismatch becomes genie len(genies).
 
     The bag holds scale*(X+noise) expressions whose X parts sum to the
     channel inputs of Y_target, i.e. sum(y)+sum(x) = Y_target - N_target -
     sum(bag noise).  Defining V = -N_target - sum(bag noise) makes
     Y_target = sum(y) + sum(x) - V exact.
     """
+    genie_index = len(genies)
     vbag = dict(bag.n)
     vbag[target] = vbag.get(target, 0.0) + 1.0
     noise = tuple(sorted((k, -v) for k, v in vbag.items() if v != 0))
-    genies.append(GenieSignal(index=genie_index, noise_coeff=noise,
-                              input_coeff=extra_inputs))
+    genies.append(GenieSignal(index=genie_index, noise_coeff=noise))
     steps.append(ReconstructionStep(
         round_no=round_no, target=target,
         y_terms=bag.terms("y"),
         x_terms=bag.terms("x"),
         v_terms=((genie_index, -1.0),),
     ))
+
+
+def _whole_network(params: NetworkParams, topology: str, family: str,
+                   alpha: AlphaLike) -> GeniePartition:
+    """The trivial partition: A is every receiver and nothing is hidden."""
+    every = tuple(range(1, params.K + 1))
+    return GeniePartition(params, topology, family, alpha_token(alpha),
+                          group_a=every, groups_b=(), r_a=every,
+                          genies=(), steps=())
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +220,7 @@ def build_asym_genie(params: NetworkParams, alpha: AlphaLike) -> GeniePartition:
     num = K - tl - rl - 1
     gamma = 0 if num <= 0 else -((-num) // beta)
     if gamma == 0:
-        every = tuple(range(1, K + 1))
-        return GeniePartition(params, ASYMMETRIC, "asym", alpha_token(alpha),
-                              group_a=every, groups_b=(), r_a=every,
-                              genies=(), steps=())
+        return _whole_network(params, ASYMMETRIC, "asym", alpha)
 
     group_a: List[int] = []
     for m in range(gamma - 1):
@@ -297,14 +306,11 @@ def build_sym_genie_ub1(params: NetworkParams, alpha: AlphaLike) -> GeniePartiti
     if theta == 1 and kappa < tl + rl + 2:
         return _mirror_partition(build_sym_genie_ub1(params.mirrored(), alpha), params)
     if gamma == 0 and theta == 0:
-        every = tuple(range(1, K + 1))
-        return GeniePartition(params, SYMMETRIC, "ub1", alpha_token(alpha),
-                              group_a=every, groups_b=(), r_a=every,
-                              genies=(), steps=())
+        return _whole_network(params, SYMMETRIC, "ub1", alpha)
 
     pL, pR = tl + rl + 1, tr + rr + 1
-    ainv = build_m_and_inverse(pL, a).inverse
-    binv = build_m_and_inverse(pR, a).inverse
+    above = (pL, build_m_and_inverse(pL, a).inverse)
+    below = (pR, build_m_and_inverse(pR, a).inverse)
 
     group_a: List[int] = []
     for m in range(gamma):
@@ -319,40 +325,17 @@ def build_sym_genie_ub1(params: NetworkParams, alpha: AlphaLike) -> GeniePartiti
 
     genies: List[GenieSignal] = []
     steps: List[ReconstructionStep] = []
-    gi = 0
     for m in range(gamma + theta):
-        if m >= 1:  # hidden antenna m*beta, rebuilt around its own column
-            c = m * beta
-            bag = _TermBag(K)
-            if pR >= 2:
-                _desc_expr(bag, c, 2, pR, binv, a, a)
-            else:
-                bag.add("x", c - 1, a)
-            _desc_expr(bag, c, 1, pR, binv, a, 1.0)
-            _asc_expr(bag, c, 1, pL, ainv, a, a)
-            _materialize(bag, c, 1, gi, genies, steps)
-            gi += 1
-        # hidden antenna m*beta + 1
-        c = m * beta
-        if c + 1 <= K:
-            bag = _TermBag(K)
-            _desc_expr(bag, c, 1, pR, binv, a, a)
-            _asc_expr(bag, c, 1, pL, ainv, a, 1.0)
-            if pL >= 2:
-                _asc_expr(bag, c, 2, pL, ainv, a, a)
-            else:
-                bag.add("x", c + 2, a)
-            _materialize(bag, c + 1, 1, gi, genies, steps)
-            gi += 1
+        c = m * beta  # hidden antennas c (m >= 1) and c + 1, split at column c
+        for t in (c, c + 1):
+            if 1 <= t <= K:
+                bag = _TermBag(K)
+                _rebuild(bag, t, c, c, below, above, a)
+                _materialize(bag, t, 1, genies, steps)
     if theta == 0:  # hidden antenna K, rebuilt from below only
         bag = _TermBag(K)
-        if pR >= 2:
-            _desc_expr(bag, K, 2, pR, binv, a, a)
-        else:
-            bag.add("x", K - 1, a)
-        _desc_expr(bag, K, 1, pR, binv, a, 1.0)
-        _materialize(bag, K, 1, gi, genies, steps)
-        gi += 1
+        _rebuild(bag, K, K, K, below, above, a)
+        _materialize(bag, K, 1, genies, steps)
     return GeniePartition(params, SYMMETRIC, "ub1", alpha_token(alpha),
                           group_a=tuple(group_a), groups_b=(b1,),
                           r_a=_reach_of(params, group_a),
@@ -369,7 +352,6 @@ def _null_row_coeffs(pL: int, alpha: AlphaLike) -> np.ndarray:
     Exists exactly when det H_pL(alpha) = 0; solved in float (long double
     retry) with residual guard 1e-9.
     """
-    from .tridiag import h_matrix
     a = alpha_float(alpha)
     h = h_matrix(pL, a)
     sys_a = h[1:, :].T
@@ -421,14 +403,11 @@ def build_sym_genie_ub2(params: NetworkParams, alpha: AlphaLike,
                          "side_sum+3 leaves the top antennas uncoverable")
 
     d = _null_row_coeffs(pL, alpha)
-    ainv = build_m_and_inverse(pL, a).inverse
-    binv = build_m_and_inverse(pR, a).inverse
+    above = (pL, build_m_and_inverse(pL, a).inverse)
+    below = (pR, build_m_and_inverse(pR, a).inverse)
 
     if gamma == 0 and theta == 0:
-        every = tuple(range(1, K + 1))
-        return GeniePartition(params, SYMMETRIC, "ub2", alpha_token(alpha),
-                              group_a=every, groups_b=(), r_a=every,
-                              genies=(), steps=())
+        return _whole_network(params, SYMMETRIC, "ub2", alpha)
 
     group_a: List[int] = list(range(1, tr + 2)) if gamma >= 1 else []
     for m in range(1, gamma):
@@ -443,7 +422,6 @@ def build_sym_genie_ub2(params: NetworkParams, alpha: AlphaLike,
     groups_b: List[Tuple[int, ...]] = []
     genies: List[GenieSignal] = []
     steps: List[ReconstructionStep] = []
-    gi = 0
     for m in range(gamma):
         s = m * beta + tr + rr + 2  # left antenna of the hidden pair
         # odd round: rebuild Y_{s+1} via the dependent row of H_pL
@@ -452,30 +430,18 @@ def build_sym_genie_ub2(params: NetworkParams, alpha: AlphaLike,
             bag.add("y", s + j, d[j - 2])
             bag.add("n", s + j, -d[j - 2])
         bag.add("x", (m + 1) * beta + 1, -d[pL - 2] * a)
-        _desc_expr(bag, s, 1, pR, binv, a, a)
-        _materialize(bag, s + 1, 2 * m + 1, gi, genies, steps)
-        gi += 1
+        _window_expr(bag, s, -1, 1, *below, a, a)
+        _materialize(bag, s + 1, 2 * m + 1, genies, steps)
         groups_b.append((m * beta + tr + rr + rl + 3,))
         # even round: rebuild Y_s using Y_{s+1} from the previous round
         bag = _TermBag(K)
-        if pR >= 2:
-            _desc_expr(bag, s, 2, pR, binv, a, a)
-        else:
-            bag.add("x", s - 1, a)
-        _desc_expr(bag, s, 1, pR, binv, a, 1.0)
-        _asc_expr(bag, s - 1, 2, pL, ainv, a, a)
-        _materialize(bag, s, 2 * m + 2, gi, genies, steps)
-        gi += 1
+        _rebuild(bag, s, s, s - 1, below, above, a)
+        _materialize(bag, s, 2 * m + 2, genies, steps)
         groups_b.append(tuple(range(m * beta + tr + 2, m * beta + tr + rr + rl + 3)))
     if theta == 1:
         bag = _TermBag(K)
-        if pR >= 2:
-            _desc_expr(bag, K, 2, pR, binv, a, a)
-        else:
-            bag.add("x", K - 1, a)
-        _desc_expr(bag, K, 1, pR, binv, a, 1.0)
-        _materialize(bag, K, 2 * gamma + 1, gi, genies, steps)
-        gi += 1
+        _rebuild(bag, K, K, K, below, above, a)
+        _materialize(bag, K, 2 * gamma + 1, genies, steps)
         groups_b.append(tuple(range(K - rr, K + 1)))
     leftover = set(range(1, K + 1)) - set(group_a) - {k for b in groups_b for k in b}
     if leftover:
@@ -520,12 +486,10 @@ def build_offset_genie(L: int, alpha: AlphaLike, K: int,
     has_tail = (q % 2 == 0)  # even q leaves a single hidden antenna at K
 
     vs = v_sequence(L + 1, a)
-    p = L + 1
-    minv = build_m_and_inverse(p, a).inverse
+    window = (L + 1, build_m_and_inverse(L + 1, a).inverse)
 
     group_a: List[int] = list(range(rl + 2, L + tr + 3))
     for m in range(1, gamma + 1):
-        group_a.append(m * beta + rl + 1)
         group_a.extend(range(m * beta + rl + 1, m * beta + L + tr + 3))
     group_a = sorted(set(x for x in group_a if 1 <= x <= K))
 
@@ -541,27 +505,16 @@ def build_offset_genie(L: int, alpha: AlphaLike, K: int,
         x_terms=((L + 2, a * vs[L]),),
         v_terms=((0, 1.0),),
     ))
-    gi = 1
     for m in range(1, gamma + 1):
-        c = m * beta
-        bag = _TermBag(K)  # Y_{c-1}
-        _desc_expr(bag, c - 1, 2, p, minv, a, a)
-        _desc_expr(bag, c - 1, 1, p, minv, a, 1.0)
-        _asc_expr(bag, c - 1, 1, p, minv, a, a)
-        _materialize(bag, c - 1, 2, gi, genies, steps)
-        gi += 1
-        bag = _TermBag(K)  # Y_c
-        _desc_expr(bag, c - 1, 1, p, minv, a, a)
-        _asc_expr(bag, c - 1, 1, p, minv, a, 1.0)
-        _asc_expr(bag, c - 1, 2, p, minv, a, a)
-        _materialize(bag, c, 2, gi, genies, steps)
-        gi += 1
+        c = m * beta  # hidden antennas c-1 and c, split at column c-1
+        for t in (c - 1, c):
+            bag = _TermBag(K)
+            _rebuild(bag, t, c - 1, c - 1, window, window, a)
+            _materialize(bag, t, 2, genies, steps)
     if has_tail:
         bag = _TermBag(K)
-        _desc_expr(bag, K, 2, p, minv, a, a)
-        _desc_expr(bag, K, 1, p, minv, a, 1.0)
-        _materialize(bag, K, 2, gi, genies, steps)
-        gi += 1
+        _rebuild(bag, K, K, K, window, window, a)
+        _materialize(bag, K, 2, genies, steps)
 
     b1 = (rl + 1,)
     rest = tuple(sorted(set(range(1, K + 1)) - set(group_a) - set(b1)))
@@ -612,10 +565,7 @@ def _structural_check(partition: GeniePartition,
                     return (f"round {rnd}: output {idx} used before it is "
                             f"observed or reconstructed")
             for idx, _ in st.x_terms:
-                if deps is None:
-                    window = set(params.tx_window(idx))
-                else:
-                    window = set(deps.get(idx, ()))
+                window = set(params.tx_window(idx) if deps is None else deps.get(idx, ()))
                 if not window <= msgs_known:
                     return (f"round {rnd}: input {idx} needs messages "
                             f"{sorted(window - msgs_known)} not yet decoded")
@@ -706,11 +656,8 @@ def genie_entropy_check(partition: GeniePartition, model: ChannelModel,
     for i, g in enumerate(partition.genies):
         for idx, c in g.noise_coeff:
             C[i, idx - 1] = c
-    S = np.zeros((len(ra), K))
-    for i, r in enumerate(ra):
-        S[i, r] = 1.0
     cc = C @ C.T
-    cross = S @ C.T
+    cross = C[:, ra].T
     cond = np.eye(len(ra)) - cross @ np.linalg.pinv(cc) @ cross.T
     eigs = np.linalg.eigvalsh(cond)
     mn = float(eigs.min())

@@ -105,7 +105,6 @@ class Subnet:
     active_tx: Tuple[int, ...]
     rx_antennas: Tuple[int, ...]
     kind: str  # "generic" | "reduced"
-    reduced_params: Optional[Tuple[int, int, int, int]]
     scalar_steps: Tuple[ScalarStep, ...]
     mimo_blocks: Tuple[MimoBlock, ...]
     claimed: int
@@ -123,10 +122,6 @@ class TransmissionPlan:
     message_prelog: Tuple[Tuple[int, int], ...]
     claimed_dof: int
     alpha_token: Optional[str] = None
-
-    @property
-    def silenced(self) -> Tuple[int, ...]:
-        return self.silenced_tx
 
     def prelog_map(self) -> Dict[int, int]:
         return dict(self.message_prelog)
@@ -281,7 +276,6 @@ def _rotation_plan(params: NetworkParams, i: int, family: str) -> TransmissionPl
             active_tx=tuple(range(lo + 1, lo + n_active + 1)),
             rx_antennas=tuple(range(lo + 1, hi + 1)),
             kind="generic" if generic else "reduced",
-            reduced_params=None if generic else red,
             scalar_steps=steps,
             mimo_blocks=(),
             claimed=n_active,
@@ -374,10 +368,9 @@ def _mimo_subnet(params: NetworkParams, offset: int, size: int,
 
     block = MimoBlock(tag=tag, tx=txs, antennas=ants,
                       prelog=tuple(prelog), tx_of=tuple(tx_of), decoders=tuple(decoders))
-    red = None if kappa == params.t_left + params.r_left + 1 else (tl_, tr_, rl_, rr_)
     sn = Subnet(active_tx=txs, rx_antennas=ants,
-                kind="generic" if red is None else "reduced",
-                reduced_params=red, scalar_steps=(), mimo_blocks=(block,), claimed=claimed)
+                kind="generic" if kappa == params.t_left + params.r_left + 1 else "reduced",
+                scalar_steps=(), mimo_blocks=(block,), claimed=claimed)
     return sn, deps
 
 
@@ -538,7 +531,7 @@ def _lb_chain_blocks(params, beta, block_builder, family):
         subnets.append(Subnet(
             active_tx=tuple(range(offset + 2, offset + size)),
             rx_antennas=tuple(range(offset + 1, offset + size + 1)),
-            kind=kind, reduced_params=None,
+            kind=kind,
             scalar_steps=_remap_steps(steps, shift),
             mimo_blocks=tuple(_remap_block(b, shift) for b in blocks),
             claimed=max(size - 2, 0),
@@ -652,9 +645,6 @@ def _mirror_plan(plan: TransmissionPlan, params: NetworkParams, family: str) -> 
         active_tx=tuple(sorted(map(ref, sn.active_tx))),
         rx_antennas=tuple(sorted(map(ref, sn.rx_antennas))),
         kind=sn.kind,
-        reduced_params=None if sn.reduced_params is None else (
-            sn.reduced_params[1], sn.reduced_params[0],
-            sn.reduced_params[3], sn.reduced_params[2]),
         scalar_steps=_remap_steps(sn.scalar_steps, ref, StrategyTag.MIRRORED_DOUBLE_PAIR),
         mimo_blocks=tuple(_remap_block(b, ref) for b in sn.mimo_blocks),
         claimed=sn.claimed,
@@ -854,9 +844,8 @@ def plan_to_json(plan: TransmissionPlan) -> dict:
     }
 
 
-def synthesize_plan(params: NetworkParams, topology: str, family: str,
-                    alpha: Optional[AlphaLike] = None,
-                    bound_label: Optional[str] = None) -> TransmissionPlan:
+def synthesize_plan(params: NetworkParams, family: str,
+                    alpha: Optional[AlphaLike] = None) -> TransmissionPlan:
     """Re-create a plan from its descriptor (families are deterministic)."""
     if family.startswith("asym-rotation-"):
         i = int(family[len("asym-rotation-"):])
@@ -868,8 +857,7 @@ def synthesize_plan(params: NetworkParams, topology: str, family: str,
             raise ValueError("symmetric plans need the cross-gain")
         return sym_symmetric_si_plan(params, alpha)
     if family.startswith("sym-lb"):
-        label = bound_label or family.replace("sym-", "", 1)
-        return sym_general_plan(params, label)
+        return sym_general_plan(params, family.replace("sym-", "", 1))
     raise ValueError(f"unknown plan family {family!r}")
 
 
@@ -883,7 +871,9 @@ def plan_from_json(obj) -> TransmissionPlan:
     if obj.get("alpha") is not None:
         from .netmodel import parse_alpha_token
         alpha = parse_alpha_token(obj["alpha"])
-    plan = synthesize_plan(params, obj["topology"], obj["family"], alpha=alpha)
-    if list(plan.silenced_tx) != list(obj["silenced"]) or plan.claimed_dof != obj["claimed_dof"]:
-        raise ValueError("plan JSON does not match its re-synthesized form")
+    plan = synthesize_plan(params, obj["family"], alpha=alpha)
+    want = plan_to_json(plan)
+    if want != obj:
+        diff = sorted(k for k in want.keys() | obj.keys() if want.get(k) != obj.get(k))
+        raise ValueError(f"plan JSON differs from the {plan.family} plan in: {', '.join(diff)}")
     return plan

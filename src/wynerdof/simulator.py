@@ -21,7 +21,7 @@ import numpy as np
 
 from .netmodel import ChannelModel, CrossGainAssignment, \
     NetworkParams, build_channel, sample_generic_gains, submatrix
-from .schemes import Certification, TransmissionPlan, certify_plan
+from .schemes import TransmissionPlan, certify_plan
 from .tridiag import AlphaLike, alpha_float, v_sequence
 
 __all__ = [
@@ -95,12 +95,11 @@ def _subnet_rate(plan: TransmissionPlan, model: ChannelModel, P: float) -> float
     return total
 
 
-def plan_sum_rate(plan: TransmissionPlan, model: ChannelModel, P: float,
-                  certification: Optional[Certification] = None) -> float:
+def plan_sum_rate(plan: TransmissionPlan, model: ChannelModel, P: float) -> float:
     """Achievable sum rate (nats) of a certified plan at power P."""
     if P <= 0:
         raise ValueError("power must be positive")
-    cert = certification or certify_plan(plan, model)
+    cert = certify_plan(plan, model)
     if not cert.ok:
         raise ValueError(f"plan does not certify: {cert.failure}")
     return _subnet_rate(plan, model, P)

@@ -366,9 +366,6 @@ class BandedM:
     matrix: np.ndarray
     inverse: np.ndarray
 
-    def det(self) -> float:
-        return self.alpha ** self.p
-
 
 def m_matrix(p: int, alpha: AlphaLike) -> np.ndarray:
     a = alpha_float(alpha)

@@ -78,6 +78,15 @@ class TestConverse:
         assert err == "error: converse constructions need equal gains (--alpha)\n"
 
 
+    @pytest.mark.parametrize("q", range(2, 7))
+    def test_offset_without_side_information(self, capsys, q):
+        code, out, err = run(capsys, "converse", "--family", "offset", "--topology", "symmetric",
+                             "--K", str(2 * q - 1), "--alpha", "0.5")
+        blob = json.loads(out)
+        assert code == 0 and err == ""
+        assert blob["ok"] and blob["entropy_ok"] and blob["bound"] == q - 1
+
+
 class TestPlanCertifyRoundTrip:
     def test_round_trip(self, capsys, tmp_path):
         argv = ["--topology", "symmetric", "--K", "7", "--tl", "1", "--tr", "1",
@@ -134,6 +143,19 @@ class TestPlanCertifyRoundTrip:
         code, out, err = run(capsys, "certify", *argv, "--plan", str(f))
         assert code == 2 and out == ""
         assert err == f"error: asymmetric rotation {rotation} outside 1..4\n"
+
+    def test_edited_plan_file_is_usage_error(self, capsys, tmp_path):
+        argv = ["--topology", "symmetric", "--K", "7", "--tl", "1", "--tr", "1",
+                "--rl", "1", "--rr", "1", "--alpha", "0.3"]
+        _, plan, _ = run(capsys, "plan", *argv)
+        blob = json.loads(plan)
+        blob["family"] = "sym-si-case9"
+        blob["subnets"] = [{"tx": list(range(1, 8)), "rx": list(range(1, 8)), "kind": "generic"}]
+        f = tmp_path / "plan.json"
+        f.write_text(json.dumps(blob))
+        code, out, err = run(capsys, "certify", *argv, "--plan", str(f))
+        assert code == 2 and out == ""
+        assert err == "error: plan JSON differs from the sym-si-case3 plan in: family, subnets\n"
 
     def test_certify_without_plan_ignores_a_non_tty_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(""))

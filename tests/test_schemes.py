@@ -427,6 +427,22 @@ class TestPlanJson:
         with pytest.raises(ValueError):
             sc.plan_from_json(blob)
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda b: b.update(family="sym-si-case9", subnets=[
+            {"tx": list(range(1, 8)), "rx": list(range(1, 8)), "kind": "generic"}]),
+         "family, subnets"),
+        (lambda b: b["prelog"].update({"2": 4, "6": 2}), "prelog"),
+        (lambda b: b["strategies"].update({"2": "Skipped"}), "strategies"),
+        (lambda b: b.update(topology="asymmetric"), "topology"),
+    ], ids=["one-block-case9", "prelog", "strategy", "topology"])
+    def test_edited_plan_file_rejected(self, edit, named):
+        # every edit keeps `silenced` and `claimed_dof` as synthesized
+        p = P(K=7, t_left=1, t_right=1, r_left=1, r_right=1)
+        blob = sc.plan_to_json(sc.sym_symmetric_si_plan(p, 0.3))
+        edit(blob)
+        with pytest.raises(ValueError, match=f"sym-si-case3 plan in: {named}$"):
+            sc.plan_from_json(blob)
+
     def test_strategy_map_covers_every_pair(self):
         p = P(K=8, t_left=1, r_left=1)
         plan = sc.asym_plan(p)
