@@ -134,6 +134,8 @@ def sample_generic_gains(K: int, topology: str, seed: int) -> CrossGainAssignmen
         raise ValueError("K must be >= 1")
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     sub = tuple(_draw_nonzero(rng, K - 1))
     sup = tuple(_draw_nonzero(rng, K - 1)) if topology == SYMMETRIC else None

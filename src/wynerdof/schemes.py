@@ -50,6 +50,10 @@ __all__ = [
     "NotApplicableError",
 ]
 
+# A matrix has full numeric rank when its smallest singular value exceeds
+# RANK_REL_TOL times its largest (block ranks here, window ranks in simulator).
+RANK_REL_TOL = 1e-8
+
 
 class StrategyTag(str, Enum):
     SINGLE_USER_SIC_LEFT = "SingleUserSICLeft"
@@ -671,13 +675,13 @@ class Certification:
                 "checks": list(self.checks)}
 
 
-def _numeric_rank(a: np.ndarray, rel_tol: float = 1e-8) -> int:
+def _numeric_rank(a: np.ndarray) -> int:
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return int(np.sum(s > RANK_REL_TOL * s[0]))
 
 
 def _first_coupling(subnets, model: ChannelModel) -> Optional[Tuple[int, int]]:
@@ -864,9 +868,15 @@ def synthesize_plan(params: NetworkParams, family: str,
 def plan_from_json(obj) -> TransmissionPlan:
     if isinstance(obj, str):
         obj = json.loads(obj)
-    params = NetworkParams(K=int(obj["K"]), t_left=int(obj["t_left"]),
-                           t_right=int(obj["t_right"]), r_left=int(obj["r_left"]),
-                           r_right=int(obj["r_right"]))
+    if not isinstance(obj, dict):
+        raise ValueError("plan JSON must be an object")
+    for name in ("K", "t_left", "t_right", "r_left", "r_right"):
+        if type(obj.get(name)) is not int:
+            raise ValueError(f"plan field {name!r} must be an integer")
+    if not isinstance(obj.get("family"), str):
+        raise ValueError("plan field 'family' must be a string")
+    params = NetworkParams(K=obj["K"], t_left=obj["t_left"], t_right=obj["t_right"],
+                           r_left=obj["r_left"], r_right=obj["r_right"])
     alpha = None
     if obj.get("alpha") is not None:
         from .netmodel import parse_alpha_token

@@ -21,7 +21,7 @@ import numpy as np
 
 from .netmodel import ChannelModel, CrossGainAssignment, \
     NetworkParams, build_channel, sample_generic_gains, submatrix
-from .schemes import TransmissionPlan, certify_plan
+from .schemes import RANK_REL_TOL, TransmissionPlan, certify_plan
 from .tridiag import AlphaLike, alpha_float, v_sequence
 
 __all__ = [
@@ -188,6 +188,10 @@ def offset_experiment(L: int, alpha_star: AlphaLike, K: int,
     return OffsetCurve(alpha_star=astar, samples=tuple(samples), fitted_nu=nu)
 
 
+_MAX_WINDOW = 12    # largest window size the rank trials check
+_WINDOW_CAP = 4096  # most windows in one batched SVD call
+
+
 @dataclass(frozen=True)
 class RankTrialReport:
     trials: int
@@ -205,33 +209,67 @@ class RankTrialReport:
                 "failed_cases": [list(c) for c in self.failed_cases[:20]]}
 
 
+def _window_stack(bands: np.ndarray, s: int, rows: np.ndarray,
+                  starts: np.ndarray) -> np.ndarray:
+    """The s x s principal windows at 0-based `starts` of the channels whose
+    diagonal, sub- and super-diagonal are `bands[rows]`."""
+    r = np.arange(s)
+    cols = starts[:, None] + r
+    stack = np.zeros((rows.size, s, s))
+    stack[:, r, r] = bands[rows[:, None], 0, cols]
+    stack[:, r[1:], r[:-1]] = bands[rows[:, None], 1, cols[:, :-1]]
+    stack[:, r[:-1], r[1:]] = bands[rows[:, None], 2, cols[:, :-1]]
+    return stack
+
+
+def _band(H: np.ndarray) -> np.ndarray:
+    """Rows: the diagonal, sub- and super-diagonal of H, zero-padded to K."""
+    band = np.zeros((3, len(H)))
+    for row, k in enumerate((0, -1, 1)):
+        d = np.diagonal(H, k)
+        band[row, :d.size] = d
+    return band
+
+
 def random_gain_rank_trials(K: int, topology: str, trials: int, seed: int,
-                            gains: Optional[CrossGainAssignment] = None,
-                            max_window: int = 12,
-                            rel_tol: float = 1e-8) -> RankTrialReport:
-    """Check every contiguous principal submatrix for full numeric rank.
+                            gains: Optional[CrossGainAssignment] = None
+                            ) -> RankTrialReport:
+    """Check every contiguous principal submatrix of size up to 12 for full
+    numeric rank (smallest singular value above RANK_REL_TOL times the
+    largest).
 
     With continuous random gains no window ever loses rank (probability-1
     statement, finite sampling); passing an equal critical gain instead is
-    the negative control that must fail.
+    the negative control that must fail.  Windows are cut from each
+    channel's three diagonals, and for each window size the windows of a
+    chunk of trials go to LAPACK in one batched SVD call of at most
+    _WINDOW_CAP matrices, so memory stays O(_WINDOW_CAP * 12^2) whatever K
+    and `trials` are.  Failures are (trial, start, size), ordered by trial,
+    size and start.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     params = NetworkParams(K=K)
-    wmax = min(K, max_window)
+    wmax = min(K, _MAX_WINDOW)
+    n_done = trials if gains is None else 1  # fixed gains: one pass suffices
+    per_chunk = max(1, _WINDOW_CAP // K)
     failures = []
-    for t in range(trials):
-        g = gains if gains is not None else sample_generic_gains(K, topology, seed + t)
-        model = build_channel(params, topology, g)
-        H = model.matrix
+    for t0 in range(0, n_done, per_chunk):
+        bands = np.array([
+            _band(build_channel(params, topology, gains if gains is not None
+                                else sample_generic_gains(K, topology, seed + t)).matrix)
+            for t in range(t0, min(n_done, t0 + per_chunk))])
         for size in range(1, wmax + 1):
-            for start in range(0, K - size + 1):
-                block = H[start:start + size, start:start + size]
-                s = np.linalg.svd(block, compute_uv=False)
-                if s[-1] <= rel_tol * s[0]:
-                    failures.append((t, start + 1, size))
-        if gains is not None and t == 0:
-            break  # fixed gains: one pass suffices
-    n_done = trials if gains is None else 1
+            n_start = K - size + 1
+            windows = np.arange(len(bands) * n_start)
+            for lo in range(0, windows.size, _WINDOW_CAP):
+                idx = windows[lo:lo + _WINDOW_CAP]
+                rows, starts = np.divmod(idx, n_start)
+                sv = np.linalg.svd(_window_stack(bands, size, rows, starts),
+                                   compute_uv=False)
+                bad = sv[:, -1] <= RANK_REL_TOL * sv[:, 0]
+                failures += [(t0 + t, start + 1, size) for t, start in
+                             zip(rows[bad].tolist(), starts[bad].tolist())]
+    failures.sort(key=lambda c: (c[0], c[2], c[1]))
     return RankTrialReport(trials=n_done, failures=len(failures),
                            max_window=wmax, failed_cases=tuple(failures[:50]))

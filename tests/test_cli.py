@@ -157,6 +157,21 @@ class TestPlanCertifyRoundTrip:
         assert code == 2 and out == ""
         assert err == "error: plan JSON differs from the sym-si-case3 plan in: family, subnets\n"
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda blob: [], "plan JSON must be an object"),
+        (lambda blob: None, "plan JSON must be an object"),
+        (lambda blob: dict(blob, K=[7]), "plan field 'K' must be an integer"),
+        (lambda blob: dict(blob, family=3), "plan field 'family' must be a string"),
+    ], ids=["list", "null", "K-list", "family-int"])
+    def test_ill_typed_plan_file_is_usage_error(self, capsys, tmp_path, edit, message):
+        argv = ["--topology", "symmetric", "--K", "7", "--alpha", "0.3"]
+        _, plan, _ = run(capsys, "plan", *argv)
+        f = tmp_path / "plan.json"
+        f.write_text(json.dumps(edit(json.loads(plan))))
+        code, out, err = run(capsys, "certify", *argv, "--plan", str(f))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_certify_without_plan_ignores_a_non_tty_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
         code, out, err = run(capsys, "certify", "--topology", "symmetric", "--K", "7",
@@ -243,3 +258,9 @@ class TestRandomCheck:
                            "--topology", "symmetric", "--trials", "1",
                            "--seed", "0", "--alpha", "root:3:1")
         assert code == 1 and json.loads(out)["failures"] > 0
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "random-check", "--K", "10",
+                             "--topology", "symmetric", "--seed", "-3")
+        assert code == 2 and out == ""
+        assert err == "error: seed must be >= 0, got -3\n"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import rank_window_loop as rw
 from wynerdof import netmodel as nm
 from wynerdof import schemes as sc
 from wynerdof import simulator as sim
@@ -194,3 +195,69 @@ class TestRandomRank:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             sim.random_gain_rank_trials(5, nm.SYMMETRIC, 0, seed=1)
+
+
+ROOTS = [RootAlpha(p, k, sign) for p in range(2, 9) for k in range(1, p // 2 + 1)
+         for sign in (1, -1)]
+
+
+class TestRankTrialsMatchTheWindowLoop:
+    """The batched rank trials against the per-window loop they replaced
+    (tests/rank_window_loop.py): equal reports, field for field."""
+
+    @pytest.mark.parametrize("K", list(range(1, 31)) + [60])
+    def test_equal_reports(self, K):
+        cases = [(topo, 3, K, None) for topo in nm.TOPOLOGIES]
+        cases += [(topo, 3, 0, nm.CrossGainAssignment.equal(a))
+                  for topo in nm.TOPOLOGIES for a in (1.0, -1.0, 0.3, 0.5)]
+        cases += [(nm.SYMMETRIC, 1, 0, nm.CrossGainAssignment.equal(a)) for a in ROOTS]
+        for topo, trials, seed, gains in cases:
+            want = rw.random_gain_rank_trials(K, topo, trials, seed, gains=gains)
+            got = sim.random_gain_rank_trials(K, topo, trials, seed, gains=gains)
+            assert got == want, (K, topo, gains)
+
+    def test_failures_in_several_trials_keep_the_loop_order(self, monkeypatch):
+        # odd seeds draw alpha = 1 (26 failing windows at K = 12), so trials
+        # 1 and 3 fail: 52 failures, cut to 50, ordered by trial first
+        def draw(K, topology, seed):
+            if seed % 2:
+                return nm.CrossGainAssignment.equal(1.0)
+            return nm.sample_generic_gains(K, topology, seed)
+
+        monkeypatch.setattr(sim, "sample_generic_gains", draw)
+        monkeypatch.setattr(rw, "sample_generic_gains", draw)
+        got = sim.random_gain_rank_trials(12, nm.SYMMETRIC, 5, seed=0)
+        assert got.failures == 52 and {c[0] for c in got.failed_cases} == {1, 3}
+        assert got == rw.random_gain_rank_trials(12, nm.SYMMETRIC, 5, seed=0)
+
+    @pytest.mark.parametrize("cap", [1, 7, 100])
+    def test_small_window_cap_gives_the_same_report(self, monkeypatch, cap):
+        monkeypatch.setattr(sim, "_WINDOW_CAP", cap)
+        for K, topo, trials, gains in ((9, nm.SYMMETRIC, 5, None),
+                                       (14, nm.SYMMETRIC, 1, nm.CrossGainAssignment.equal(1.0)),
+                                       (13, nm.ASYMMETRIC, 4, None)):
+            want = rw.random_gain_rank_trials(K, topo, trials, 2, gains=gains)
+            assert sim.random_gain_rank_trials(K, topo, trials, 2, gains=gains) == want
+
+    @pytest.mark.parametrize("K, trials", [(20, 30), (60, 100), (5, 3)])
+    def test_one_svd_call_per_window_size_per_chunk(self, monkeypatch, K, trials):
+        svd, band = np.linalg.svd, sim._band
+        events = []  # "band" per channel cut, else the windows in one SVD call
+
+        def counting_svd(a, *args, **kwargs):
+            events.append(a.shape[0])
+            return svd(a, *args, **kwargs)
+
+        def counting_band(H):
+            events.append("band")
+            return band(H)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(sim, "_band", counting_band)
+        rep = sim.random_gain_rank_trials(K, nm.SYMMETRIC, trials, seed=4)
+        per_chunk = max(1, sim._WINDOW_CAP // K)
+        chunks = "".join("b" if e == "band" else "s" for e in events).split("s")
+        calls = [e for e in events if e != "band"]
+        assert rep.ok and len(calls) <= rep.max_window * math.ceil(trials / per_chunk)
+        assert max(calls) <= sim._WINDOW_CAP
+        assert max(len(c) for c in chunks) <= per_chunk
