@@ -1,8 +1,9 @@
 """Closed-form multiplexing-gain values and bounds, merged into intervals.
 
 All quantities are exact integers or rationals.  Zero tests of the
-tridiagonal determinants u_p(alpha) dispatch through tridiag.u_is_zero and
-are exact whenever alpha is rational or a RootAlpha.
+tridiagonal determinants u_p(alpha) dispatch through tridiag.u_is_zero: exact
+for a RootAlpha, an int or a Fraction; a float gain is critical iff it lies
+within 4 float steps of the correctly rounded root its value snaps to.
 
 Conventions baked in here (see the module tests for the worked numbers):
 

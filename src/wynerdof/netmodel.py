@@ -11,6 +11,7 @@ observes antennas k-r_left .. k+r_right (clipped to 1..K everywhere).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -89,17 +90,17 @@ class CrossGainAssignment:
 
     @staticmethod
     def equal(alpha: AlphaLike) -> "CrossGainAssignment":
-        if alpha_float(alpha) == 0:
+        if _finite_gain(alpha_float(alpha)) == 0:
             raise ValueError("nonzero cross-gain required")
         return CrossGainAssignment(kind="equal", alpha=alpha)
 
     @staticmethod
     def explicit(sub: Sequence[float], sup: Optional[Sequence[float]] = None) -> "CrossGainAssignment":
-        sub = tuple(float(g) for g in sub)
+        sub = tuple(_finite_gain(float(g)) for g in sub)
         if any(g == 0 for g in sub):
             raise ValueError("nonzero cross-gain required")
         if sup is not None:
-            sup = tuple(float(g) for g in sup)
+            sup = tuple(_finite_gain(float(g)) for g in sup)
             if any(g == 0 for g in sup):
                 raise ValueError("nonzero cross-gain required")
         return CrossGainAssignment(kind="explicit", sub=sub, sup=sup)
@@ -120,6 +121,12 @@ class CrossGainAssignment:
                 out["sup"] = list(self.sup)
             return out
         return {"kind": "random", "seed": self.seed}
+
+
+def _finite_gain(a: float) -> float:
+    if not math.isfinite(a):
+        raise ValueError(f"cross-gain must be finite, got {a!r}")
+    return a
 
 
 def _draw_nonzero(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -234,7 +241,7 @@ def submatrix(model: ChannelModel, rx_indices: Iterable[int], tx_indices: Iterab
 def parse_alpha_token(text) -> AlphaLike:
     """Decimal literal or 'root:p:k' (k-th positive root of u_p, '-' prefix ok)."""
     if isinstance(text, (int, float)):
-        return float(text)
+        return _finite_gain(float(text))
     s = str(text).strip()
     sign = 1
     if s.startswith("-root:"):
@@ -245,7 +252,7 @@ def parse_alpha_token(text) -> AlphaLike:
             return RootAlpha(int(p), int(k), sign)
         except ValueError as exc:
             raise ValueError(f"bad root token {text!r}: {exc}") from None
-    return float(s)
+    return _finite_gain(float(s))
 
 
 def instance_to_json(model: ChannelModel) -> dict:
@@ -264,20 +271,31 @@ def instance_to_json(model: ChannelModel) -> dict:
 def instance_from_json(obj) -> ChannelModel:
     if isinstance(obj, str):
         obj = json.loads(obj)
-    params = NetworkParams(
-        K=int(obj["K"]),
-        t_left=int(obj.get("t_left", 0)),
-        t_right=int(obj.get("t_right", 0)),
-        r_left=int(obj.get("r_left", 0)),
-        r_right=int(obj.get("r_right", 0)),
-    )
-    g = obj["gains"]
+    if not isinstance(obj, dict):
+        raise ValueError("instance JSON must be an object")
+    fields = {"K": obj.get("K")}
+    fields.update((n, obj.get(n, 0)) for n in ("t_left", "t_right", "r_left", "r_right"))
+    for name, value in fields.items():
+        if type(value) is not int:
+            raise ValueError(f"instance field {name!r} must be an integer")
+    if not isinstance(obj.get("topology"), str):
+        raise ValueError("instance field 'topology' must be a string")
+    g = obj.get("gains")
+    if not isinstance(g, dict) or not isinstance(g.get("kind"), str):
+        raise ValueError("instance field 'gains' must be an object with a string 'kind'")
+    params = NetworkParams(**fields)
     kind = g["kind"]
     if kind == "equal":
         gains = CrossGainAssignment.equal(parse_alpha_token(g["alpha"]))
     elif kind == "explicit":
-        gains = CrossGainAssignment.explicit(g["sub"], g.get("sup"))
+        sub, sup = g.get("sub"), g.get("sup")
+        for name, v in (("sub", sub), ("sup", [] if sup is None else sup)):
+            if not isinstance(v, list) or any(type(x) not in (int, float) for x in v):
+                raise ValueError(f"gains field {name!r} must be a list of numbers")
+        gains = CrossGainAssignment.explicit(sub, sup)
     elif kind == "random":
+        if type(g.get("seed")) is not int:
+            raise ValueError("gains field 'seed' must be an integer")
         gains = CrossGainAssignment.random(g["seed"])
     else:
         raise ValueError(f"unknown gain kind {kind!r}")

@@ -19,10 +19,14 @@ a critical gain is an integer test.  That matters because the
 multiplexing-gain case split is discontinuous in alpha.
 
 The float value of a critical gain is sqrt of the correctly rounded beta-root,
-not the correctly rounded alpha; it is found from the closed form by stepping
-one ulp at a time until the exact rational signs of u_p at the two rounding
-midpoints differ.  An independent Sturm/gcd isolation of the same roots lives
-in the test suite (tests/exact_roots.py) as the oracle for both.
+not the correctly rounded alpha; it is found from the closed form by trying
+the floats next to it until the exact signs of u_p at the two rounding
+midpoints differ, in integer arithmetic only.  A float gain a is critical
+for u_p iff it snaps to a root: with k = round((p+1) acos(1/(2|a|)) / pi)
+in 1..p//2, |a| lies within 4 float steps of that rounded root.  The test is
+O(1) in p and never runs the recursion.  An independent Sturm/gcd isolation
+of the same roots lives in the test suite (tests/exact_roots.py) as the
+oracle for both.
 
 Also provided: the normalized sequence v_p = u_p / (-alpha)^p with its own
 recursion and row identity, and the upper-banded matrices M_p(alpha)
@@ -34,6 +38,7 @@ constructions.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -123,21 +128,50 @@ def alpha_token(alpha: Optional[AlphaLike]) -> Optional[str]:
     return repr(float(alpha))
 
 
-# float zero-test bound: absolute, not scaled to the order p
-_ZERO_TOL = 1e-9
-
-
 def u_is_zero(p: int, alpha: AlphaLike) -> bool:
-    """Whether u_p(alpha) = 0; exact for RootAlpha/rational alpha, else |u_p| <= 1e-9."""
+    """Whether u_p(alpha) = 0.
+
+    Exact for a RootAlpha (an integer test) and for an int or Fraction (the
+    recursion in rationals).  A float is critical iff it snaps to a root:
+    with k = round((p+1) acos(1/(2|a|)) / pi) in 1..p//2, |a| lies within
+    4 float steps of the correctly rounded alpha_{p,k}.  nan, +-inf and
+    |a| < 1/2 never are.  O(1) in p: a relative pre-filter against the
+    float closed form rules out almost every gain before any exact rounding.
+    """
     if p <= 1:
         return False
+    if type(alpha) is float:
+        return _snaps_to_root(p, alpha)
     if isinstance(alpha, RootAlpha):
         return alpha.is_root_of(p)
     if isinstance(alpha, (int, Fraction)) and not isinstance(alpha, bool):
         a = Fraction(alpha)
         return _u_recursion(p, a * a) == 0
-    a = float(alpha)
-    return abs(_u_recursion(p, a * a)) <= _ZERO_TOL
+    return _snaps_to_root(p, float(alpha))
+
+
+# a float gain is critical within this many float steps of a rounded root
+_SNAP_STEPS = 4
+_DOUBLE = struct.Struct("<d")
+
+
+def _snaps_to_root(p: int, a: float) -> bool:
+    """Whether |a| lies within _SNAP_STEPS float steps of a root of u_p."""
+    a = abs(a)
+    if not 0.5 <= a < math.inf:  # nan compares false
+        return False
+    k = round((p + 1) * math.acos(0.5 / a) / math.pi)
+    if not 1 <= k <= p // 2:
+        return False
+    closed = 0.5 / math.sin((p + 1 - 2 * k) * math.pi / (2 * (p + 1)))
+    if abs(a - closed) > 1e-12 * a:
+        return False
+    return abs(_float_rank(a) - _float_rank(_root_magnitude(p, k))) <= _SNAP_STEPS
+
+
+def _float_rank(x: float) -> int:
+    """Position of a nonnegative float in the ordered float line."""
+    return int.from_bytes(_DOUBLE.pack(x), "little")
 
 
 def rank_h(p: int, alpha: AlphaLike) -> int:
@@ -171,32 +205,60 @@ def _root_magnitude(p: int, k: int) -> float:
     The guess 1/(4 s^2), with s = cos(k pi/(p+1)) written as a sine of a
     small argument for relative accuracy, is within a few ulps; the float b
     that rounds the root is the one whose two rounding midpoints give u_p
-    exact rational values of opposite sign.
+    exact rational values of opposite sign.  Candidates are tried outward
+    from the guess (0, -1, +1, -2, ... steps), in integers only: the guess
+    is split once into m / 2^e, and every midpoint's sign is evaluated once
+    and shared by the two candidates beside it.  The root depends on
+    k/(p+1) only, so it is rounded at the lowest order that has it.
     """
+    g = math.gcd(k, p + 1)
+    if g > 1:
+        return _root_magnitude((p + 1) // g - 1, k // g)
     s = math.sin((p + 1 - 2 * k) * math.pi / (2 * (p + 1)))
-    guess = 1 / (4 * s * s)
-    up, down = guess, math.nextafter(guess, 0)
-    for _ in range(64):
-        for b in (up, down):
-            lo = (Fraction(math.nextafter(b, 0)) + Fraction(b)) / 2
-            hi = (Fraction(b) + Fraction(math.nextafter(b, math.inf))) / 2
-            if _u_positive(p, lo) != _u_positive(p, hi):
-                return math.sqrt(b)
-        up, down = math.nextafter(up, math.inf), math.nextafter(down, 0)
+    frac, exp = math.frexp(1 / (4 * s * s))
+    m, e = int(math.ldexp(frac, 53)), 53 - exp  # guess = m / 2^e, 2^52 <= m < 2^53
+
+    def node(j):
+        """Numerator over 2^(e+2) of the float j steps above the guess."""
+        n = m + j
+        if n < _BINADE:  # the binade below has steps half as wide
+            return 2 * (n + _BINADE)
+        if n > 2 * _BINADE:  # the binade above has steps twice as wide
+            return 8 * n - 8 * _BINADE
+        return 4 * n
+
+    def positive(j):
+        """Sign of u_p at the midpoint of the floats j and j+1 steps up."""
+        return _u_positive(p, node(j) + node(j + 1), e + 3)
+
+    lo = hi = positive(-1)  # signs at the lowest and highest midpoints so far
+    for i in range(64):
+        nxt = positive(i)
+        if nxt != hi:
+            return math.sqrt(math.ldexp(node(i), -(e + 2)))
+        hi, nxt = nxt, positive(-2 - i)
+        if nxt != lo:
+            return math.sqrt(math.ldexp(node(-1 - i), -(e + 2)))
+        lo = nxt
     raise ArithmeticError(f"no float within 64 ulps rounds root {k} of u_{p}")
 
 
-def _u_positive(p: int, beta: Fraction) -> bool:
-    """Whether u_p(beta) > 0 at a dyadic beta = m/2^e, in integers only.
+_BINADE = 1 << 52  # smallest 53-bit float mantissa
+
+
+def _u_positive(p: int, m: int, e: int) -> bool:
+    """Whether u_p(beta) > 0 (p >= 1) at a dyadic beta = m/2^e, in integers only.
 
     W_j = 2^(e*(j//2)) u_j has the sign of u_j and obeys
-    W_{j+2} = (W_{j+1} << s_j) - m W_j with s_j = e for even j, 0 for odd j,
-    so no rational gcds are taken.
+    W_{j+2} = (W_{j+1} << e) - m W_j for even j and W_{j+1} - m W_j for odd
+    j, so no rational gcds are taken.
     """
-    m, e = beta.numerator, beta.denominator.bit_length() - 1
     prev, cur = 1, 1  # W_0, W_1
-    for j in range(p - 1):
-        prev, cur = cur, (cur << (0 if j % 2 else e)) - m * prev
+    for _ in range((p - 1) // 2):
+        even = (cur << e) - m * prev
+        prev, cur = even, even - m * cur
+    if p % 2 == 0:
+        cur = (cur << e) - m * prev
     return cur > 0
 
 

@@ -164,13 +164,20 @@ def _beta_roots(p: int):
 
 
 @lru_cache(maxsize=None)
+def _common_chain(p: int, q: int):
+    """Sturm chain of gcd(u_p, u_q) in beta, or None when they share no root."""
+    g = _pgcd(_beta_poly(p), _beta_poly(q))
+    return _sturm_chain(g) if len(g) > 1 else None
+
+
+@lru_cache(maxsize=None)
 def _shares_root(p: int, k: int, q: int) -> bool:
     """Exact test: is the k-th positive beta-root of u_p also a root of u_q?"""
     if q <= 1:
         return False
-    g = _pgcd(_beta_poly(p), _beta_poly(q))
-    if len(g) <= 1:
+    chain = _common_chain(p, q)
+    if chain is None:
         return False
     lo, hi, _ = _beta_roots(p)[k - 1]
-    return _count_roots(_sturm_chain(g), lo, hi) >= 1
+    return _count_roots(chain, lo, hi) >= 1
 

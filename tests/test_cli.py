@@ -41,6 +41,15 @@ class TestMg:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "u_30 has 15 positive roots" in err
 
+    @pytest.mark.parametrize("flag, shown", [
+        (["--alpha", "nan"], "nan"), (["--alpha", "inf"], "inf"), (["--alpha=-inf"], "-inf"),
+    ], ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_gain_is_usage_error(self, capsys, flag, shown):
+        code, out, err = run(capsys, "mg", "--topology", "symmetric", "--K", "7",
+                             "--tl", "1", "--tr", "1", "--rl", "1", "--rr", "1", *flag)
+        assert code == 2 and out == ""
+        assert err == f"error: cross-gain must be finite, got {shown}\n"
+
 
 class TestRoots:
     def test_order_three(self, capsys):
@@ -172,6 +181,26 @@ class TestPlanCertifyRoundTrip:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda blob: [], "instance JSON must be an object"),
+        (lambda blob: None, "instance JSON must be an object"),
+        (lambda blob: dict(blob, K=[7]), "instance field 'K' must be an integer"),
+        (lambda blob: dict(blob, gains=3),
+         "instance field 'gains' must be an object with a string 'kind'"),
+        (lambda blob: dict(blob, gains={"kind": "explicit", "sub": 3}),
+         "gains field 'sub' must be a list of numbers"),
+        (lambda blob: dict(blob, gains={"kind": "random", "seed": [1]}),
+         "gains field 'seed' must be an integer"),
+    ], ids=["list", "null", "K-list", "gains-int", "sub-int", "seed-list"])
+    def test_ill_typed_instance_file_is_usage_error(self, capsys, tmp_path, edit, message):
+        instance = {"K": 7, "t_left": 1, "t_right": 1, "r_left": 1, "r_right": 1,
+                    "topology": "symmetric", "gains": {"kind": "equal", "alpha": 0.3}}
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(edit(instance)))
+        code, out, err = run(capsys, "certify", "--instance", str(f))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_certify_without_plan_ignores_a_non_tty_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
         code, out, err = run(capsys, "certify", "--topology", "symmetric", "--K", "7",
@@ -227,6 +256,18 @@ class TestSweep:
         assert rows[1]["error"].startswith("bad root token 'root:3'") and "," in rows[1]["error"]
         assert rows[2]["error"] == "" and rows[2]["certified"] == "6"
 
+
+    def test_a_non_finite_gain_gets_an_error_cell(self, capsys, tmp_path):
+        spec = {"K": [7], "tl": [1], "tr": [1], "rl": [1], "rr": [1],
+                "alpha": [0.3, "nan"], "checks": ["mg"]}
+        f = tmp_path / "sweep.json"
+        f.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "sweep", "--spec", str(f))
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["alpha"], r["error"]) for r in rows] == [
+            ("0.3", ""), ("nan", "cross-gain must be finite, got nan")]
+        assert rows[0]["mg_lower"] != "" and rows[1]["mg_lower"] == ""
 
 class TestSimulateAndOffset:
     def test_simulate_csv(self, capsys):

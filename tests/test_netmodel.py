@@ -32,6 +32,15 @@ class TestBuildChannel:
         with pytest.raises(ValueError, match="nonzero cross-gain"):
             nm.build_channel(nm.NetworkParams(K=3), nm.SYMMETRIC, equal(0.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gain_rejected(self, bad):
+        for make in (lambda: equal(bad), lambda: nm.parse_alpha_token(bad),
+                     lambda: nm.parse_alpha_token(repr(bad)),
+                     lambda: nm.CrossGainAssignment.explicit([0.5, bad]),
+                     lambda: nm.CrossGainAssignment.explicit([0.5, 0.5], [bad, 0.5])):
+            with pytest.raises(ValueError, match="cross-gain must be finite"):
+                make()
+
     def test_dimension_mismatch_rejected(self):
         g = nm.CrossGainAssignment.explicit([0.5, 0.5], [0.4, 0.4])
         with pytest.raises(ValueError):

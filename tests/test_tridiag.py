@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import exact_roots as ex
+import root_rounding_loop
 from wynerdof import tridiag as td
 
 
@@ -173,6 +174,70 @@ class TestCriticalRoots:
         ra = td.RootAlpha(3, 1, -1)
         assert ra.token() == "-root:3:1"
         assert ra.value == pytest.approx(-math.sqrt(2) / 2, abs=1e-14)
+
+
+def _steps(x, n):
+    """The float n steps above x (below for n < 0)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.inf if n > 0 else 0)
+    return x
+
+
+class TestFloatZeroTest:
+    """A float gain is critical iff it snaps to within 4 float steps of a
+    correctly rounded root, whatever the order p."""
+
+    def test_order_independent_at_float_roots(self):
+        for p in range(2, 61):
+            for k in range(1, p // 2 + 1):
+                a = float(td.RootAlpha(p, k))
+                for q in range(2, 61):
+                    want = (q + 1) * k % (p + 1) == 0
+                    assert td.u_is_zero(q, a) == td.u_is_zero(q, -a) == want, (p, k, q)
+        # far past the float recursion's reach: 100,004 = 4 * 25,001
+        a = float(td.RootAlpha(3, 1))
+        assert td.u_is_zero(100_003, a) and not td.u_is_zero(100_002, a)
+
+    def test_no_decimal_is_a_zero_of_u60(self):
+        # Niven: 1/(2cos(k pi/61)) is irrational, and 1.0 is not a root of u_60
+        assert [i for i in range(501, 1000) if td.u_is_zero(60, i / 1000)] == []
+
+    def test_four_step_window(self):
+        for p in range(2, 61):
+            for k in range(1, p // 2 + 1):
+                r = td.RootAlpha(p, k).value
+                if math.frexp(r)[0] == 0.5:
+                    continue  # a power of two: the float spacing changes there
+                for n in range(-8, 9):
+                    assert td.u_is_zero(p, _steps(r, n)) == (abs(n) <= 4), (p, k, n)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 0.0, -0.0, 0.4999])
+    def test_edge_inputs_are_never_critical(self, a):
+        assert not any(td.u_is_zero(p, a) for p in range(0, 61))
+
+    def test_agrees_with_the_sturm_gcd_oracle(self):
+        for p in range(2, 41):
+            for k, (lo, hi, _) in enumerate(ex._beta_roots(p), start=1):
+                a = math.sqrt(float((lo + hi) / 2))
+                for q in range(2, 41):
+                    assert td.u_is_zero(q, a) == ex._shares_root(p, k, q), (p, k, q)
+
+    def test_float_path_never_runs_the_recursion(self, monkeypatch):
+        def fail(p, beta):
+            raise AssertionError("float zero test ran the recursion")
+
+        monkeypatch.setattr(td, "_u_recursion", fail)
+        for a in (0.3, 0.7071067811865476, 1.0, -1.0, np.float64(0.618), 2.5, True):
+            for p in (2, 3, 5, 40, 200):
+                td.u_is_zero(p, a)
+        assert td.u_is_zero(5, np.float64(1.0)) and td.u_is_zero(2, True)
+
+    def test_root_rounding_matches_the_ulp_loop(self):
+        new = td._root_magnitude.__wrapped__  # uncached
+        for p in range(2, 201):
+            for k in range(1, p // 2 + 1):
+                assert new(p, k) == root_rounding_loop._root_magnitude(p, k), (p, k)
+        assert new(5, 2) == 1.0
 
 
 class TestRankDichotomy:
