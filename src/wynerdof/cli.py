@@ -230,6 +230,9 @@ def _cmd_random_check(args) -> int:
     return _EXIT_OK if rep.ok else _EXIT_VERIFY
 
 
+_SWEEP_CHECKS = ("mg", "certify", "converse")
+
+
 def _sweep_one(idx, inst, checks):
     """One CSV row; a check that does not apply ends the row in an `error` cell."""
     row = {"index": idx, **inst}
@@ -241,6 +244,9 @@ def _sweep_one(idx, inst, checks):
 
 
 def _sweep_checks(row, inst, checks):
+    for name in ("K", "tl", "tr", "rl", "rr"):
+        if type(inst[name]) is not int:
+            raise ValueError(f"{name} must be an integer, got {inst[name]!r}")
     params = NetworkParams(K=inst["K"], t_left=inst["tl"], t_right=inst["tr"],
                            r_left=inst["rl"], r_right=inst["rr"])
     alpha = parse_alpha_token(inst["alpha"])
@@ -280,9 +286,18 @@ def _csv_cell(value) -> str:
 def _cmd_sweep(args) -> int:
     with open(args.spec) as fh:
         spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError("sweep spec must be a JSON object")
     checks = spec.get("checks", ["mg"])
+    if not isinstance(checks, list) or any(c not in _SWEEP_CHECKS for c in checks):
+        raise ValueError(f"sweep spec 'checks' must be a list of {', '.join(_SWEEP_CHECKS)}")
+    if not isinstance(spec.get("topology", ""), str):
+        raise ValueError("sweep spec 'topology' must be a string")
     keys = ["K", "tl", "tr", "rl", "rr", "alpha"]
-    grids = [spec.get(k, [0]) if k != "K" else spec["K"] for k in keys]
+    grids = [spec.get(k, None if k == "K" else [0]) for k in keys]
+    for k, grid in zip(keys, grids):
+        if not isinstance(grid, list):
+            raise ValueError(f"sweep spec {k!r} must be a list")
     instances = []
     idx = 0
     from itertools import product

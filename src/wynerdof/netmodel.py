@@ -30,6 +30,7 @@ __all__ = [
     "CrossGainAssignment",
     "ChannelModel",
     "build_channel",
+    "channel_band",
     "submatrix",
     "sample_generic_gains",
     "instance_to_json",
@@ -199,6 +200,21 @@ def _resolve_gains(K: int, topology: str, gains: CrossGainAssignment):
     raise ValueError(f"unknown gain kind {gains.kind!r}")
 
 
+def channel_band(K: int, topology: str, gains: CrossGainAssignment) -> np.ndarray:
+    """The channel's three diagonals as a 3 x K array: the unit diagonal, then
+    the sub- and super-diagonal gains (zero for the asymmetric topology),
+    each zero-padded at the end to length K."""
+    if topology not in TOPOLOGIES:
+        raise ValueError(f"unknown topology {topology!r}")
+    sub, sup = _resolve_gains(K, topology, gains)
+    band = np.zeros((3, K))
+    band[0] = 1.0
+    band[1, :K - 1] = sub
+    if topology == SYMMETRIC:
+        band[2, :K - 1] = sup
+    return band
+
+
 def build_channel(params: NetworkParams, topology: str, gains: CrossGainAssignment) -> ChannelModel:
     """Assemble the K x K channel matrix for the requested topology.
 
@@ -206,15 +222,12 @@ def build_channel(params: NetworkParams, topology: str, gains: CrossGainAssignme
     j - i = 1, and (symmetric only) the right-neighbor gain when j - i = -1.
     Boundary inputs X_0 and X_{K+1} do not exist, so there is no wraparound.
     """
-    if topology not in TOPOLOGIES:
-        raise ValueError(f"unknown topology {topology!r}")
     K = params.K
-    sub, sup = _resolve_gains(K, topology, gains)
+    band = channel_band(K, topology, gains)
     h = np.eye(K)
     idx = np.arange(K - 1)
-    h[idx + 1, idx] = sub
-    if topology == SYMMETRIC:
-        h[idx, idx + 1] = sup
+    h[idx + 1, idx] = band[1, :K - 1]
+    h[idx, idx + 1] = band[2, :K - 1]
     h.setflags(write=False)
     return ChannelModel(params=params, topology=topology, gains=gains, matrix=h)
 

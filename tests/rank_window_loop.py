@@ -1,11 +1,12 @@
 """Reference rank trials, kept in the tests as an oracle.
 
-``wynerdof.simulator.random_gain_rank_trials`` cuts the windows of all trials
-from the channels' diagonals and sends each window size to LAPACK as one
-stacked SVD call.  This module keeps the loop that replaced: one SVD per
+``wynerdof.simulator.random_gain_rank_trials`` proves most windows full rank
+from their determinants and sends the rest of each window size to LAPACK as
+one stacked SVD call.  This module keeps the loop that replaced: one SVD per
 contiguous principal window, taken as a slice of the dense channel matrix,
 in (trial, size, start) order.  It shares no code with the batched version
-but ``build_channel``, ``sample_generic_gains`` and the report type.
+but the gain resolution in ``netmodel``, ``sample_generic_gains`` and the
+report type.
 """
 
 from __future__ import annotations

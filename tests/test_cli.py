@@ -269,6 +269,34 @@ class TestSweep:
             ("0.3", ""), ("nan", "cross-gain must be finite, got nan")]
         assert rows[0]["mg_lower"] != "" and rows[1]["mg_lower"] == ""
 
+    @pytest.mark.parametrize("spec, message", [
+        ([], "sweep spec must be a JSON object"),
+        ({"tl": [1]}, "sweep spec 'K' must be a list"),
+        ({"K": 7}, "sweep spec 'K' must be a list"),
+        ({"K": [7], "alpha": 0.3}, "sweep spec 'alpha' must be a list"),
+        ({"K": [7], "checks": "mg"}, "sweep spec 'checks' must be a list of mg, certify, converse"),
+        ({"K": [7], "checks": ["mg", "rank"]},
+         "sweep spec 'checks' must be a list of mg, certify, converse"),
+        ({"K": [7], "topology": ["symmetric"]}, "sweep spec 'topology' must be a string"),
+    ])
+    def test_a_malformed_spec_exits_2_with_one_line(self, capsys, tmp_path, spec, message):
+        f = tmp_path / "sweep.json"
+        f.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "sweep", "--spec", str(f))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_a_non_integer_size_gets_an_error_cell(self, capsys, tmp_path):
+        spec = {"K": [7.5, 7, True], "tl": [1], "tr": [1], "rl": [1], "rr": [False],
+                "alpha": [0.3]}
+        f = tmp_path / "sweep.json"
+        f.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "sweep", "--spec", str(f))
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["error"] for r in rows] == [
+            "K must be an integer, got 7.5", "rr must be an integer, got False",
+            "K must be an integer, got True"]
+
 class TestSimulateAndOffset:
     def test_simulate_csv(self, capsys):
         code, out, err = run(capsys, "simulate", "--topology", "symmetric",

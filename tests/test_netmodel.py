@@ -66,6 +66,37 @@ class TestBuildChannel:
         assert m.matrix[0, 1] == pytest.approx(math.sqrt(2) / 2, abs=1e-14)
 
 
+class TestChannelBand:
+    """The 3 x K band is the dense channel's three diagonals, zero-padded."""
+
+    @pytest.mark.parametrize("topo", nm.TOPOLOGIES)
+    def test_band_is_the_dense_diagonals(self, topo):
+        for K, g in ((1, equal(2.0)), (2, equal(0.5)), (7, equal(RootAlpha(3, 1))),
+                     (9, nm.sample_generic_gains(9, topo, 4)), (6, nm.CrossGainAssignment.random(1))):
+            band = nm.channel_band(K, topo, g)
+            H = nm.build_channel(nm.NetworkParams(K=K), topo, g).matrix
+            want = np.zeros((3, K))
+            for row, k in enumerate((0, -1, 1)):
+                want[row, :K - abs(k)] = np.diagonal(H, k)
+            assert band.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("K, topo, g, message", [
+        (3, "ring", equal(0.5), "unknown topology 'ring'"),
+        (3, nm.SYMMETRIC, nm.CrossGainAssignment(kind="equal", alpha=0.0),
+         "nonzero cross-gain required"),
+        (4, nm.SYMMETRIC, nm.CrossGainAssignment.explicit([0.5, 0.5], [0.4, 0.4]),
+         "expected 3 sub-diagonal gains, got 2"),
+        (3, nm.SYMMETRIC, nm.CrossGainAssignment.explicit([0.5, 0.5]),
+         "symmetric topology needs super-diagonal gains"),
+    ])
+    def test_band_rejects_what_the_channel_rejects(self, K, topo, g, message):
+        for build in (lambda: nm.channel_band(K, topo, g),
+                      lambda: nm.build_channel(nm.NetworkParams(K=K), topo, g)):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == message
+
+
 class TestSubmatrix:
     def setup_method(self):
         self.sym = nm.build_channel(nm.NetworkParams(K=3), nm.SYMMETRIC, equal(0.9))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import rank_window_loop as rw
 from wynerdof import netmodel as nm
 from wynerdof import schemes as sc
 from wynerdof import simulator as sim
-from wynerdof.tridiag import RootAlpha, h_matrix
+from wynerdof.tridiag import RootAlpha, alpha_float, h_matrix
 
 P = nm.NetworkParams
 ROOT3 = RootAlpha(3, 1)
@@ -201,6 +202,31 @@ ROOTS = [RootAlpha(p, k, sign) for p in range(2, 9) for k in range(1, p // 2 + 1
          for sign in (1, -1)]
 
 
+def float_steps(a, steps=4):
+    """a and its float neighbours up to `steps` steps either side."""
+    out = [a]
+    for direction in (math.inf, -math.inf):
+        b = a
+        for _ in range(steps):
+            b = float(np.nextafter(b, direction))
+            out.append(b)
+    return out
+
+
+def near_root_gains(p):
+    """Every root:p:k, both signs, with 0 to 4 float steps either side."""
+    return [g for k in range(1, p // 2 + 1) for sign in (1, -1)
+            for g in float_steps(alpha_float(RootAlpha(p, k, sign)))]
+
+
+# size-2 windows of the equal gain a have sigma_min / sigma_max = |1-a|/(1+a),
+# which is RANK_REL_TOL at this a: the SVD decides them either way
+AT_TOL = (1 - sc.RANK_REL_TOL) / (1 + sc.RANK_REL_TOL)
+# odd windows of 1e5 and 1e6 have ratios between RANK_REL_TOL and 100 times it
+EXTREME_GAINS = [g * sign for g in (1e-3, 1e3, 1e5, 1e6, 1e8) for sign in (1, -1)] + \
+    float_steps(AT_TOL, 20)
+
+
 class TestRankTrialsMatchTheWindowLoop:
     """The batched rank trials against the per-window loop they replaced
     (tests/rank_window_loop.py): equal reports, field for field."""
@@ -239,25 +265,111 @@ class TestRankTrialsMatchTheWindowLoop:
             want = rw.random_gain_rank_trials(K, topo, trials, 2, gains=gains)
             assert sim.random_gain_rank_trials(K, topo, trials, 2, gains=gains) == want
 
+    @pytest.mark.parametrize("p", range(2, 14))
+    def test_near_root_gains(self, p):
+        for a in near_root_gains(p) + (EXTREME_GAINS if p == 2 else []):
+            gains = nm.CrossGainAssignment.equal(a)
+            for topo in nm.TOPOLOGIES:
+                want = rw.random_gain_rank_trials(14, topo, 1, 0, gains=gains)
+                assert sim.random_gain_rank_trials(14, topo, 1, 0, gains=gains) == want, (a, topo)
+
     @pytest.mark.parametrize("K, trials", [(20, 30), (60, 100), (5, 3)])
     def test_one_svd_call_per_window_size_per_chunk(self, monkeypatch, K, trials):
-        svd, band = np.linalg.svd, sim._band
-        events = []  # "band" per channel cut, else the windows in one SVD call
+        svd, band, bounds = np.linalg.svd, sim.channel_band, sim._ratio_lower_bounds
+        events = []  # "b" per band, "c" per chunk certified, else the windows in one SVD call
 
         def counting_svd(a, *args, **kwargs):
             events.append(a.shape[0])
             return svd(a, *args, **kwargs)
 
-        def counting_band(H):
-            events.append("band")
-            return band(H)
+        def counting_band(*args):
+            events.append("b")
+            return band(*args)
+
+        def counting_bounds(*args):
+            events.append("c")
+            return bounds(*args)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        monkeypatch.setattr(sim, "_band", counting_band)
+        monkeypatch.setattr(sim, "channel_band", counting_band)
+        monkeypatch.setattr(sim, "_ratio_lower_bounds", counting_bounds)
         rep = sim.random_gain_rank_trials(K, nm.SYMMETRIC, trials, seed=4)
         per_chunk = max(1, sim._WINDOW_CAP // K)
-        chunks = "".join("b" if e == "band" else "s" for e in events).split("s")
-        calls = [e for e in events if e != "band"]
+        calls = [e for e in events if e not in ("b", "c")]
+        chunks = "".join(e for e in events if e in ("b", "c")).split("c")[:-1]
+        # every window may be certified, so a chunk may make no SVD call at all
         assert rep.ok and len(calls) <= rep.max_window * math.ceil(trials / per_chunk)
-        assert max(calls) <= sim._WINDOW_CAP
+        assert max(calls, default=0) <= sim._WINDOW_CAP
+        assert len(chunks) == math.ceil(trials / per_chunk)
         assert max(len(c) for c in chunks) <= per_chunk
+
+
+def exact_ratio_at_least(W, b):
+    """Whether sigma_min / sigma_max of the 2 x 2 float matrix W is at least
+    b, decided in rational arithmetic: sigma^2 = (t -+ R) / 2 with t the
+    squared Frobenius norm and R^2 = t^2 - 4 det^2, so the ratio is at least
+    b iff R (1 + b^2) <= t (1 - b^2)."""
+    if b <= 0:
+        return True
+    (w, x), (y, z) = [[Fraction(float(v)) for v in row] for row in W]
+    t, det, B = w * w + x * x + y * y + z * z, w * z - x * y, Fraction(float(b)) ** 2
+    return B <= 1 and (t * t - 4 * det * det) * (1 + B) ** 2 <= (t * (1 - B)) ** 2
+
+
+class TestRankCertificate:
+    """The determinant certificate that spares most windows their SVD, on
+    random gains, near-root equal gains and extreme equal gains."""
+
+    K = 14
+
+    def cases(self):
+        gains = [nm.CrossGainAssignment.equal(a) for p in range(2, 14)
+                 for a in near_root_gains(p)]
+        gains += [nm.CrossGainAssignment.equal(a) for a in EXTREME_GAINS]
+        cases = [(topo, g) for topo in nm.TOPOLOGIES for g in gains]
+        cases += [(topo, nm.sample_generic_gains(self.K, topo, seed))
+                  for topo in nm.TOPOLOGIES for seed in range(50)]
+        channels = np.array([nm.build_channel(P(K=self.K), topo, g).matrix for topo, g in cases])
+        bands = np.array([nm.channel_band(self.K, topo, g) for topo, g in cases])
+        return channels, sim._ratio_lower_bounds(bands, sim._MAX_WINDOW)
+
+    def test_certified_windows_keep_full_rank(self):
+        channels, proven = self.cases()
+        certified = 0
+        for s in range(1, sim._MAX_WINDOW + 1):
+            starts = range(self.K - s + 1)
+            windows = np.stack([channels[:, j:j + s, j:j + s] for j in starts], axis=1)
+            sv = np.linalg.svd(windows, compute_uv=False)
+            ratio = sv[..., -1] / sv[..., 0]
+            cert = proven[:, s - 1, :len(starts)] >= sim._CERTIFIED
+            certified += cert.sum()
+            # the SVD would have passed every certified window ...
+            assert np.all(ratio[cert] > sc.RANK_REL_TOL), s
+            # ... with a margin of 100 that LAPACK's rounding cannot eat
+            assert np.all(ratio[cert] >= 100 * sc.RANK_REL_TOL * (1 - 1e-6)), s
+        assert certified > 0
+
+    def test_size_two_bounds_hold_in_exact_arithmetic(self):
+        channels, proven = self.cases()
+        seen = set()
+        for H, bounds in zip(channels, proven[:, 1]):
+            for j in range(self.K - 1):
+                W = H[j:j + 2, j:j + 2]
+                key = (W.tobytes(), bounds[j])
+                if key not in seen:
+                    seen.add(key)
+                    assert exact_ratio_at_least(W, bounds[j]), (W, bounds[j])
+
+    def test_generic_gains_mostly_skip_the_svd(self, monkeypatch):
+        svd = np.linalg.svd
+        sent = []
+
+        def counting_svd(a, *args, **kwargs):
+            sent.append(a.shape[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for topo in nm.TOPOLOGIES:
+            sent.clear()
+            assert sim.random_gain_rank_trials(20, topo, 200, seed=0).ok
+            assert sum(sent) <= 0.2 * 200 * sum(20 - s + 1 for s in range(1, 13)), topo
