@@ -1,8 +1,9 @@
 """Network instances and channel matrices for the two Wyner-type topologies.
 
 Asymmetric: receiver k hears its own transmitter plus the one to its left,
-so the K-by-K channel matrix is lower bidiagonal with unit diagonal.
-Symmetric: both neighbors interfere and the matrix is tridiagonal.
+so the channel is lower bidiagonal with unit diagonal.
+Symmetric: both neighbors interfere and the channel is tridiagonal.
+Either way a channel is stored as its three diagonals, a 3 x K band.
 
 Transmitter k is cognizant of messages k-t_left .. k+t_right; receiver k
 observes antennas k-r_left .. k+r_right (clipped to 1..K everywhere).
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -152,12 +154,13 @@ def sample_generic_gains(K: int, topology: str, seed: int) -> CrossGainAssignmen
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Immutable network instance: parameters, topology, gains, K x K matrix."""
+    """Immutable network instance: parameters, topology, gains, and the
+    channel's three diagonals as a read-only 3 x K band (`channel_band`)."""
 
     params: NetworkParams
     topology: str
     gains: CrossGainAssignment
-    matrix: np.ndarray = field(compare=False)
+    band: np.ndarray = field(compare=False)
 
     @property
     def K(self) -> int:
@@ -166,6 +169,36 @@ class ChannelModel:
     @property
     def equal_alpha(self) -> Optional[AlphaLike]:
         return self.gains.alpha if self.gains.kind == "equal" else None
+
+    def entry(self, a: int, t: int) -> float:
+        """H[a][t], the gain from transmitter t to antenna a (1-based)."""
+        K = self.params.K
+        for j in (a, t):
+            if not 1 <= j <= K:
+                raise ValueError(f"index {j} outside 1..{K}")
+        if a == t:
+            return self.band[0, a - 1]
+        if a == t + 1:
+            return self.band[1, t - 1]
+        if a == t - 1:
+            return self.band[2, a - 1]
+        return 0.0
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense K x K channel, built from the band on first use and kept
+        read-only, for callers that need a full matrix product.
+
+        Row j, column i is 1 on the diagonal, the left-neighbor gain when
+        j - i = 1, and (symmetric only) the right-neighbor gain when j - i = -1.
+        """
+        K = self.params.K
+        h = np.eye(K)
+        idx = np.arange(K - 1)
+        h[idx + 1, idx] = self.band[1, :K - 1]
+        h[idx, idx + 1] = self.band[2, :K - 1]
+        h.setflags(write=False)
+        return h
 
 
 def _resolve_gains(K: int, topology: str, gains: CrossGainAssignment):
@@ -216,20 +249,13 @@ def channel_band(K: int, topology: str, gains: CrossGainAssignment) -> np.ndarra
 
 
 def build_channel(params: NetworkParams, topology: str, gains: CrossGainAssignment) -> ChannelModel:
-    """Assemble the K x K channel matrix for the requested topology.
+    """The channel for the requested topology, stored as its read-only band.
 
-    Row j, column i is 1 on the diagonal, the left-neighbor gain when
-    j - i = 1, and (symmetric only) the right-neighbor gain when j - i = -1.
     Boundary inputs X_0 and X_{K+1} do not exist, so there is no wraparound.
     """
-    K = params.K
-    band = channel_band(K, topology, gains)
-    h = np.eye(K)
-    idx = np.arange(K - 1)
-    h[idx + 1, idx] = band[1, :K - 1]
-    h[idx, idx + 1] = band[2, :K - 1]
-    h.setflags(write=False)
-    return ChannelModel(params=params, topology=topology, gains=gains, matrix=h)
+    band = channel_band(params.K, topology, gains)
+    band.setflags(write=False)
+    return ChannelModel(params=params, topology=topology, gains=gains, band=band)
 
 
 def submatrix(model: ChannelModel, rx_indices: Iterable[int], tx_indices: Iterable[int]) -> np.ndarray:
@@ -242,9 +268,15 @@ def submatrix(model: ChannelModel, rx_indices: Iterable[int], tx_indices: Iterab
             raise ValueError(f"index {j} outside 1..{K}")
     if not rx or not tx:
         return np.zeros((len(rx), len(tx)))
-    r = np.asarray(rx, dtype=int) - 1
-    t = np.asarray(tx, dtype=int) - 1
-    return model.matrix[np.ix_(r, t)]
+    r = np.asarray(rx, dtype=int)[:, None] - 1
+    t = np.asarray(tx, dtype=int)[None, :] - 1
+    d = r - t
+    near = np.abs(d) <= 1
+    # band row d mod 3 holds offset d: 0 the diagonal, 1 the sub-diagonal
+    # (indexed by column), 2 the super-diagonal (indexed by row)
+    out = model.band[np.where(near, d % 3, 0), np.where(d == 1, t, r)]
+    out[~near] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +285,8 @@ def submatrix(model: ChannelModel, rx_indices: Iterable[int], tx_indices: Iterab
 
 def parse_alpha_token(text) -> AlphaLike:
     """Decimal literal or 'root:p:k' (k-th positive root of u_p, '-' prefix ok)."""
+    if isinstance(text, bool):
+        raise ValueError(f"cross-gain must be a number or root token, got {text!r}")
     if isinstance(text, (int, float)):
         return _finite_gain(float(text))
     s = str(text).strip()

@@ -8,7 +8,7 @@ a concrete strategy: a successive-cancellation or known-interference
 Certification never simulates codebooks.  It checks exactly the linear
 facts the degrees-of-freedom claims rest on:
 
-* subnets do not couple through the channel matrix;
+* subnets do not couple through the channel;
 * every encoder uses only messages inside its cognition window and every
   decoder only antennas inside its cluster;
 * scalar chains are triangular with nonzero pivots once interference is
@@ -685,30 +685,30 @@ def _numeric_rank(a: np.ndarray) -> int:
 
 
 def _first_coupling(subnets, model: ChannelModel) -> Optional[Tuple[int, int]]:
-    """Lexicographically first (i, j), i != j, with H[a, t] != 0 for an
+    """Lexicographically first (i, j), i != j, with H[a][t] != 0 for an
     antenna a of subnet i and an active transmitter t of subnet j.
 
-    One scan of the channel's nonzeros against per-index owner lists; the
-    lists keep every subnet naming an index, so shared indices still couple.
-    An index outside 1..K raises ValueError (from `submatrix`) when the
-    first pair naming it is not after the first coupling.
+    Each antenna a is walked against the transmitters a-1, a, a+1 (the only
+    ones a banded channel can couple it to) and their per-index owner lists;
+    the lists keep every subnet naming an index, so shared indices still
+    couple.  An index outside 1..K raises ValueError (from `submatrix`) when
+    the first pair naming it is not after the first coupling.
     """
-    rx_owners: Dict[int, List[int]] = {}
+    K = model.K
     tx_owners: Dict[int, List[int]] = {}
-    for i, sn in enumerate(subnets):
-        for a in sn.rx_antennas:
-            rx_owners.setdefault(a, []).append(i)
+    for j, sn in enumerate(subnets):
         for t in sn.active_tx:
-            tx_owners.setdefault(t, []).append(i)
+            tx_owners.setdefault(t, []).append(j)
     first = None
-    rows, cols = np.nonzero(model.matrix)
-    for a, t in zip(rows.tolist(), cols.tolist()):
-        for i in rx_owners.get(a + 1, ()):
-            for j in tx_owners.get(t + 1, ()):
-                if i != j and (first is None or (i, j) < first):
-                    first = (i, j)
+    for i, sn in enumerate(subnets):
+        coupled = [j for a in sn.rx_antennas if 1 <= a <= K
+                   for t in (a - 1, a, a + 1) if t in tx_owners and 1 <= t <= K
+                   for j in tx_owners[t] if j != i and model.entry(a, t) != 0]
+        if coupled:
+            first = (i, min(coupled))
+            break
     if len(subnets) >= 2:
-        bad = lambda idx: any(not 1 <= x <= model.K for x in idx)
+        bad = lambda idx: bool(idx) and (min(idx) < 1 or max(idx) > K)
         other = lambda i: 1 if i == 0 else 0
         raising = [(i, other(i)) for i, sn in enumerate(subnets) if bad(sn.rx_antennas)]
         raising += [(other(j), j) for j, sn in enumerate(subnets) if bad(sn.active_tx)]
@@ -718,6 +718,13 @@ def _first_coupling(subnets, model: ChannelModel) -> Optional[Tuple[int, int]]:
     return first
 
 
+def _outside(idx, lo: int, hi: int) -> List[int]:
+    """The indices in `idx` outside lo..hi, sorted."""
+    if not idx or lo <= min(idx) and max(idx) <= hi:
+        return []
+    return sorted(x for x in idx if not lo <= x <= hi)
+
+
 def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
     """Verify a plan against a concrete channel: non-interference,
     side-information feasibility, chain pivots/removability, block ranks,
@@ -725,8 +732,10 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
     params = plan.params
     if params != model.params or plan.topology != model.topology:
         raise ValueError("plan and model describe different instances")
-    H = model.matrix
+    H = model.entry
+    band = model.band
     K = params.K
+    tl, tr, rl, rr = params.t_left, params.t_right, params.r_left, params.r_right
     deps = plan.deps_map()
     prelog = plan.prelog_map()
     checks: List[str] = []
@@ -749,16 +758,17 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
         return fail("subnets {} and {} couple through the channel".format(*coupling))
     checks.append("non-interference")
 
-    # (b) encoder-side feasibility
+    # (b) encoder-side feasibility: transmitter t knows messages t-tl .. t+tr
     for t, dset in deps.items():
-        win = set(params.tx_window(t))
-        if not dset <= win:
-            return fail(f"transmitter {t} uses messages {sorted(dset - win)} outside its window")
+        outside = _outside(dset, max(1, t - tl), min(K, t + tr))
+        if outside:
+            return fail(f"transmitter {t} uses messages {outside} outside its window")
     checks.append("encoder-feasibility")
 
-    # block ranks for this call only: equal gains make H Toeplitz, so most
-    # blocks repeat one submatrix
-    ranks: Dict[Tuple[Tuple[int, ...], bytes], int] = {}
+    # block ranks for this call only, keyed by the block's index pattern
+    # relative to its smallest index o and the band columns o..hi it spans:
+    # exact for any gains, and equal gains make most blocks share one key
+    ranks: Dict[Tuple[Tuple[int, ...], Tuple[int, ...], bytes], int] = {}
     certified = 0
     for si, sn in enumerate(plan.subnets):
         decoded: set = set()
@@ -766,13 +776,12 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
         for st in sn.scalar_steps:
             if st.antenna in silenced_rx:
                 return fail(f"step for message {st.message} uses a silenced antenna")
-            pivot = H[st.antenna - 1, st.tx - 1]
-            if pivot == 0:
+            if H(st.antenna, st.tx) == 0:
                 return fail(f"zero pivot: message {st.message} at antenna {st.antenna}")
             need = {st.antenna}
             own_deps = deps.get(st.tx, frozenset())
             for tx2 in sn.active_tx:
-                if tx2 == st.tx or H[st.antenna - 1, tx2 - 1] == 0:
+                if tx2 == st.tx or H(st.antenna, tx2) == 0:
                     continue
                 d2 = deps.get(tx2, frozenset())
                 if d2 and d2 <= own_deps - {st.message}:
@@ -783,9 +792,9 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
                 else:
                     return fail(f"message {st.message}: interference from transmitter "
                                 f"{tx2} is not removable")
-            reach = set(params.rx_window(st.decoder))
-            if not need <= reach:
-                return fail(f"decoder {st.decoder} needs antennas {sorted(need - reach)} "
+            outside = _outside(need, max(1, st.decoder - rl), min(K, st.decoder + rr))
+            if outside:
+                return fail(f"decoder {st.decoder} needs antennas {outside} "
                             f"outside its cluster")
             needed_antennas[st.message] = need
             decoded.add(st.message)
@@ -793,10 +802,9 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
         for blk in sn.mimo_blocks:
             covered = set()
             for r, ants in blk.decoders:
-                reach = set(params.rx_window(r))
-                aset = set(ants)
-                if not aset <= reach:
+                if _outside(ants, max(1, r - rl), min(K, r + rr)):
                     return fail(f"receiver {r} assigned antennas outside its cluster")
+                aset = set(ants)
                 if aset & silenced_rx:
                     return fail(f"receiver {r} assigned a silenced antenna")
                 covered |= aset
@@ -804,13 +812,17 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
                 return fail("joint decoder does not cover the block antennas")
             for m, group in blk.tx_of:
                 for t in group:
-                    if m not in params.tx_window(t):
+                    if not (1 <= m <= K and t - tl <= m <= t + tr):
                         return fail(f"transmitter {t} does not know message {m}")
             want = sum(w for _, w in blk.prelog) + sum(prelog.get(m, 0) for m in blk.coupled)
-            sub = submatrix(model, blk.antennas, blk.tx)
-            key = (sub.shape, sub.tobytes())
+            idx = (*blk.antennas, *blk.tx)
+            o, hi = min(idx, default=1), max(idx, default=0)
+            if o < 1 or hi > K:
+                submatrix(model, blk.antennas, blk.tx)  # raises
+            key = (tuple(a - o for a in blk.antennas), tuple(t - o for t in blk.tx),
+                   band[:, o - 1:hi].tobytes())
             if key not in ranks:
-                ranks[key] = _numeric_rank(sub)
+                ranks[key] = _numeric_rank(submatrix(model, blk.antennas, blk.tx))
             r = ranks[key]
             if r < want:
                 return fail(f"rank {r} < required {want} in subnet {si}")

@@ -64,7 +64,6 @@ class OffsetCurve:
 
 
 def _subnet_rate(plan: TransmissionPlan, model: ChannelModel, P: float) -> float:
-    H = model.matrix
     prelog = plan.prelog_map()
     total = 0.0
     for sn in plan.subnets:
@@ -74,7 +73,7 @@ def _subnet_rate(plan: TransmissionPlan, model: ChannelModel, P: float) -> float
         plain = 0.0
         coupled_individual = 0.0
         for st in sn.scalar_steps:
-            pivot = H[st.antenna - 1, st.tx - 1]
+            pivot = model.entry(st.antenna, st.tx)
             r = 0.5 * math.log1p(pivot * pivot * P)
             if st.message in coupled:
                 coupled_individual += r

@@ -201,6 +201,15 @@ class TestPlanCertifyRoundTrip:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    def test_a_bool_gain_in_an_instance_file_is_usage_error(self, capsys, tmp_path):
+        instance = {"K": 7, "t_left": 1, "t_right": 1, "r_left": 1, "r_right": 1,
+                    "topology": "symmetric", "gains": {"kind": "equal", "alpha": True}}
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(instance))
+        code, out, err = run(capsys, "certify", "--instance", str(f))
+        assert (code, out, err) == (
+            2, "", "error: cross-gain must be a number or root token, got True\n")
+
     def test_certify_without_plan_ignores_a_non_tty_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
         code, out, err = run(capsys, "certify", "--topology", "symmetric", "--K", "7",
@@ -268,6 +277,19 @@ class TestSweep:
         assert [(r["alpha"], r["error"]) for r in rows] == [
             ("0.3", ""), ("nan", "cross-gain must be finite, got nan")]
         assert rows[0]["mg_lower"] != "" and rows[1]["mg_lower"] == ""
+
+    def test_a_bool_gain_gets_an_error_cell(self, capsys, tmp_path):
+        spec = {"K": [7], "tl": [1], "tr": [1], "rl": [1], "rr": [1],
+                "alpha": [True, 0.3], "checks": ["mg", "certify"]}
+        f = tmp_path / "sweep.json"
+        f.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "sweep", "--spec", str(f))
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["alpha"], r["error"]) for r in rows] == [
+            ("True", "cross-gain must be a number or root token, got True"), ("0.3", "")]
+        assert rows[0]["mg_lower"] == rows[0]["certified"] == ""
+        assert rows[1]["certified"] == "6"
 
     @pytest.mark.parametrize("spec, message", [
         ([], "sweep spec must be a JSON object"),

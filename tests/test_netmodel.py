@@ -80,6 +80,18 @@ class TestChannelBand:
                 want[row, :K - abs(k)] = np.diagonal(H, k)
             assert band.tobytes() == want.tobytes()
 
+    def test_the_band_is_the_only_stored_form(self):
+        for K, topo in ((1, nm.ASYMMETRIC), (5, nm.SYMMETRIC), (20000, nm.SYMMETRIC)):
+            m = nm.build_channel(nm.NetworkParams(K=K), topo, equal(0.3))
+            assert m.band.shape == (3, K) and not m.band.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                m.band[0, 0] = 2.0
+            assert "matrix" not in vars(m)
+
+    def test_the_dense_view_is_built_once(self):
+        m = nm.build_channel(nm.NetworkParams(K=6), nm.SYMMETRIC, equal(0.3))
+        assert m.matrix is m.matrix and not m.matrix.flags.writeable
+
     @pytest.mark.parametrize("K, topo, g, message", [
         (3, "ring", equal(0.5), "unknown topology 'ring'"),
         (3, nm.SYMMETRIC, nm.CrossGainAssignment(kind="equal", alpha=0.0),
@@ -95,6 +107,29 @@ class TestChannelBand:
             with pytest.raises(ValueError) as exc:
                 build()
             assert str(exc.value) == message
+
+
+class TestEntry:
+    MODELS = [(K, topo, g) for topo in nm.TOPOLOGIES
+              for K, g in ((1, equal(2.0)), (4, equal(RootAlpha(3, 1))),
+                           (9, nm.CrossGainAssignment.random(5)))]
+
+    @pytest.mark.parametrize("K, topo, g", MODELS)
+    def test_entry_is_the_dense_entry(self, K, topo, g):
+        m = nm.build_channel(nm.NetworkParams(K=K), topo, g)
+        H = m.matrix
+        for a in range(1, K + 1):
+            for t in range(1, K + 1):
+                assert np.float64(m.entry(a, t)).tobytes() == H[a - 1, t - 1].tobytes()
+
+    @pytest.mark.parametrize("a, t, bad", [(0, 1, 0), (1, 0, 0), (4, 2, 4), (2, 4, 4),
+                                           (-1, 3, -1), (0, 4, 0)])
+    def test_an_index_outside_the_channel_raises_like_submatrix(self, a, t, bad):
+        m = nm.build_channel(nm.NetworkParams(K=3), nm.SYMMETRIC, equal(0.5))
+        for read in (lambda: m.entry(a, t), lambda: nm.submatrix(m, [a], [t])):
+            with pytest.raises(ValueError) as exc:
+                read()
+            assert str(exc.value) == f"index {bad} outside 1..3"
 
 
 class TestSubmatrix:
@@ -114,6 +149,16 @@ class TestSubmatrix:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             nm.submatrix(self.sym, [4], [1])
+
+    @pytest.mark.parametrize("topo", nm.TOPOLOGIES)
+    def test_equals_the_dense_slice(self, topo):
+        rng = np.random.default_rng(3)
+        m = nm.build_channel(nm.NetworkParams(K=12), topo, nm.CrossGainAssignment.random(2))
+        for _ in range(200):
+            rx = rng.integers(1, 13, size=rng.integers(1, 7)).tolist()
+            tx = rng.integers(1, 13, size=rng.integers(1, 7)).tolist()
+            want = m.matrix[np.ix_(np.array(rx) - 1, np.array(tx) - 1)]
+            assert nm.submatrix(m, rx, tx).tobytes() == want.tobytes()
 
     def test_contiguous_principal_equals_h(self):
         m = nm.build_channel(nm.NetworkParams(K=8), nm.SYMMETRIC, equal(0.6))
@@ -156,6 +201,15 @@ class TestJson:
         assert blob["gains"]["alpha"] == "root:3:1"
         again = nm.instance_from_json(blob)
         assert isinstance(again.gains.alpha, RootAlpha)
+
+    def test_a_bool_is_not_a_gain(self):
+        for flag in (True, False):
+            with pytest.raises(ValueError, match=f"^cross-gain must be a number or root "
+                                                 f"token, got {flag}$"):
+                nm.parse_alpha_token(flag)
+        blob = {"K": 3, "topology": "symmetric", "gains": {"kind": "equal", "alpha": True}}
+        with pytest.raises(ValueError, match="got True"):
+            nm.instance_from_json(json.dumps(blob))
 
     def test_random_kind_round_trip(self):
         m = nm.build_channel(nm.NetworkParams(K=5), nm.SYMMETRIC,

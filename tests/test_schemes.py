@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import dense_certify as dense
 import pairwise_coupling as pw
 from wynerdof import dofcalc as dc
 from wynerdof import netmodel as nm
@@ -404,6 +405,138 @@ class TestNonInterferenceOracle:
         cert = sc.certify_plan(plan, model(p, nm.SYMMETRIC, 0.3))
         assert cert.ok and cert.certified_dof == 120
         assert len(calls) <= blocks
+
+
+def _with_subnet(plan, i, **fields):
+    """`plan` with subnet i's fields replaced."""
+    subs = list(plan.subnets)
+    subs[i] = dataclasses.replace(subs[i], **fields)
+    return dataclasses.replace(plan, subnets=tuple(subs))
+
+
+def _with_block(plan, i, **fields):
+    """`plan` with subnet i's first MIMO block's fields replaced."""
+    blk = dataclasses.replace(plan.subnets[i].mimo_blocks[0], **fields)
+    return _with_subnet(plan, i, mimo_blocks=(blk,) + plan.subnets[i].mimo_blocks[1:])
+
+
+class TestDenseOracle:
+    """certify_plan on the band against the dense-matrix version it replaced."""
+
+    SIDES = [(0, 0, 0, 0), (1, 1, 1, 1), (0, 1, 1, 0), (1, 0, 0, 1), (2, 1, 1, 2), (1, 2, 0, 1)]
+
+    @staticmethod
+    def same(plan, m):
+        def run(certify):
+            try:
+                return certify(plan, m).to_json()
+            except ValueError as exc:
+                return repr(exc)
+        banded = run(sc.certify_plan)
+        assert banded == run(dense.certify_plan), (plan.family, m.gains)
+        return banded
+
+    @staticmethod
+    def plans(p):
+        out = [(plan, nm.ASYMMETRIC) for plan in [sc.asym_plan(p)] + sc.fair_time_sharing_plan(p)]
+        for label in ("lb-combined", "lb-left-chain", "lb-right-chain", "lb-central-mimo"):
+            try:
+                out.append((sc.sym_general_plan(p, label), nm.SYMMETRIC))
+            except sc.NotApplicableError:
+                pass
+        if p.t_left + p.r_left == p.t_right + p.r_right:
+            out += [(sc.sym_symmetric_si_plan(p, alpha), nm.SYMMETRIC) for alpha in (0.3, ROOT3)]
+        return out
+
+    def test_every_family_with_equal_explicit_and_random_gains(self):
+        outcomes = set()
+        for plan, m in every_family():
+            K = plan.params.K
+            for g in (m.gains, nm.sample_generic_gains(K, m.topology, K),
+                      nm.CrossGainAssignment.random(3)):
+                cert = self.same(plan, nm.build_channel(plan.params, m.topology, g))
+                outcomes.add(cert["failure"].split(" ")[0] if cert["failure"] else "ok")
+        assert {"ok", "rank"} <= outcomes
+
+    @pytest.mark.parametrize("K", list(range(1, 41)) + [97, 160, 239, 240])
+    def test_every_size(self, K):
+        for side in self.SIDES:
+            p = P(K, *side)
+            for plan, topo in self.plans(p):
+                for g in (nm.CrossGainAssignment.equal(0.3), nm.CrossGainAssignment.equal(ROOT3),
+                          nm.CrossGainAssignment.random(K)):
+                    self.same(plan, nm.build_channel(p, topo, g))
+
+    def test_hand_edited_plans(self):
+        p = P(K=9, t_left=1, t_right=1, r_left=1, r_right=1)
+        sym = sc.sym_symmetric_si_plan(p, 0.3)
+        chain = sc.asym_plan(P(K=8, t_left=1, r_left=1))
+        step = chain.subnets[0].scalar_steps[0]
+        edits = {
+            "shared tx": _with_subnet(sym, 0, active_tx=(1, 2, 3, 5)),
+            "shared antenna": _with_subnet(sym, 1, rx_antennas=(3, 5, 6, 7)),
+            "rx index 0": _with_subnet(sym, 1, rx_antennas=(0, 5, 6, 7)),
+            "tx index K+1": _with_subnet(sym, 2, active_tx=(9, 10)),
+            "block tx 0": _with_block(sym, 0, tx=(0, 2, 3)),
+            "block tx K+1": _with_block(sym, 2, tx=(10,)),
+            "silenced step antenna": _with_subnet(chain, 0, scalar_steps=(
+                dataclasses.replace(step, antenna=4),) + chain.subnets[0].scalar_steps[1:]),
+            "silenced block antenna": _with_block(sym, 1, decoders=((5, (4, 5, 6)),)),
+            "non-adjacent step": _with_subnet(chain, 0, scalar_steps=(
+                dataclasses.replace(step, antenna=3),) + chain.subnets[0].scalar_steps[1:]),
+            "claimed total": dataclasses.replace(sym, claimed_dof=sym.claimed_dof - 1),
+        }
+        edits["silenced step antenna"] = dataclasses.replace(
+            edits["silenced step antenna"], silenced_rx=(4,))
+        sym_m = model(p, nm.SYMMETRIC, 0.3)
+        chain_m = model(chain.params, nm.ASYMMETRIC, 0.5)
+        got = {name: self.same(plan, chain_m if plan.topology == nm.ASYMMETRIC else sym_m)
+               for name, plan in edits.items()}
+        failure = lambda name: got[name]["failure"]
+        assert failure("shared tx") == "subnets 1 and 0 couple through the channel"
+        assert failure("shared antenna") == "subnets 1 and 0 couple through the channel"
+        assert got["rx index 0"] == repr(ValueError("index 0 outside 1..9"))
+        assert got["tx index K+1"] == repr(ValueError("index 10 outside 1..9"))
+        assert got["block tx 0"] == repr(ValueError("index 0 outside 1..9"))
+        assert got["block tx K+1"] == repr(ValueError("index 10 outside 1..9"))
+        assert failure("silenced step antenna") == "step for message 1 uses a silenced antenna"
+        assert failure("silenced block antenna") == "receiver 5 assigned a silenced antenna"
+        assert failure("non-adjacent step") == "zero pivot: message 1 at antenna 3"
+        assert failure("claimed total") == "claimed 6 but steps certify 7"
+
+    def test_a_step_index_outside_the_channel_raises(self):
+        # the dense version read H[-1, ...] here, which wraps to row K
+        chain = sc.asym_plan(P(K=8, t_left=1, r_left=1))
+        step = chain.subnets[0].scalar_steps[0]
+        bad = _with_subnet(chain, 0, scalar_steps=(
+            dataclasses.replace(step, antenna=0),) + chain.subnets[0].scalar_steps[1:])
+        with pytest.raises(ValueError, match=r"^index 0 outside 1\.\.8$"):
+            sc.certify_plan(bad, model(chain.params, nm.ASYMMETRIC, 0.5))
+
+    def test_blocks_with_one_pattern_and_different_gains_get_their_own_rank(self):
+        # blocks {1,2,3} and {5,6,7} share a pattern; the second is singular:
+        # det [[1, u1, 0], [l1, 1, u2], [0, l2, 1]] = 1 - l1 u1 - l2 u2 = 0
+        p = P(K=9, t_left=1, t_right=1, r_left=1, r_right=1)
+        plan = sc.sym_symmetric_si_plan(p, 0.3)
+        assert [b.antennas for sn in plan.subnets for b in sn.mimo_blocks][:2] == [
+            (1, 2, 3), (5, 6, 7)]
+        sub, sup = [0.3] * 8, [0.3] * 8
+        sub[4], sup[4], sub[5], sup[5] = 1.0, 0.5, 1.0, 0.5
+        m = nm.build_channel(p, nm.SYMMETRIC, nm.CrossGainAssignment.explicit(sub, sup))
+        cert = self.same(plan, m)
+        assert cert["failure"] == "rank 2 < required 3 in subnet 1"
+        sub[5], sup[5] = 0.3, 0.3
+        fine = nm.build_channel(p, nm.SYMMETRIC, nm.CrossGainAssignment.explicit(sub, sup))
+        assert self.same(plan, fine)["ok"]
+
+    def test_certify_never_builds_the_dense_channel(self, monkeypatch):
+        def boom(self):
+            raise AssertionError("dense channel built")
+
+        monkeypatch.setattr(nm.ChannelModel, "matrix", property(boom))
+        p = P(K=20000, t_left=1, t_right=1, r_left=1, r_right=1)
+        cert = sc.certify_plan(sc.sym_symmetric_si_plan(p, 0.3), model(p, nm.SYMMETRIC, 0.3))
+        assert cert.ok and cert.certified_dof == 15000
 
 
 class TestPlanJson:
