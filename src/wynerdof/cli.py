@@ -164,12 +164,10 @@ def _cmd_certify(args) -> int:
 
 
 _GENIE_BUILDERS = {
-    "asym": lambda p, alpha, mirror: converse.build_asym_genie(p, alpha),
-    "ub1": lambda p, alpha, mirror: converse.build_sym_genie_ub1(p, alpha),
-    "ub2": lambda p, alpha, mirror: converse.build_sym_genie_ub2(p, alpha, mirror=mirror),
-    "offset": lambda p, alpha, mirror: converse.build_offset_genie(
-        p.t_left + p.r_left, alpha, p.K, t_left=p.t_left, r_left=p.r_left,
-        t_right=p.t_right, r_right=p.r_right),
+    "asym": converse.build_asym_genie,
+    "ub1": converse.build_sym_genie_ub1,
+    "ub2": converse.build_sym_genie_ub2,
+    "offset": converse.build_offset_genie,
 }
 
 
@@ -177,7 +175,13 @@ def _genie_from_args(args, model):
     alpha = model.equal_alpha
     if alpha is None:
         raise ValueError("converse constructions need equal gains (--alpha)")
-    return _GENIE_BUILDERS[args.family](model.params, alpha, args.mirror)
+    build = _GENIE_BUILDERS[args.family]
+    if not args.mirror:
+        return build(model.params, alpha)
+    if model.topology == ASYMMETRIC:
+        raise ValueError("--mirror needs the symmetric topology: the asymmetric channel "
+                         "is not reflection-invariant, so a mirrored recipe cannot replay on it")
+    return converse.mirror_partition(build(model.params.mirrored(), alpha), model.params)
 
 
 def _cmd_converse(args) -> int:
@@ -329,6 +333,10 @@ def _cmd_sweep(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+_MIRROR_HELP = ("build the family for the left/right-exchanged instance and "
+                "relabel it k -> K+1-k (symmetric topology only)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="wynerdof",
@@ -366,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p)
     p.add_argument("--family", required=True,
                    choices=["asym", "ub1", "ub2", "offset"])
-    p.add_argument("--mirror", action="store_true")
+    p.add_argument("--mirror", action="store_true", help=_MIRROR_HELP)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=0)
@@ -375,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entropy", help="finiteness condition of a genie family")
     _add_instance_flags(p)
     p.add_argument("--family", required=True, choices=["asym", "ub1", "ub2"])
-    p.add_argument("--mirror", action="store_true")
+    p.add_argument("--mirror", action="store_true", help=_MIRROR_HELP)
     p.set_defaults(func=_cmd_entropy)
 
     p = sub.add_parser("simulate", help="rate curve and slope for a plan (CSV)")

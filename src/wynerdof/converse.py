@@ -44,6 +44,7 @@ __all__ = [
     "build_sym_genie_ub1",
     "build_sym_genie_ub2",
     "build_offset_genie",
+    "mirror_partition",
     "verify_reconstruction",
     "genie_entropy_check",
     "ReconstructionReport",
@@ -268,7 +269,12 @@ def build_asym_genie(params: NetworkParams, alpha: AlphaLike) -> GeniePartition:
 # symmetric construction without determinant conditions
 # ---------------------------------------------------------------------------
 
-def _mirror_partition(part: GeniePartition, params: NetworkParams) -> GeniePartition:
+def mirror_partition(part: GeniePartition, params: NetworkParams) -> GeniePartition:
+    """`part`, built for params.mirrored(), relabeled k -> K+1-k onto `params`.
+
+    The symmetric channel law is invariant under the relabeling, so the
+    mirrored recipes replay on params' symmetric channel unchanged.
+    """
     K = params.K
     ref = lambda i: K + 1 - i
     mt = lambda terms: tuple(sorted((ref(i), c) for i, c in terms))
@@ -304,7 +310,7 @@ def build_sym_genie_ub1(params: NetworkParams, alpha: AlphaLike) -> GeniePartiti
     kappa = K % beta
     theta = 1 if kappa >= min(tl + rl + 2, tr + rr + 2) else 0
     if theta == 1 and kappa < tl + rl + 2:
-        return _mirror_partition(build_sym_genie_ub1(params.mirrored(), alpha), params)
+        return mirror_partition(build_sym_genie_ub1(params.mirrored(), alpha), params)
     if gamma == 0 and theta == 0:
         return _whole_network(params, SYMMETRIC, "ub1", alpha)
 
@@ -369,19 +375,14 @@ def _null_row_coeffs(pL: int, alpha: AlphaLike) -> np.ndarray:
     return d  # d[j-2] multiplies row j
 
 
-def build_sym_genie_ub2(params: NetworkParams, alpha: AlphaLike,
-                        mirror: bool = False) -> GeniePartition:
+def build_sym_genie_ub2(params: NetworkParams, alpha: AlphaLike) -> GeniePartition:
     """Multi-round partition exploiting a singular H_{t_l+r_l+1}(alpha).
 
     Hides two adjacent antennas per period side_sum+3 (shorter than the
     generic construction by one).  Odd rounds rebuild the right antenna of
     a hidden pair through the dependent-row combination; even rounds rebuild
-    the left one using the output reconstructed just before.  `mirror`
-    exchanges left and right (requiring the mirrored determinant to vanish).
+    the left one using the output reconstructed just before.
     """
-    if mirror:
-        return _mirror_partition(
-            build_sym_genie_ub2(params.mirrored(), alpha), params)
     a = alpha_float(alpha)
     if a == 0:
         raise ValueError("nonzero cross-gain required")
@@ -456,30 +457,24 @@ def build_sym_genie_ub2(params: NetworkParams, alpha: AlphaLike,
 # power-offset construction (signal-carrying genie)
 # ---------------------------------------------------------------------------
 
-def build_offset_genie(L: int, alpha: AlphaLike, K: int,
-                       t_left: Optional[int] = None, r_left: Optional[int] = None,
-                       t_right: Optional[int] = None, r_right: Optional[int] = None,
-                       ) -> GeniePartition:
+def build_offset_genie(params: NetworkParams, alpha: AlphaLike) -> GeniePartition:
     """Partition whose genie carries the vanishing signal component.
 
-    Requires K = q(L+2) - 1 and symmetric side-information summing to L on
-    both sides (defaults t_left = t_right = L).  The first genie is
+    Requires K = q(L+2) - 1 and side-information summing to
+    L = t_left + r_left on both sides.  The first genie is
     sum_j v_j N_{j+1} - alpha v_{L+1} X_{L+1}; its signal part fades like
     the determinant u_{L+1}(alpha), which drives the power offset.
     """
     a = alpha_float(alpha)
     if a == 0:
         raise ValueError("nonzero cross-gain required")
+    K, tr, rl = params.K, params.t_right, params.r_left
+    L = params.t_left + rl
     if (K + 1) % (L + 2) != 0 or K < L + 3:
         raise ValueError("K must equal q(L+2)-1 for an integer q >= 2")
-    q = (K + 1) // (L + 2)
-    tl = L if t_left is None else t_left
-    rl = L - tl if r_left is None else r_left
-    tr = L if t_right is None else t_right
-    rr = L - tr if r_right is None else r_right
-    if tl + rl != L or tr + rr != L:
+    if tr + params.r_right != L:
         raise ValueError("side-information must sum to L on both sides")
-    params = NetworkParams(K=K, t_left=tl, t_right=tr, r_left=rl, r_right=rr)
+    q = (K + 1) // (L + 2)
 
     beta = 2 * (L + 2)
     gamma = (q - 1) // 2  # full two-sided periods
@@ -548,50 +543,48 @@ class ReconstructionReport:
                 "failure": self.failure}
 
 
-def _structural_check(partition: GeniePartition,
-                      encoder_dependency="free") -> Optional[str]:
+def _structural_check(partition: GeniePartition) -> Optional[str]:
+    """The first recipe that uses an output or a message before the
+    procedure makes it available, or None.  Round r ends by decoding
+    groups_b[r-1], whether or not it rebuilds anything."""
     params = partition.params
-    deps = None if encoder_dependency == "free" else dict(encoder_dependency)
     known = set(partition.r_a)
     msgs_known = set(partition.group_a)
     by_round: Dict[int, List[ReconstructionStep]] = {}
     for st in partition.steps:
         by_round.setdefault(st.round_no, []).append(st)
-    for rnd in sorted(by_round):
+    for rnd in sorted(by_round.keys() | range(1, len(partition.groups_b) + 1)):
         new_targets = set()
-        for st in by_round[rnd]:
+        for st in by_round.get(rnd, ()):
             for idx, _ in st.y_terms:
                 if idx not in known:
                     return (f"round {rnd}: output {idx} used before it is "
                             f"observed or reconstructed")
             for idx, _ in st.x_terms:
-                window = set(params.tx_window(idx) if deps is None else deps.get(idx, ()))
+                window = set(params.tx_window(idx))
                 if not window <= msgs_known:
                     return (f"round {rnd}: input {idx} needs messages "
                             f"{sorted(window - msgs_known)} not yet decoded")
             new_targets.add(st.target)
         known |= new_targets
-        if rnd - 1 < len(partition.groups_b):
+        if 1 <= rnd <= len(partition.groups_b):
             msgs_known |= set(partition.groups_b[rnd - 1])
     return None
 
 
 def verify_reconstruction(partition: GeniePartition, model: ChannelModel,
                           trials: int = 100, tol: float = 1e-8,
-                          seed: int = 0,
-                          encoder_dependency="free") -> ReconstructionReport:
+                          seed: int = 0) -> ReconstructionReport:
     """Sample inputs and noises, replay the recipes round by round, and
     report the worst absolute reconstruction error.
 
     Structural problems (a recipe consuming an output or message before the
     procedure makes it available) are reported before any numeric work.
-    encoder_dependency is either "free" (any encoder may use its whole
-    cognition window, the model's worst case) or a map transmitter ->
-    message set taken from a concrete plan's dependency tracking.
+    Every encoder may use its whole cognition window, the model's worst case.
     """
     if partition.params != model.params or partition.topology != model.topology:
         raise ValueError("partition and model describe different instances")
-    err = _structural_check(partition, encoder_dependency)
+    err = _structural_check(partition)
     targets = tuple(st.target for st in partition.steps)
     if err is not None:
         return ReconstructionReport(False, math.inf, 0, targets,

@@ -306,14 +306,14 @@ def fair_time_sharing_plan(params: NetworkParams) -> List[TransmissionPlan]:
 # ---------------------------------------------------------------------------
 
 def _mimo_subnet(params: NetworkParams, offset: int, size: int,
-                 alpha: AlphaLike, assume_full: bool = False) -> Tuple[Subnet, Dict[int, set]]:
+                 alpha: AlphaLike) -> Tuple[Subnet, Dict[int, set]]:
     """One pair-silencing subnet handled as a joint MIMO block."""
     kappa = size
     tl_ = max(0, kappa - 1 - params.r_left)
     rl_ = kappa - 1 - tl_
     tr_ = max(0, kappa - 1 - params.r_right)
     rr_ = kappa - 1 - tr_
-    full_rank = assume_full or not u_is_zero(kappa, alpha)
+    full_rank = not u_is_zero(kappa, alpha)
     claimed = kappa if full_rank else kappa - 1
 
     txs = tuple(range(offset + 1, offset + kappa + 1))
@@ -378,7 +378,7 @@ def _mimo_subnet(params: NetworkParams, offset: int, size: int,
     return sn, deps
 
 
-def _pair_silencing_subnets(params, silenced_pairs, alpha, assume_full=False):
+def _pair_silencing_subnets(params, silenced_pairs, alpha):
     K = params.K
     subnets = []
     deps: Dict[int, set] = {}
@@ -387,22 +387,20 @@ def _pair_silencing_subnets(params, silenced_pairs, alpha, assume_full=False):
     for s in cut + [K + 1]:
         if s - prev > 1:
             offset, size = prev, s - prev - 1
-            sn, d = _mimo_subnet(params, offset, size, alpha, assume_full)
+            sn, d = _mimo_subnet(params, offset, size, alpha)
             subnets.append(sn)
             deps.update(d)
         prev = s
     return subnets, deps
 
 
-def sym_symmetric_si_plan(params: NetworkParams, alpha: AlphaLike,
-                          force_case: Optional[int] = None) -> TransmissionPlan:
+def sym_symmetric_si_plan(params: NetworkParams, alpha: AlphaLike) -> TransmissionPlan:
     """Pair-silencing plan for equal gains and symmetric side-information.
 
     The silencing period tracks the determinant pattern of alpha: period
     L+2 while the (L+1)-size blocks stay full rank, period L+1 at the
     critical gains, with the last cut shifted by one whenever the leftover
-    block would itself be singular.  `force_case` overrides the dispatch
-    (used to demonstrate certification failures of the wrong pattern).
+    block would itself be singular.
     """
     L = params.t_left + params.r_left
     if L != params.t_right + params.r_right:
@@ -411,39 +409,21 @@ def sym_symmetric_si_plan(params: NetworkParams, alpha: AlphaLike,
         raise ValueError("nonzero cross-gain required")
     K = params.K
 
-    if force_case is None:
-        if K <= L + 1:
-            case = 1
-        elif u_is_zero(L + 1, alpha):
-            case = 4
-        elif u_is_zero(L, alpha):
-            case = 2
-        else:
-            case = 3
+    if K <= L + 1:
+        case, period = 1, K + 1  # one block, nothing silenced
+    elif u_is_zero(L + 1, alpha):
+        case, period = 4, L + 1
+    elif u_is_zero(L, alpha):
+        case, period = 2, L + 2
     else:
-        case = force_case
+        case, period = 3, L + 2
+    silenced = list(range(period, K + 1, period))
+    kappa = K % period
+    if case in (3, 4) and kappa >= 2 and u_is_zero(kappa, alpha):
+        # shift the last cut so every block stays full rank
+        silenced[-1] -= 1
 
-    adapt = force_case is None
-    if case == 1:
-        silenced: List[int] = []
-    elif case in (2, 3):
-        period = L + 2
-        g = K // period
-        silenced = [m * period for m in range(1, g + 1)]
-        kappa = K % period
-        if adapt and case == 3 and kappa >= 2 and u_is_zero(kappa, alpha):
-            # shift the last cut so every block stays full rank
-            silenced = [m * period for m in range(1, g)] + [g * period - 1]
-    else:
-        period = L + 1
-        g = K // period
-        silenced = [m * period for m in range(1, g + 1)]
-        kappa = K % period
-        if adapt and kappa >= 2 and u_is_zero(kappa, alpha):
-            silenced = [m * period for m in range(1, g)] + [g * period - 1]
-
-    subnets, deps = _pair_silencing_subnets(params, silenced, alpha,
-                                            assume_full=not adapt)
+    subnets, deps = _pair_silencing_subnets(params, silenced, alpha)
     return _finalize(params, SYMMETRIC, f"sym-si-case{case}", silenced, silenced,
                      subnets, deps, alpha=alpha)
 
@@ -691,31 +671,22 @@ def _first_coupling(subnets, model: ChannelModel) -> Optional[Tuple[int, int]]:
     Each antenna a is walked against the transmitters a-1, a, a+1 (the only
     ones a banded channel can couple it to) and their per-index owner lists;
     the lists keep every subnet naming an index, so shared indices still
-    couple.  An index outside 1..K raises ValueError (from `submatrix`) when
-    the first pair naming it is not after the first coupling.
+    couple.  An index outside 1..K raises ValueError wherever it sits.
     """
     K = model.K
     tx_owners: Dict[int, List[int]] = {}
     for j, sn in enumerate(subnets):
+        _check_range(sn.rx_antennas, K)
+        _check_range(sn.active_tx, K)
         for t in sn.active_tx:
             tx_owners.setdefault(t, []).append(j)
-    first = None
     for i, sn in enumerate(subnets):
-        coupled = [j for a in sn.rx_antennas if 1 <= a <= K
-                   for t in (a - 1, a, a + 1) if t in tx_owners and 1 <= t <= K
+        coupled = [j for a in sn.rx_antennas
+                   for t in (a - 1, a, a + 1) if t in tx_owners
                    for j in tx_owners[t] if j != i and model.entry(a, t) != 0]
         if coupled:
-            first = (i, min(coupled))
-            break
-    if len(subnets) >= 2:
-        bad = lambda idx: bool(idx) and (min(idx) < 1 or max(idx) > K)
-        other = lambda i: 1 if i == 0 else 0
-        raising = [(i, other(i)) for i, sn in enumerate(subnets) if bad(sn.rx_antennas)]
-        raising += [(other(j), j) for j, sn in enumerate(subnets) if bad(sn.active_tx)]
-        if raising and (first is None or min(raising) <= first):
-            i, j = min(raising)
-            submatrix(model, subnets[i].rx_antennas, subnets[j].active_tx)  # raises
-    return first
+            return i, min(coupled)
+    return None
 
 
 def _outside(idx, lo: int, hi: int) -> List[int]:
@@ -723,6 +694,12 @@ def _outside(idx, lo: int, hi: int) -> List[int]:
     if not idx or lo <= min(idx) and max(idx) <= hi:
         return []
     return sorted(x for x in idx if not lo <= x <= hi)
+
+
+def _check_range(idx, K: int) -> None:
+    """Raise ValueError naming the smallest index in `idx` outside 1..K."""
+    if idx and (min(idx) < 1 or max(idx) > K):
+        raise ValueError(f"index {_outside(idx, 1, K)[0]} outside 1..{K}")
 
 
 def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
@@ -774,6 +751,8 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
         decoded: set = set()
         needed_antennas: Dict[int, set] = {}
         for st in sn.scalar_steps:
+            if not (1 <= st.message <= K and 1 <= st.decoder <= K):
+                _check_range((st.message, st.decoder), K)
             if st.antenna in silenced_rx:
                 return fail(f"step for message {st.message} uses a silenced antenna")
             if H(st.antenna, st.tx) == 0:
@@ -802,6 +781,8 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
         for blk in sn.mimo_blocks:
             covered = set()
             for r, ants in blk.decoders:
+                if not 1 <= r <= K:
+                    _check_range((r,), K)
                 if _outside(ants, max(1, r - rl), min(K, r + rr)):
                     return fail(f"receiver {r} assigned antennas outside its cluster")
                 aset = set(ants)
@@ -814,11 +795,17 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
                 for t in group:
                     if not (1 <= m <= K and t - tl <= m <= t + tr):
                         return fail(f"transmitter {t} does not know message {m}")
-            want = sum(w for _, w in blk.prelog) + sum(prelog.get(m, 0) for m in blk.coupled)
+            own = 0
+            for m, w in blk.prelog:
+                if not 1 <= m <= K:
+                    _check_range((m,), K)
+                own += w
+            _check_range(blk.coupled, K)
+            want = own + sum(prelog.get(m, 0) for m in blk.coupled)
             idx = (*blk.antennas, *blk.tx)
             o, hi = min(idx, default=1), max(idx, default=0)
             if o < 1 or hi > K:
-                submatrix(model, blk.antennas, blk.tx)  # raises
+                _check_range(idx, K)
             key = (tuple(a - o for a in blk.antennas), tuple(t - o for t in blk.tx),
                    band[:, o - 1:hi].tobytes())
             if key not in ranks:
@@ -826,7 +813,7 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
             r = ranks[key]
             if r < want:
                 return fail(f"rank {r} < required {want} in subnet {si}")
-            certified += sum(w for _, w in blk.prelog)
+            certified += own
     checks.append("chains-and-ranks")
 
     if certified != plan.claimed_dof:

@@ -442,8 +442,11 @@ def m_matrix(p: int, alpha: AlphaLike) -> np.ndarray:
 
 
 def build_m_and_inverse(p: int, alpha: AlphaLike) -> BandedM:
-    """M_p(alpha) together with its explicit inverse (back substitution).
+    """M_p(alpha) together with its explicit inverse.
 
+    The inverse of the upper-banded Toeplitz M_p is upper-triangular
+    Toeplitz: its k-th super-diagonal is c_k, from back substitution's
+    recurrence c_0 = 1/alpha, c_k = (-c_{k-1} - alpha c_{k-2}) / alpha.
     Orders p >= 1 are accepted; p = 1 degenerates to the scalar [alpha].
     """
     a = alpha_float(alpha)
@@ -451,18 +454,9 @@ def build_m_and_inverse(p: int, alpha: AlphaLike) -> BandedM:
         raise ValueError("inverse requires a nonzero cross-gain")
     if p < 1:
         raise ValueError("order p must be positive")
-    m = m_matrix(p, a)
-    inv = np.zeros((p, p))
-    for col in range(p):
-        # back substitution on the upper-triangular band
-        z = np.zeros(p)
-        for i in range(p, 0, -1):
-            r = i - 1
-            acc = 1.0 if r == col else 0.0
-            if r + 1 < p:
-                acc -= 1.0 * z[r + 1]
-            if r + 2 < p:
-                acc -= a * z[r + 2]
-            z[r] = acc / a
-        inv[:, col] = z
-    return BandedM(p=p, alpha=a, matrix=m, inverse=inv)
+    c = [0.0, 1.0 / a]  # c_{-1}, c_0
+    for _ in range(p - 1):
+        c.append(((0.0 - c[-1]) - a * c[-2]) / a)
+    d = np.arange(p)[None, :] - np.arange(p)[:, None]  # column minus row
+    inv = np.where(d >= 0, np.array(c[1:])[np.abs(d)], 0.0)
+    return BandedM(p=p, alpha=a, matrix=m_matrix(p, a), inverse=inv)

@@ -86,6 +86,23 @@ class TestConverse:
         assert code == 2 and out == ""
         assert err == "error: converse constructions need equal gains (--alpha)\n"
 
+    @pytest.mark.parametrize("family", ["ub1", "ub2", "offset"])
+    def test_mirror_relabels_every_symmetric_family(self, capsys, family):
+        side = ["--tl", "1", "--tr", "0", "--rl", "1", "--rr", "2"]
+        code, out, err = run(capsys, "converse", "--family", family, "--topology", "symmetric",
+                             "--K", "11", *side, "--alpha", "root:3:1", "--mirror")
+        blob = json.loads(out)
+        assert code == 0 and err == ""
+        assert blob["ok"] and blob["entropy_ok"]
+        assert blob["partition"]["family"] == f"{family}-mirrored"
+
+    @pytest.mark.parametrize("command, family", [("converse", "asym"), ("entropy", "ub1")])
+    def test_mirror_on_the_asymmetric_channel_is_usage_error(self, capsys, command, family):
+        code, out, err = run(capsys, command, "--family", family, "--topology", "asymmetric",
+                             "--K", "10", "--tl", "1", "--rl", "1", "--alpha", "0.7", "--mirror")
+        assert code == 2 and out == ""
+        assert err == ("error: --mirror needs the symmetric topology: the asymmetric channel "
+                       "is not reflection-invariant, so a mirrored recipe cannot replay on it\n")
 
     @pytest.mark.parametrize("q", range(2, 7))
     def test_offset_without_side_information(self, capsys, q):

@@ -145,7 +145,7 @@ class TestSymUb2:
 
     def test_mirrored_variant(self):
         p = P(K=9, t_left=1, t_right=0, r_left=1, r_right=2)
-        g = cv.build_sym_genie_ub2(p, ROOT3, mirror=True)
+        g = cv.mirror_partition(cv.build_sym_genie_ub2(p.mirrored(), ROOT3), p)
         rep = cv.verify_reconstruction(g, model(p, nm.SYMMETRIC, ROOT3), trials=60)
         assert rep.ok
 
@@ -173,42 +173,50 @@ class TestSymUb2:
                     assert rep.ok, (p, ra.token(), rep.failure)
 
 
+L2_K7 = P(K=7, t_left=2, t_right=2)
+
+
 class TestOffsetGenie:
     def test_even_period_count(self):
         a = ROOT3.value + 0.05
-        g = cv.build_offset_genie(2, a, 7)
+        g = cv.build_offset_genie(L2_K7, a)
         assert g.missing() == (1, 7)
         assert g.bound == 5
         assert g.info_term["q"] == 2
 
     def test_odd_period_count(self):
-        g = cv.build_offset_genie(2, 0.9, 11)
+        g = cv.build_offset_genie(P(K=11, t_left=2, t_right=2), 0.9)
         assert g.info_term["q"] == 3
         assert g.bound == 8
 
     def test_v_weighted_identity_reconstructs_the_first_antenna(self):
         a = ROOT3.value + 0.03
-        g = cv.build_offset_genie(2, a, 7)
+        g = cv.build_offset_genie(L2_K7, a)
         rep = cv.verify_reconstruction(g, model(g.params, nm.SYMMETRIC, a), trials=100)
         assert rep.ok and rep.max_abs_error <= 1e-9
 
     def test_signal_term_vanishes_at_the_critical_gain(self):
-        g = cv.build_offset_genie(2, ROOT3, 7)
+        g = cv.build_offset_genie(L2_K7, ROOT3)
         assert abs(g.info_term["v_top"]) < 1e-12
 
     def test_signal_term_direction(self):
         for gap in (0.2, 0.1, 0.05):
-            g = cv.build_offset_genie(2, ROOT3.value + gap, 7)
+            g = cv.build_offset_genie(L2_K7, ROOT3.value + gap)
             assert abs(g.info_term["v_top"]) > 0
 
     def test_bad_network_size_rejected(self):
         with pytest.raises(ValueError, match="q"):
-            cv.build_offset_genie(2, 0.8, 9)
+            cv.build_offset_genie(P(K=9, t_left=2, t_right=2), 0.8)
+
+    def test_unequal_side_sums_rejected_after_the_size(self):
+        with pytest.raises(ValueError, match="^side-information must sum to L on both sides$"):
+            cv.build_offset_genie(P(K=7, t_left=2, t_right=1), 0.8)
+        with pytest.raises(ValueError, match="^K must equal"):
+            cv.build_offset_genie(P(K=9, t_left=2, t_right=1), 0.8)
 
     def test_side_split_with_round_ordering(self):
         # the split puts one early message behind the first round
-        g = cv.build_offset_genie(2, 0.8, 7, t_left=1, r_left=1,
-                                  t_right=0, r_right=2)
+        g = cv.build_offset_genie(P(K=7, t_left=1, t_right=0, r_left=1, r_right=2), 0.8)
         assert g.groups_b[0] == (2,)  # r_left + 1
         rep = cv.verify_reconstruction(g, model(g.params, nm.SYMMETRIC, 0.8),
                                        trials=60)
@@ -232,21 +240,16 @@ class TestStructuralChecks:
         with pytest.raises(ValueError):
             cv.verify_reconstruction(g, model(P(K=5), nm.ASYMMETRIC, 0.7))
 
-    def test_plan_supplied_encoder_dependencies(self):
-        from wynerdof import schemes as sc
-        p = P(K=10, t_left=1, t_right=0, r_left=1, r_right=0)
-        g = cv.build_asym_genie(p, 0.7)
-        m = model(p, nm.ASYMMETRIC, 0.7)
-        plan_deps = sc.asym_plan(p).deps_map()
-        rep = cv.verify_reconstruction(g, m, trials=10,
-                                       encoder_dependency=plan_deps)
-        assert rep.ok
-        # a dependency the cooperating group never decodes is a structural error
-        needed = g.steps[0].x_terms[0][0]
-        bad = dict(plan_deps)
-        bad[needed] = frozenset({g.missing()[0]})
-        rep2 = cv.verify_reconstruction(g, m, trials=10, encoder_dependency=bad)
-        assert not rep2.ok and "not yet decoded" in rep2.failure
+    def test_a_decode_only_round_credits_its_group(self):
+        # round 2 rebuilds nothing, but its group still decodes before round 3
+        p = P(K=9, t_left=0, t_right=1, r_left=2, r_right=1)
+        g = cv.build_sym_genie_ub2(p, ROOT3)
+        assert {s.round_no for s in g.steps} == {1, 2}
+        moved = tuple(dataclasses.replace(s, round_no=3) if s.round_no == 2 else s
+                      for s in g.steps)
+        staged = dataclasses.replace(g, groups_b=((),) + g.groups_b, steps=moved)
+        rep = cv.verify_reconstruction(staged, model(p, nm.SYMMETRIC, ROOT3), trials=20)
+        assert rep.failure is None and rep.ok
 
 
 class TestEntropyCondition:

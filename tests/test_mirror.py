@@ -73,9 +73,9 @@ def test_generic_genie_is_mirror_invariant(p, alpha):
     assert cv.verify_reconstruction(there, channel(m, alpha), trials=5).ok
 
 
-def ub2_or_error(p, alpha, mirror=False):
+def ub2_or_error(p, alpha):
     try:
-        return cv.build_sym_genie_ub2(p, alpha, mirror=mirror), None
+        return cv.build_sym_genie_ub2(p, alpha), None
     except ValueError as exc:
         return None, str(exc)
 
@@ -84,13 +84,40 @@ def ub2_or_error(p, alpha, mirror=False):
 @SETTINGS
 def test_singular_genie_is_mirror_invariant(p, alpha):
     m = p.mirrored()
-    here, err_here = ub2_or_error(p, alpha, mirror=True)
-    there, err_there = ub2_or_error(m, alpha)
-    assert err_here == err_there
-    if err_here is None:
+    there, err = ub2_or_error(m, alpha)
+    if err is None:
+        here = cv.mirror_partition(there, p)
         assert here.bound == there.bound
         assert cv.verify_reconstruction(here, channel(p, alpha), trials=5).ok
         assert cv.verify_reconstruction(there, channel(m, alpha), trials=5).ok
+
+
+def root_of_the_mirrored_left_side(p):
+    """A critical root of u_{t_r+r_r+1}, the order ub2 needs singular on p.mirrored()."""
+    order = p.t_right + p.r_right + 1
+    return st.builds(RootAlpha, st.just(order), st.integers(min_value=1, max_value=order // 2),
+                     st.sampled_from((1, -1)))
+
+
+generic_cases = st.tuples(params, st.just(cv.build_sym_genie_ub1), gains)
+singular_cases = params.filter(lambda p: p.t_right + p.r_right >= 1).flatmap(
+    lambda p: st.tuples(st.just(p), st.just(cv.build_sym_genie_ub2),
+                        root_of_the_mirrored_left_side(p)))
+
+
+@given(st.one_of(singular_cases, generic_cases))
+@SETTINGS
+def test_mirrored_recipes_replay_on_the_instance(case):
+    p, build, alpha = case
+    try:
+        mirrored = build(p.mirrored(), alpha)
+    except ValueError as exc:
+        assert "construction gap" in str(exc)
+        return
+    part = cv.mirror_partition(mirrored, p)
+    assert part.bound == mirrored.bound
+    rep = cv.verify_reconstruction(part, channel(p, alpha), trials=5)
+    assert rep.ok, rep.failure
 
 
 def every_plan(p, alpha):

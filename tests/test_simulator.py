@@ -55,7 +55,7 @@ class TestPlanSumRate:
 
     def test_uncertified_plan_rejected(self):
         p = P(K=7, t_left=1, t_right=1, r_left=1, r_right=1)
-        plan = sc.sym_symmetric_si_plan(p, ROOT3, force_case=3)
+        plan = sc.sym_symmetric_si_plan(p, 0.3)
         with pytest.raises(ValueError, match="certify"):
             sim.plan_sum_rate(plan, model(p, nm.SYMMETRIC, ROOT3), 10.0)
 

@@ -351,3 +351,27 @@ class TestBandedM:
     def test_zero_gain_rejected(self):
         with pytest.raises(ValueError):
             td.build_m_and_inverse(3, 0.0)
+
+    def test_toeplitz_inverse_equals_column_back_substitution(self):
+        # the column-by-column back substitution the closed recurrence replaced;
+        # the values agree exactly (only zeros below the diagonal may differ in sign)
+        def back_substitution(p, a):
+            inv = np.zeros((p, p))
+            for col in range(p):
+                z = np.zeros(p)
+                for r in range(p - 1, -1, -1):
+                    acc = 1.0 if r == col else 0.0
+                    if r + 1 < p:
+                        acc -= 1.0 * z[r + 1]
+                    if r + 2 < p:
+                        acc -= a * z[r + 2]
+                    z[r] = acc / a
+                inv[:, col] = z
+            return inv
+
+        gains = [s * n / 20 for n in range(1, 41) for s in (1, -1)]
+        gains += [r.value for q in range(2, 9) for r in td.critical_roots(q).root_alphas]
+        for p in range(1, 20):
+            for a in gains:
+                assert np.array_equal(td.build_m_and_inverse(p, a).inverse,
+                                      back_substitution(p, a)), (p, a)
