@@ -9,9 +9,11 @@ root:p:k (k-th positive root of the order-p determinant).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 from typing import Optional
 
 from . import converse, dofcalc, netmodel, schemes, simulator, tridiag
@@ -36,8 +38,8 @@ def _diag(msg: str) -> None:
     sys.stderr.write(msg.rstrip() + "\n")
 
 
-def _add_instance_flags(p: argparse.ArgumentParser, topology_required=True):
-    p.add_argument("--instance", help="JSON instance file (overrides flags)")
+def _add_instance_flags(p: argparse.ArgumentParser):
+    p.add_argument("--instance", help="JSON instance file (replaces the other instance flags)")
     p.add_argument("--topology", choices=[ASYMMETRIC, SYMMETRIC])
     p.add_argument("--K", type=int)
     p.add_argument("--tl", type=int, default=0)
@@ -48,119 +50,55 @@ def _add_instance_flags(p: argparse.ArgumentParser, topology_required=True):
     p.add_argument("--gains-seed", type=int, help="continuous random gains")
 
 
-def _instance_from_args(args) -> netmodel.ChannelModel:
-    if args.instance:
-        with open(args.instance) as fh:
-            return netmodel.instance_from_json(json.load(fh))
-    if args.K is None or args.topology is None:
+def _resolve(fields) -> tuple:
+    """(params, topology, gains) of one instance, from a command's flags
+    (`vars(args)`) or from one sweep row; gains are None when neither
+    --alpha nor --gains-seed is given.  An --instance file replaces the flags."""
+    if fields.get("instance"):
+        with open(fields["instance"]) as fh:
+            model = netmodel.instance_from_json(json.load(fh))
+        return model.params, model.topology, model.gains
+    if fields["K"] is None or fields["topology"] is None:
         raise ValueError("--K and --topology (or --instance) are required")
-    params = NetworkParams(K=args.K, t_left=args.tl, t_right=args.tr,
-                           r_left=args.rl, r_right=args.rr)
-    if args.gains_seed is not None:
-        gains = CrossGainAssignment.random(args.gains_seed)
-    elif args.alpha is not None:
-        gains = CrossGainAssignment.equal(parse_alpha_token(args.alpha))
-    else:
+    for name in ("K", "tl", "tr", "rl", "rr"):
+        if type(fields[name]) is not int:
+            raise ValueError(f"{name} must be an integer, got {fields[name]!r}")
+    params = NetworkParams(K=fields["K"], t_left=fields["tl"], t_right=fields["tr"],
+                           r_left=fields["rl"], r_right=fields["rr"])
+    alpha, seed = fields["alpha"], fields.get("gains_seed")
+    if alpha is not None and seed is not None:
+        raise ValueError("give --alpha or --gains-seed, not both")
+    gains = None
+    if seed is not None:
+        gains = CrossGainAssignment.random(seed)
+    elif alpha is not None:
+        gains = CrossGainAssignment.equal(parse_alpha_token(alpha))
+    return params, fields["topology"], gains
+
+
+def _channel(params, topology, gains) -> netmodel.ChannelModel:
+    if gains is None:
         raise ValueError("provide --alpha or --gains-seed")
-    return build_channel(params, args.topology, gains)
+    return build_channel(params, topology, gains)
 
 
-def _params_from_args(args) -> NetworkParams:
-    if args.K is None:
-        raise ValueError("--K is required")
-    return NetworkParams(K=args.K, t_left=args.tl, t_right=args.tr,
-                         r_left=args.rl, r_right=args.rr)
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-def _cmd_mg(args) -> int:
-    params = _params_from_args(args)
-    if args.topology is None:
-        raise ValueError("--topology is required")
-    if args.topology == ASYMMETRIC:
+def _mg(params, topology, gains) -> dofcalc.DofInterval:
+    if topology == ASYMMETRIC:
         v = dofcalc.asym_mg(params)
-        out = {"lower": v, "upper": v, "exact": True,
-               "lower_by": "chain-silencing", "upper_by": "cooperative-bound",
-               "per_user_limit": str(dofcalc.asym_mg_per_user(params))}
-    else:
-        if args.gains_seed is not None:
-            interval = dofcalc.sym_dof_interval(
-                params, CrossGainAssignment.random(args.gains_seed))
-        else:
-            if args.alpha is None:
-                raise ValueError("symmetric topology needs --alpha or --gains-seed")
-            interval = dofcalc.sym_dof_interval(params, parse_alpha_token(args.alpha))
-        out = interval.to_json()
-    _emit(out)
-    return _EXIT_OK
+        return dofcalc.DofInterval(v, v, "chain-silencing", "cooperative-bound")
+    if gains is None:
+        raise ValueError("symmetric topology needs --alpha or --gains-seed")
+    return dofcalc.sym_dof_interval(params, gains)
 
 
-def _cmd_bounds(args) -> int:
-    params = _params_from_args(args)
-    alpha = parse_alpha_token(args.alpha) if args.alpha is not None else None
-    bounds = [b.to_json() for b in dofcalc.sym_lower_bounds(params)]
-    if alpha is not None:
-        bounds += [b.to_json() for b in dofcalc.sym_upper_bounds(params, alpha)]
-        if args.verbose:
-            bounds += [dict(b.to_json(), variant="prose-threshold")
-                       for b in dofcalc.sym_upper_bounds(params, alpha,
-                                                         theta4_variant="prose")
-                       if b.label == "ub-generic"]
-        interval = dofcalc.sym_dof_interval(params, alpha).to_json()
-    elif args.gains_seed is not None:
-        interval = dofcalc.sym_dof_interval(
-            params, CrossGainAssignment.random(args.gains_seed)).to_json()
-    else:
-        interval = None
-    out = {"instance": {"K": params.K, "t_left": params.t_left,
-                        "t_right": params.t_right, "r_left": params.r_left,
-                        "r_right": params.r_right},
-           "bounds": bounds}
-    if interval is not None:
-        out["interval"] = interval
-    _emit(out)
-    return _EXIT_OK
-
-
-def _cmd_roots(args) -> int:
-    rs = tridiag.critical_roots(args.p)
-    _emit(rs.to_json())
-    return _EXIT_OK
-
-
-def _plan_from_args(args, params):
-    alpha = parse_alpha_token(args.alpha) if args.alpha is not None else None
-    if args.topology == ASYMMETRIC:
+def _plan(params, topology, gains, bound_label=None) -> schemes.TransmissionPlan:
+    if topology == ASYMMETRIC:
         return schemes.asym_plan(params)
-    if args.bound_label:
-        return schemes.sym_general_plan(params, args.bound_label)
-    if alpha is None:
+    if bound_label:
+        return schemes.sym_general_plan(params, bound_label)
+    if gains is None or gains.kind != "equal":
         raise ValueError("symmetric plans need --alpha (or --bound-label)")
-    return schemes.sym_symmetric_si_plan(params, alpha)
-
-
-def _cmd_plan(args) -> int:
-    params = _params_from_args(args)
-    plan = _plan_from_args(args, params)
-    _emit(schemes.plan_to_json(plan))
-    return _EXIT_OK
-
-
-def _cmd_certify(args) -> int:
-    model = _instance_from_args(args)
-    if args.plan == "-":
-        plan = schemes.plan_from_json(json.load(sys.stdin))
-    elif args.plan:
-        with open(args.plan) as fh:
-            plan = schemes.plan_from_json(json.load(fh))
-    else:
-        plan = _plan_from_args(args, model.params)
-    cert = schemes.certify_plan(plan, model)
-    _emit(cert.to_json())
-    return _EXIT_OK if cert.ok else _EXIT_VERIFY
+    return schemes.sym_symmetric_si_plan(params, gains.alpha)
 
 
 _GENIE_BUILDERS = {
@@ -171,12 +109,12 @@ _GENIE_BUILDERS = {
 }
 
 
-def _genie_from_args(args, model):
+def _genie(model, family, mirror=False) -> converse.GeniePartition:
     alpha = model.equal_alpha
     if alpha is None:
         raise ValueError("converse constructions need equal gains (--alpha)")
-    build = _GENIE_BUILDERS[args.family]
-    if not args.mirror:
+    build = _GENIE_BUILDERS[family]
+    if not mirror:
         return build(model.params, alpha)
     if model.topology == ASYMMETRIC:
         raise ValueError("--mirror needs the symmetric topology: the asymmetric channel "
@@ -184,9 +122,64 @@ def _genie_from_args(args, model):
     return converse.mirror_partition(build(model.params.mirrored(), alpha), model.params)
 
 
+def _cmd_mg(args) -> int:
+    params, topology, gains = _resolve(vars(args))
+    out = _mg(params, topology, gains).to_json()
+    if topology == ASYMMETRIC:
+        out["per_user_limit"] = str(dofcalc.asym_mg_per_user(params))
+    _emit(out)
+    return _EXIT_OK
+
+
+def _cmd_bounds(args) -> int:
+    params, topology, gains = _resolve(vars(args))
+    if topology != SYMMETRIC:
+        raise ValueError("bounds lists the symmetric topology's bounds; "
+                         "use mg for the asymmetric one")
+    bounds = [b.to_json() for b in dofcalc.sym_lower_bounds(params)]
+    out = {"instance": dataclasses.asdict(params), "bounds": bounds}
+    if gains is not None and gains.kind == "equal":
+        bounds += [b.to_json() for b in dofcalc.sym_upper_bounds(params, gains.alpha)]
+        if args.verbose:
+            bounds += [dict(b.to_json(), variant="prose-threshold")
+                       for b in dofcalc.sym_upper_bounds(params, gains.alpha,
+                                                         theta4_variant="prose")
+                       if b.label == "ub-generic"]
+    if gains is not None:
+        out["interval"] = _mg(params, topology, gains).to_json()
+    _emit(out)
+    return _EXIT_OK
+
+
+def _cmd_roots(args) -> int:
+    rs = tridiag.critical_roots(args.p)
+    _emit(rs.to_json())
+    return _EXIT_OK
+
+
+def _cmd_plan(args) -> int:
+    _emit(schemes.plan_to_json(_plan(*_resolve(vars(args)), args.bound_label)))
+    return _EXIT_OK
+
+
+def _cmd_certify(args) -> int:
+    instance = _resolve(vars(args))
+    model = _channel(*instance)
+    if args.plan == "-":
+        plan = schemes.plan_from_json(json.load(sys.stdin))
+    elif args.plan:
+        with open(args.plan) as fh:
+            plan = schemes.plan_from_json(json.load(fh))
+    else:
+        plan = _plan(*instance, args.bound_label)
+    cert = schemes.certify_plan(plan, model)
+    _emit(cert.to_json())
+    return _EXIT_OK if cert.ok else _EXIT_VERIFY
+
+
 def _cmd_converse(args) -> int:
-    model = _instance_from_args(args)
-    part = _genie_from_args(args, model)
+    model = _channel(*_resolve(vars(args)))
+    part = _genie(model, args.family, args.mirror)
     rep = converse.verify_reconstruction(part, model, trials=args.trials,
                                          tol=args.tol, seed=args.seed)
     ent = converse.genie_entropy_check(part, model)
@@ -198,16 +191,16 @@ def _cmd_converse(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    model = _instance_from_args(args)
-    part = _genie_from_args(args, model)
-    rep = converse.genie_entropy_check(part, model)
+    model = _channel(*_resolve(vars(args)))
+    rep = converse.genie_entropy_check(_genie(model, args.family, args.mirror), model)
     _emit(rep.to_json())
     return _EXIT_OK if rep.ok else _EXIT_VERIFY
 
 
 def _cmd_simulate(args) -> int:
-    model = _instance_from_args(args)
-    plan = _plan_from_args(args, model.params)
+    instance = _resolve(vars(args))
+    model = _channel(*instance)
+    plan = _plan(*instance, args.bound_label)
     grid = simulator.default_power_grid(args.pmin, args.pmax, args.points)
     curve = simulator.slope_estimate(plan, model, grid)
     _emit(curve.to_csv(plan_id=plan.family))
@@ -241,43 +234,22 @@ def _sweep_one(idx, inst, checks):
     """One CSV row; a check that does not apply ends the row in an `error` cell."""
     row = {"index": idx, **inst}
     try:
-        _sweep_checks(row, inst, checks)
+        instance = _resolve({"topology": SYMMETRIC, **inst})
+        model = _channel(*instance)
+        if "mg" in checks:
+            iv = _mg(*instance)
+            row["mg_lower"], row["mg_upper"] = iv.lower, iv.upper
+        if "certify" in checks:
+            cert = schemes.certify_plan(_plan(*instance), model)
+            row["certified"] = cert.certified_dof if cert.ok else -1
+        if "converse" in checks:
+            part = _genie(model, "asym" if model.topology == ASYMMETRIC else "ub1")
+            rep = converse.verify_reconstruction(part, model, trials=20)
+            row["converse_bound"] = part.bound
+            row["converse_ok"] = rep.ok
     except ValueError as exc:  # NotApplicableError included
         row["error"] = str(exc)
     return row
-
-
-def _sweep_checks(row, inst, checks):
-    for name in ("K", "tl", "tr", "rl", "rr"):
-        if type(inst[name]) is not int:
-            raise ValueError(f"{name} must be an integer, got {inst[name]!r}")
-    params = NetworkParams(K=inst["K"], t_left=inst["tl"], t_right=inst["tr"],
-                           r_left=inst["rl"], r_right=inst["rr"])
-    alpha = parse_alpha_token(inst["alpha"])
-    topology = inst.get("topology", SYMMETRIC)
-    model = build_channel(params, topology, CrossGainAssignment.equal(alpha))
-    if "mg" in checks:
-        if topology == ASYMMETRIC:
-            v = dofcalc.asym_mg(params)
-            row["mg_lower"] = row["mg_upper"] = v
-        else:
-            iv = dofcalc.sym_dof_interval(params, alpha)
-            row["mg_lower"], row["mg_upper"] = iv.lower, iv.upper
-    if "certify" in checks:
-        if topology == ASYMMETRIC:
-            plan = schemes.asym_plan(params)
-        else:
-            plan = schemes.sym_symmetric_si_plan(params, alpha)
-        cert = schemes.certify_plan(plan, model)
-        row["certified"] = cert.certified_dof if cert.ok else -1
-    if "converse" in checks:
-        if topology == ASYMMETRIC:
-            part = converse.build_asym_genie(params, alpha)
-        else:
-            part = converse.build_sym_genie_ub1(params, alpha)
-        rep = converse.verify_reconstruction(part, model, trials=20)
-        row["converse_bound"] = part.bound
-        row["converse_ok"] = rep.ok
 
 
 def _csv_cell(value) -> str:
@@ -302,25 +274,14 @@ def _cmd_sweep(args) -> int:
     for k, grid in zip(keys, grids):
         if not isinstance(grid, list):
             raise ValueError(f"sweep spec {k!r} must be a list")
-    instances = []
-    idx = 0
-    from itertools import product
-    for combo in product(*grids):
-        inst = dict(zip(keys, combo))
-        if "topology" in spec:
-            inst["topology"] = spec["topology"]
-        instances.append((idx, inst))
-        idx += 1
-    jobs = args.jobs or 1
-    rows = [None] * len(instances)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            futs = {ex.submit(_sweep_one, i, inst, checks): i for i, inst in instances}
-            for f in futs:
-                rows[futs[f]] = f.result()
+    topology = {"topology": spec["topology"]} if "topology" in spec else {}
+    instances = [dict(zip(keys, combo), **topology) for combo in product(*grids)]
+    rows_args = (range(len(instances)), instances, [checks] * len(instances))
+    if (args.jobs or 1) > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as ex:
+            rows = list(ex.map(_sweep_one, *rows_args))
     else:
-        for i, inst in instances:
-            rows[i] = _sweep_one(i, inst, checks)
+        rows = list(map(_sweep_one, *rows_args))
     cols = sorted({k for r in rows for k in r}, key=lambda c: (c != "index", c))
     lines = [",".join(cols)]
     for r in rows:
@@ -328,10 +289,6 @@ def _cmd_sweep(args) -> int:
     _emit("\n".join(lines))
     return _EXIT_OK
 
-
-# ---------------------------------------------------------------------------
-# parser
-# ---------------------------------------------------------------------------
 
 _MIRROR_HELP = ("build the family for the left/right-exchanged instance and "
                 "relabel it k -> K+1-k (symmetric topology only)")

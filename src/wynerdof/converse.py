@@ -639,7 +639,7 @@ def genie_entropy_check(partition: GeniePartition, model: ChannelModel,
     contribution is bounded separately through the recorded signal term.
     Coefficients are plain constants, so nothing depends on the power.
     """
-    if partition.params != model.params:
+    if partition.params != model.params or partition.topology != model.topology:
         raise ValueError("partition and model describe different instances")
     K = model.K
     ra = [k - 1 for k in partition.r_a]

@@ -256,25 +256,23 @@ def sym_upper_bounds(params: NetworkParams, alpha: AlphaLike,
         raise ValueError("nonzero cross-gain required")
     if theta4_variant not in ("statement", "prose"):
         raise ValueError("theta4_variant must be 'statement' or 'prose'")
-    K = params.K
-    tl, tr, rl, rr = params.t_left, params.t_right, params.r_left, params.r_right
-    out = [_ub_generic(params, 2 if theta4_variant == "statement" else 1)]
+    K, b5 = params.K, params.side_sum + 3
+    left, right = params.t_left + params.r_left, params.t_right + params.r_right
+    return [_ub_generic(params, 2 if theta4_variant == "statement" else 1),
+            _ub_singular("ub-singular-left", K, b5, left, right, alpha),
+            _ub_singular("ub-singular-right", K, b5, right, left, alpha)]
 
-    b5 = params.side_sum + 3
-    k5 = K % b5
-    if u_is_zero(tl + rl + 1, alpha):
-        theta5 = 1 if k5 >= tr + rr + 1 else 0
-        out.append(BoundValue("ub-singular-left", _clip(K - 2 * (K // b5) - theta5, K), True, "upper"))
-    else:
-        out.append(BoundValue("ub-singular-left", None, False, "upper",
-                              f"needs det H_{tl + rl + 1}(alpha) = 0"))
-    if u_is_zero(tr + rr + 1, alpha):
-        theta5m = 1 if k5 >= tl + rl + 1 else 0
-        out.append(BoundValue("ub-singular-right", _clip(K - 2 * (K // b5) - theta5m, K), True, "upper"))
-    else:
-        out.append(BoundValue("ub-singular-right", None, False, "upper",
-                              f"needs det H_{tr + rr + 1}(alpha) = 0"))
-    return out
+
+def _ub_singular(label: str, K: int, b5: int, near: int, far: int,
+                 alpha: AlphaLike) -> BoundValue:
+    """The singular-gain genie bound seen from the side whose reach t+r is
+    `near`: applicable iff u_{near+1}(alpha) = 0, theta_5 = 1 iff
+    kappa_5 >= far+1.  ub-singular-right is ub-singular-left with the sides
+    exchanged (kappa_5 = K mod b5 does not change)."""
+    if not u_is_zero(near + 1, alpha):
+        return BoundValue(label, None, False, "upper", f"needs det H_{near + 1}(alpha) = 0")
+    theta5 = 1 if K % b5 >= far + 1 else 0
+    return BoundValue(label, _clip(K - 2 * (K // b5) - theta5, K), True, "upper")
 
 
 def sym_dof_interval(params: NetworkParams,

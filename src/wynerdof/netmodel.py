@@ -110,6 +110,8 @@ class CrossGainAssignment:
 
     @staticmethod
     def random(seed: int) -> "CrossGainAssignment":
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         return CrossGainAssignment(kind="random", seed=int(seed))
 
     def to_json(self) -> dict:

@@ -51,6 +51,56 @@ class TestMg:
         assert err == f"error: cross-gain must be finite, got {shown}\n"
 
 
+SI = ["--tl", "1", "--tr", "1", "--rl", "1", "--rr", "1"]
+
+
+class TestOneInstancePath:
+    """Every instance command reads one instance: the --instance file, or the flags."""
+
+    INSTANCE = {"K": 7, "t_left": 1, "t_right": 1, "r_left": 1, "r_right": 1,
+                "topology": "symmetric", "gains": {"kind": "equal", "alpha": "root:3:1"}}
+
+    @pytest.mark.parametrize("extra", [[], ["--topology", "asymmetric", "--K", "9",
+                                            "--alpha", "0.3"]], ids=["file", "file-and-flags"])
+    @pytest.mark.parametrize("command", ["mg", "plan"])
+    def test_an_instance_file_replaces_the_flags(self, capsys, tmp_path, command, extra):
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(self.INSTANCE))
+        want = run(capsys, command, "--topology", "symmetric", "--K", "7", *SI,
+                   "--alpha", "root:3:1")
+        assert want[0] == 0
+        assert run(capsys, command, "--instance", str(f), *extra) == want
+
+    @pytest.mark.parametrize("command", ["mg", "bounds", "plan", "certify"])
+    def test_alpha_and_gains_seed_together_is_usage_error(self, capsys, command):
+        code, out, err = run(capsys, command, "--topology", "symmetric", "--K", "12", *SI,
+                             "--alpha", "root:3:1", "--gains-seed", "3")
+        assert (code, out, err) == (2, "", "error: give --alpha or --gains-seed, not both\n")
+
+    def test_a_negative_gains_seed_is_usage_error_without_a_channel(self, capsys):
+        code, out, err = run(capsys, "mg", "--topology", "symmetric", "--K", "7",
+                             "--gains-seed", "-1")
+        assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
+
+    def test_bounds_on_the_asymmetric_topology_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "bounds", "--topology", "asymmetric", "--K", "7",
+                             "--tl", "1", "--alpha", "0.3")
+        assert (code, out, err) == (2, "", "error: bounds lists the symmetric topology's "
+                                           "bounds; use mg for the asymmetric one\n")
+
+    def test_a_bad_alpha_is_usage_error_where_the_closed_form_ignores_it(self, capsys):
+        code, out, err = run(capsys, "mg", "--topology", "asymmetric", "--K", "7",
+                             "--alpha", "banana")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "banana" in err
+
+    def test_entropy_rejects_a_genie_of_the_other_topology(self, capsys):
+        code, out, err = run(capsys, "entropy", "--family", "asym", "--topology", "symmetric",
+                             "--K", "10", "--tl", "1", "--rl", "1", "--alpha", "0.7")
+        assert (code, out, err) == (
+            2, "", "error: partition and model describe different instances\n")
+
+
 class TestRoots:
     def test_order_three(self, capsys):
         code, out, _ = run(capsys, "roots", "--p", "3")
@@ -335,6 +385,38 @@ class TestSweep:
         assert [r["error"] for r in rows] == [
             "K must be an integer, got 7.5", "rr must be an integer, got False",
             "K must be an integer, got True"]
+
+    @pytest.mark.parametrize("topology", ["asymmetric", "symmetric"])
+    def test_each_row_equals_the_commands(self, capsys, tmp_path, topology):
+        spec = {"K": [6, 9], "tl": [0, 1], "tr": [1], "rl": [1], "rr": [0, 1],
+                "alpha": [0.4, "root:3:1"], "checks": ["mg", "certify", "converse"],
+                "topology": topology}
+        f = tmp_path / "sweep.json"
+        f.write_text(json.dumps(spec))
+        code, out, _ = run(capsys, "sweep", "--spec", str(f))
+        assert code == 0
+        family = "asym" if topology == "asymmetric" else "ub1"
+        steps = [
+            ("mg", [], lambda b: {"mg_lower": b["lower"], "mg_upper": b["upper"]}),
+            ("certify", [], lambda b: {"certified": b["certified_dof"] if b["ok"] else -1}),
+            ("converse", ["--family", family, "--trials", "20"],
+             lambda b: {"converse_bound": b["bound"], "converse_ok": b["ok"]}),
+        ]
+        rows = list(csv.DictReader(io.StringIO(out)))
+        for row in rows:
+            argv = ["--topology", topology, "--alpha", row["alpha"],
+                    *(x for k in ("K", "tl", "tr", "rl", "rr") for x in (f"--{k}", row[k]))]
+            want = dict.fromkeys(["mg_lower", "mg_upper", "certified", "converse_bound",
+                                  "converse_ok", "error"], "")
+            for command, extra, cells in steps:
+                code, text, err = run(capsys, command, *argv, *extra)
+                if code == 2:
+                    want["error"] = err.removeprefix("error: ").rstrip("\n")
+                    break
+                want.update((k, str(v)) for k, v in cells(json.loads(text)).items())
+            assert {k: row.get(k, "") for k in want} == want, row["index"]
+        assert len(rows) == 16 and any(row.get("error") for row in rows) == (family == "ub1")
+
 
 class TestSimulateAndOffset:
     def test_simulate_csv(self, capsys):

@@ -259,6 +259,13 @@ class TestEntropyCondition:
         rep = cv.genie_entropy_check(g, model(p, nm.ASYMMETRIC, 0.7))
         assert rep.ok and rep.p_free
 
+    @pytest.mark.parametrize("params, topology", [(P(K=5), nm.ASYMMETRIC), (P(K=4), nm.SYMMETRIC)],
+                             ids=["size", "topology"])
+    def test_instance_mismatch_rejected(self, params, topology):
+        g = cv.build_asym_genie(P(K=4), 0.7)
+        with pytest.raises(ValueError, match="^partition and model describe different instances$"):
+            cv.genie_entropy_check(g, model(params, topology, 0.7))
+
     def test_duplicated_genie_is_harmless(self):
         p = P(K=7, t_left=2, t_right=1, r_left=2, r_right=1)
         g = cv.build_asym_genie(p, 0.7)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import dense_certify as dense
-import pairwise_coupling as pw
 from wynerdof import dofcalc as dc
 from wynerdof import netmodel as nm
 from wynerdof import schemes as sc
@@ -344,7 +343,8 @@ def every_family():
 
 
 class TestNonInterferenceOracle:
-    """certify_plan against the same check with the pairwise submatrix loop."""
+    """certify_plan against the same check with the dense certifier's scan of
+    the channel's nonzeros (`dense_certify._first_coupling`)."""
 
     @staticmethod
     def both(plan, m, monkeypatch):
@@ -355,7 +355,7 @@ class TestNonInterferenceOracle:
                 return repr(exc)
         fast = run()
         with monkeypatch.context() as mp:
-            mp.setattr(sc, "_first_coupling", pw.first_coupling)
+            mp.setattr(sc, "_first_coupling", dense._first_coupling)
             return fast, run()
 
     def test_every_family_matches_the_oracle(self, monkeypatch):
