@@ -12,11 +12,12 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from typing import Optional
 
-from . import converse, dofcalc, netmodel, schemes, simulator, tridiag
+# Each command imports schemes, converse or simulator (and with them numpy)
+# where it calls them, so the closed-form commands start without numpy.
+from . import dofcalc, netmodel, tridiag
 from .netmodel import (ASYMMETRIC, SYMMETRIC, CrossGainAssignment,
                        NetworkParams, build_channel, parse_alpha_token)
 
@@ -65,7 +66,7 @@ def _resolve(fields) -> tuple:
             raise ValueError(f"{name} must be an integer, got {fields[name]!r}")
     params = NetworkParams(K=fields["K"], t_left=fields["tl"], t_right=fields["tr"],
                            r_left=fields["rl"], r_right=fields["rr"])
-    alpha, seed = fields["alpha"], fields.get("gains_seed")
+    alpha, seed = fields.get("alpha"), fields.get("gains_seed")
     if alpha is not None and seed is not None:
         raise ValueError("give --alpha or --gains-seed, not both")
     gains = None
@@ -91,7 +92,8 @@ def _mg(params, topology, gains) -> dofcalc.DofInterval:
     return dofcalc.sym_dof_interval(params, gains)
 
 
-def _plan(params, topology, gains, bound_label=None) -> schemes.TransmissionPlan:
+def _plan(params, topology, gains, bound_label=None):
+    from . import schemes
     if topology == ASYMMETRIC:
         return schemes.asym_plan(params)
     if bound_label:
@@ -102,18 +104,19 @@ def _plan(params, topology, gains, bound_label=None) -> schemes.TransmissionPlan
 
 
 _GENIE_BUILDERS = {
-    "asym": converse.build_asym_genie,
-    "ub1": converse.build_sym_genie_ub1,
-    "ub2": converse.build_sym_genie_ub2,
-    "offset": converse.build_offset_genie,
+    "asym": "build_asym_genie",
+    "ub1": "build_sym_genie_ub1",
+    "ub2": "build_sym_genie_ub2",
+    "offset": "build_offset_genie",
 }
 
 
-def _genie(model, family, mirror=False) -> converse.GeniePartition:
+def _genie(model, family, mirror=False):
+    from . import converse
     alpha = model.equal_alpha
     if alpha is None:
         raise ValueError("converse constructions need equal gains (--alpha)")
-    build = _GENIE_BUILDERS[family]
+    build = getattr(converse, _GENIE_BUILDERS[family])
     if not mirror:
         return build(model.params, alpha)
     if model.topology == ASYMMETRIC:
@@ -138,14 +141,14 @@ def _cmd_bounds(args) -> int:
                          "use mg for the asymmetric one")
     bounds = [b.to_json() for b in dofcalc.sym_lower_bounds(params)]
     out = {"instance": dataclasses.asdict(params), "bounds": bounds}
-    if gains is not None and gains.kind == "equal":
-        bounds += [b.to_json() for b in dofcalc.sym_upper_bounds(params, gains.alpha)]
+    if gains is not None:
+        alpha = gains.alpha if gains.kind == "equal" else None
+        bounds += [b.to_json() for b in dofcalc.sym_upper_bounds(params, alpha)]
         if args.verbose:
             bounds += [dict(b.to_json(), variant="prose-threshold")
-                       for b in dofcalc.sym_upper_bounds(params, gains.alpha,
+                       for b in dofcalc.sym_upper_bounds(params, alpha,
                                                          theta4_variant="prose")
                        if b.label == "ub-generic"]
-    if gains is not None:
         out["interval"] = _mg(params, topology, gains).to_json()
     _emit(out)
     return _EXIT_OK
@@ -158,11 +161,13 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from . import schemes
     _emit(schemes.plan_to_json(_plan(*_resolve(vars(args)), args.bound_label)))
     return _EXIT_OK
 
 
 def _cmd_certify(args) -> int:
+    from . import schemes
     instance = _resolve(vars(args))
     model = _channel(*instance)
     if args.plan == "-":
@@ -178,6 +183,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_converse(args) -> int:
+    from . import converse
     model = _channel(*_resolve(vars(args)))
     part = _genie(model, args.family, args.mirror)
     rep = converse.verify_reconstruction(part, model, trials=args.trials,
@@ -191,6 +197,7 @@ def _cmd_converse(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
+    from . import converse
     model = _channel(*_resolve(vars(args)))
     rep = converse.genie_entropy_check(_genie(model, args.family, args.mirror), model)
     _emit(rep.to_json())
@@ -198,6 +205,7 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import simulator
     instance = _resolve(vars(args))
     model = _channel(*instance)
     plan = _plan(*instance, args.bound_label)
@@ -209,6 +217,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_offset(args) -> int:
+    from . import simulator
     alpha_star = parse_alpha_token(args.alpha_star)
     gaps = tuple(2.0 ** (-e) for e in range(args.gap_min_exp, args.gap_max_exp + 1))
     curve = simulator.offset_experiment(args.L, alpha_star, args.K, alpha_gaps=gaps)
@@ -218,6 +227,7 @@ def _cmd_offset(args) -> int:
 
 
 def _cmd_random_check(args) -> int:
+    from . import simulator
     gains = None
     if args.alpha is not None:
         gains = CrossGainAssignment.equal(parse_alpha_token(args.alpha))
@@ -235,19 +245,22 @@ def _sweep_one(idx, inst, checks):
     row = {"index": idx, **inst}
     try:
         instance = _resolve({"topology": SYMMETRIC, **inst})
-        model = _channel(*instance)
         if "mg" in checks:
             iv = _mg(*instance)
             row["mg_lower"], row["mg_upper"] = iv.lower, iv.upper
+        if "certify" in checks or "converse" in checks:
+            model = _channel(*instance)
         if "certify" in checks:
+            from . import schemes
             cert = schemes.certify_plan(_plan(*instance), model)
             row["certified"] = cert.certified_dof if cert.ok else -1
         if "converse" in checks:
+            from . import converse
             part = _genie(model, "asym" if model.topology == ASYMMETRIC else "ub1")
             rep = converse.verify_reconstruction(part, model, trials=20)
             row["converse_bound"] = part.bound
             row["converse_ok"] = rep.ok
-    except ValueError as exc:  # NotApplicableError included
+    except ValueError as exc:  # schemes.NotApplicableError included
         row["error"] = str(exc)
     return row
 
@@ -269,7 +282,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"sweep spec 'checks' must be a list of {', '.join(_SWEEP_CHECKS)}")
     if not isinstance(spec.get("topology", ""), str):
         raise ValueError("sweep spec 'topology' must be a string")
-    keys = ["K", "tl", "tr", "rl", "rr", "alpha"]
+    keys = ["K", "tl", "tr", "rl", "rr"] + (["alpha"] if "alpha" in spec else [])
     grids = [spec.get(k, None if k == "K" else [0]) for k in keys]
     for k, grid in zip(keys, grids):
         if not isinstance(grid, list):
@@ -277,7 +290,13 @@ def _cmd_sweep(args) -> int:
     topology = {"topology": spec["topology"]} if "topology" in spec else {}
     instances = [dict(zip(keys, combo), **topology) for combo in product(*grids)]
     rows_args = (range(len(instances)), instances, [checks] * len(instances))
+    # the rows' modules are loaded here, in the main thread, before any worker starts
+    if "certify" in checks:
+        from . import schemes  # noqa: F401
+    if "converse" in checks:
+        from . import converse  # noqa: F401
     if (args.jobs or 1) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=args.jobs) as ex:
             rows = list(ex.map(_sweep_one, *rows_args))
     else:
@@ -382,7 +401,7 @@ def main(argv: Optional[list] = None) -> int:
         return _EXIT_USAGE if exc.code not in (0, None) else _EXIT_OK
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, schemes.NotApplicableError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         _diag(f"error: {exc}")
         return _EXIT_USAGE
 

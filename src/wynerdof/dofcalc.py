@@ -242,17 +242,19 @@ def _ub_generic(params: NetworkParams, shift: int) -> BoundValue:
     return BoundValue("ub-generic", _clip(K - 2 * (K // b4) - theta4, K), True, "upper")
 
 
-def sym_upper_bounds(params: NetworkParams, alpha: AlphaLike,
+def sym_upper_bounds(params: NetworkParams, alpha: Optional[AlphaLike],
                      theta4_variant: str = "statement") -> List[BoundValue]:
-    """The three genie upper bounds under equal gains.
+    """The three genie upper bounds; alpha is the equal cross-gain, or None
+    for unequal gains.
 
-    The second and third require u_{t_l+r_l+1}(alpha) = 0 (respectively the
-    mirrored determinant) and are reported inapplicable otherwise.
+    The first is determinant-free and holds for any gains.  The second and
+    third require equal gains with u_{t_l+r_l+1}(alpha) = 0 (respectively
+    the mirrored determinant) and are reported inapplicable otherwise.
     theta4_variant selects the tail-correction threshold for the first
     bound: "statement" uses kappa_4 >= min(t_l+r_l+2, t_r+r_r+2), "prose"
     the thresholds one smaller.
     """
-    if alpha_float(alpha) == 0:
+    if alpha is not None and alpha_float(alpha) == 0:
         raise ValueError("nonzero cross-gain required")
     if theta4_variant not in ("statement", "prose"):
         raise ValueError("theta4_variant must be 'statement' or 'prose'")
@@ -264,11 +266,13 @@ def sym_upper_bounds(params: NetworkParams, alpha: AlphaLike,
 
 
 def _ub_singular(label: str, K: int, b5: int, near: int, far: int,
-                 alpha: AlphaLike) -> BoundValue:
+                 alpha: Optional[AlphaLike]) -> BoundValue:
     """The singular-gain genie bound seen from the side whose reach t+r is
-    `near`: applicable iff u_{near+1}(alpha) = 0, theta_5 = 1 iff
-    kappa_5 >= far+1.  ub-singular-right is ub-singular-left with the sides
-    exchanged (kappa_5 = K mod b5 does not change)."""
+    `near`: applicable iff the gains are equal and u_{near+1}(alpha) = 0,
+    theta_5 = 1 iff kappa_5 >= far+1.  ub-singular-right is ub-singular-left
+    with the sides exchanged (kappa_5 = K mod b5 does not change)."""
+    if alpha is None:
+        return BoundValue(label, None, False, "upper", "needs equal cross-gains")
     if not u_is_zero(near + 1, alpha):
         return BoundValue(label, None, False, "upper", f"needs det H_{near + 1}(alpha) = 0")
     theta5 = 1 if K % b5 >= far + 1 else 0
@@ -286,16 +290,15 @@ def sym_dof_interval(params: NetworkParams,
     exact.  Explicit unequal gains: determinant-free bounds only.
     """
     K = params.K
+    gains = alpha_or_gains if isinstance(alpha_or_gains, CrossGainAssignment) else None
+    alpha = alpha_or_gains if gains is None else gains.alpha  # None for unequal gains
     lows: List[tuple] = [(0, "trivial")]
     ups: List[tuple] = [(K, "trivial")]
-    for b in sym_lower_bounds(params):
+    for b in sym_lower_bounds(params) + sym_upper_bounds(params, alpha):
         if b.applicable:
-            lows.append((b.value, b.label))
+            (lows if b.kind == "lower" else ups).append((b.value, b.label))
 
-    if isinstance(alpha_or_gains, CrossGainAssignment) and alpha_or_gains.kind != "equal":
-        gains = alpha_or_gains
-        ub = _ub_generic(params, 2)
-        ups.append((ub.value, ub.label))
+    if alpha is None:
         note = None
         if gains.kind == "random":
             L = params.t_left + params.r_left
@@ -312,10 +315,6 @@ def sym_dof_interval(params: NetworkParams,
         upper, upper_by = min(ups)
         return DofInterval(lower, upper, lower_by, upper_by, note=note)
 
-    alpha = alpha_or_gains.alpha if isinstance(alpha_or_gains, CrossGainAssignment) else alpha_or_gains
-    for b in sym_upper_bounds(params, alpha):
-        if b.applicable:
-            ups.append((b.value, b.label))
     note = None
     if params.t_left + params.r_left == params.t_right + params.r_right:
         L = params.t_left + params.r_left

@@ -15,11 +15,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .tridiag import AlphaLike, RootAlpha, alpha_float
+
+if TYPE_CHECKING:  # numpy is imported where arrays are built
+    import numpy as np
 
 ASYMMETRIC = "asymmetric"
 SYMMETRIC = "symmetric"
@@ -142,6 +143,7 @@ def _draw_nonzero(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def sample_generic_gains(K: int, topology: str, seed: int) -> CrossGainAssignment:
     """Reproducible continuous-draw gains; support [-2,-0.1] U [0.1,2]."""
+    import numpy as np
     if K < 1:
         raise ValueError("K must be >= 1")
     if topology not in TOPOLOGIES:
@@ -194,6 +196,7 @@ class ChannelModel:
         Row j, column i is 1 on the diagonal, the left-neighbor gain when
         j - i = 1, and (symmetric only) the right-neighbor gain when j - i = -1.
         """
+        import numpy as np
         K = self.params.K
         h = np.eye(K)
         idx = np.arange(K - 1)
@@ -205,6 +208,7 @@ class ChannelModel:
 
 def _resolve_gains(K: int, topology: str, gains: CrossGainAssignment):
     """Per-link (sub, sup) gain arrays of length K-1 each."""
+    import numpy as np
     if gains.kind == "equal":
         a = alpha_float(gains.alpha)
         if a == 0:
@@ -239,6 +243,7 @@ def channel_band(K: int, topology: str, gains: CrossGainAssignment) -> np.ndarra
     """The channel's three diagonals as a 3 x K array: the unit diagonal, then
     the sub- and super-diagonal gains (zero for the asymmetric topology),
     each zero-padded at the end to length K."""
+    import numpy as np
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}")
     sub, sup = _resolve_gains(K, topology, gains)
@@ -262,6 +267,7 @@ def build_channel(params: NetworkParams, topology: str, gains: CrossGainAssignme
 
 def submatrix(model: ChannelModel, rx_indices: Iterable[int], tx_indices: Iterable[int]) -> np.ndarray:
     """Entries H[j][i] for the given 1-based antenna/transmitter index lists."""
+    import numpy as np
     rx = list(rx_indices)
     tx = list(tx_indices)
     K = model.K

@@ -26,12 +26,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from .netmodel import ASYMMETRIC, SYMMETRIC, ChannelModel, NetworkParams, submatrix
 from .tridiag import AlphaLike, alpha_float, alpha_token, u_is_zero
+
+if TYPE_CHECKING:  # numpy is imported where arrays are built
+    import numpy as np
 
 __all__ = [
     "StrategyTag",
@@ -656,6 +657,7 @@ class Certification:
 
 
 def _numeric_rank(a: np.ndarray) -> int:
+    import numpy as np
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)

@@ -42,9 +42,10 @@ import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-import numpy as np
+if TYPE_CHECKING:  # numpy is imported where arrays are built
+    import numpy as np
 
 AlphaLike = Union[int, float, Fraction, "RootAlpha"]
 
@@ -102,6 +103,7 @@ def _u_recursion(p, beta):
 
 def h_matrix(p: int, alpha: AlphaLike) -> np.ndarray:
     """Dense H_p(alpha) as float64 (unit diagonal, alpha off-diagonals)."""
+    import numpy as np
     if p < 0:
         raise ValueError("order p must be nonnegative")
     a = alpha_float(alpha)
@@ -430,6 +432,7 @@ class BandedM:
 
 
 def m_matrix(p: int, alpha: AlphaLike) -> np.ndarray:
+    import numpy as np
     a = alpha_float(alpha)
     m = np.zeros((p, p))
     idx = np.arange(p)
@@ -449,6 +452,7 @@ def build_m_and_inverse(p: int, alpha: AlphaLike) -> BandedM:
     recurrence c_0 = 1/alpha, c_k = (-c_{k-1} - alpha c_{k-2}) / alpha.
     Orders p >= 1 are accepted; p = 1 degenerates to the scalar [alpha].
     """
+    import numpy as np
     a = alpha_float(alpha)
     if a == 0:
         raise ValueError("inverse requires a nonzero cross-gain")

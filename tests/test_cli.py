@@ -101,6 +101,30 @@ class TestOneInstancePath:
             2, "", "error: partition and model describe different instances\n")
 
 
+class TestBounds:
+    @pytest.mark.parametrize("gains", [["--gains-seed", "3"], ["--instance"]],
+                             ids=["random", "explicit"])
+    def test_unequal_gains_list_the_generic_bound_and_say_why_not_the_others(
+            self, capsys, tmp_path, gains):
+        if gains == ["--instance"]:
+            f = tmp_path / "inst.json"
+            f.write_text(json.dumps(dict(TestOneInstancePath.INSTANCE, K=12, gains={
+                "kind": "explicit", "sub": [0.3 + 0.1 * i for i in range(11)],
+                "sup": [-0.5] * 11})))
+            gains = ["--instance", str(f)]
+        code, out, err = run(capsys, "bounds", "--topology", "symmetric", "--K", "12", *SI,
+                             *gains, "--verbose")
+        assert (code, err) == (0, "")
+        blob = json.loads(out)
+        uppers = [b for b in blob["bounds"] if b["kind"] == "upper"]
+        assert [(b["label"], b["applicable"], b.get("variant")) for b in uppers] == [
+            ("ub-generic", True, None), ("ub-singular-left", False, None),
+            ("ub-singular-right", False, None), ("ub-generic", True, "prose-threshold")]
+        assert uppers[0]["value"] == 9
+        assert all("equal" in b["reason"] for b in uppers[1:3])
+        assert blob["interval"]["upper"] <= uppers[0]["value"]
+
+
 class TestRoots:
     def test_order_three(self, capsys):
         code, out, _ = run(capsys, "roots", "--p", "3")
@@ -357,6 +381,28 @@ class TestSweep:
             ("True", "cross-gain must be a number or root token, got True"), ("0.3", "")]
         assert rows[0]["mg_lower"] == rows[0]["certified"] == ""
         assert rows[1]["certified"] == "6"
+
+    @pytest.mark.parametrize("topology", ["asymmetric", "symmetric"])
+    def test_a_spec_without_alpha_names_no_gain(self, capsys, tmp_path, topology):
+        spec = {"K": [7, 12], "tl": [1], "tr": [1], "rl": [1], "rr": [1],
+                "topology": topology, "checks": ["mg"]}
+        f = tmp_path / "sweep.json"
+        f.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "sweep", "--spec", str(f))
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 2 and "alpha" not in rows[0]
+        for row in rows:
+            code, text, err = run(capsys, "mg", "--topology", topology, "--K", row["K"], *SI)
+            if topology == "asymmetric":
+                blob = json.loads(text)
+                assert code == 0 and row.get("error", "") == ""
+                assert (row["mg_lower"], row["mg_upper"]) == (str(blob["lower"]),
+                                                              str(blob["upper"]))
+            else:
+                assert code == 2 and row.get("mg_lower", "") == ""
+                assert row["error"] == err.removeprefix("error: ").rstrip("\n")
+                assert row["error"] == "symmetric topology needs --alpha or --gains-seed"
 
     @pytest.mark.parametrize("spec, message", [
         ([], "sweep spec must be a JSON object"),

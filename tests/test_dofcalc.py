@@ -121,6 +121,15 @@ class TestGeneralBounds:
         assert not vals["ub-singular-left"].applicable
         assert vals["ub-singular-left"].reason
 
+    def test_unequal_gains_keep_only_the_determinant_free_bound(self):
+        p = P(K=9, t_right=1, r_left=2, r_right=1)
+        equal = {b.label: b for b in dc.sym_upper_bounds(p, ROOT3)}
+        unequal = {b.label: b for b in dc.sym_upper_bounds(p, None)}
+        assert unequal["ub-generic"] == equal["ub-generic"]
+        for label in ("ub-singular-left", "ub-singular-right"):
+            assert not unequal[label].applicable and unequal[label].value is None
+            assert unequal[label].reason == "needs equal cross-gains"
+
     def test_prose_variant_flag(self):
         # kappa_4 exactly one short of the stated threshold flips only the variant
         p = P(K=11, t_left=1, t_right=1, r_left=1, r_right=1)  # kappa_4 = 3
