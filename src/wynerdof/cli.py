@@ -57,8 +57,7 @@ def _resolve(fields) -> tuple:
     --alpha nor --gains-seed is given.  An --instance file replaces the flags."""
     if fields.get("instance"):
         with open(fields["instance"]) as fh:
-            model = netmodel.instance_from_json(json.load(fh))
-        return model.params, model.topology, model.gains
+            return netmodel.instance_from_json(json.load(fh))
     if fields["K"] is None or fields["topology"] is None:
         raise ValueError("--K and --topology (or --instance) are required")
     for name in ("K", "tl", "tr", "rl", "rr"):

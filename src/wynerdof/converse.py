@@ -33,8 +33,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .netmodel import ASYMMETRIC, SYMMETRIC, ChannelModel, NetworkParams
-from .tridiag import (AlphaLike, alpha_float, alpha_token, build_m_and_inverse,
-                      h_matrix, u_is_zero, v_sequence)
+from .tridiag import (AlphaLike, alpha_float, alpha_token, h_matrix, m_inverse,
+                      u_is_zero, v_sequence)
 
 __all__ = [
     "GenieSignal",
@@ -84,7 +84,6 @@ class GeniePartition:
     r_a: Tuple[int, ...]
     genies: Tuple[GenieSignal, ...]
     steps: Tuple[ReconstructionStep, ...]
-    info_term: Optional[dict] = None  # power-offset construction extras
 
     @property
     def bound(self) -> int:
@@ -289,7 +288,7 @@ def mirror_partition(part: GeniePartition, params: NetworkParams) -> GeniePartit
         group_a=tuple(sorted(ref(k) for k in part.group_a)),
         groups_b=tuple(tuple(sorted(ref(k) for k in b)) for b in part.groups_b),
         r_a=tuple(sorted(ref(k) for k in part.r_a)),
-        genies=genies, steps=steps, info_term=part.info_term)
+        genies=genies, steps=steps)
 
 
 def build_sym_genie_ub1(params: NetworkParams, alpha: AlphaLike) -> GeniePartition:
@@ -315,8 +314,8 @@ def build_sym_genie_ub1(params: NetworkParams, alpha: AlphaLike) -> GeniePartiti
         return _whole_network(params, SYMMETRIC, "ub1", alpha)
 
     pL, pR = tl + rl + 1, tr + rr + 1
-    above = (pL, build_m_and_inverse(pL, a).inverse)
-    below = (pR, build_m_and_inverse(pR, a).inverse)
+    above = (pL, m_inverse(pL, a))
+    below = (pR, m_inverse(pR, a))
 
     group_a: List[int] = []
     for m in range(gamma):
@@ -355,8 +354,8 @@ def build_sym_genie_ub1(params: NetworkParams, alpha: AlphaLike) -> GeniePartiti
 def _null_row_coeffs(pL: int, alpha: AlphaLike) -> np.ndarray:
     """Coefficients d_2..d_pL with row_1(H_pL) = sum_j d_j row_j(H_pL).
 
-    Exists exactly when det H_pL(alpha) = 0; solved in float (long double
-    retry) with residual guard 1e-9.
+    Exists exactly when det H_pL(alpha) = 0; solved in float with residual
+    guard 1e-9.
     """
     a = alpha_float(alpha)
     h = h_matrix(pL, a)
@@ -365,13 +364,8 @@ def _null_row_coeffs(pL: int, alpha: AlphaLike) -> np.ndarray:
     d, *_ = np.linalg.lstsq(sys_a, rhs, rcond=None)
     res = float(np.max(np.abs(sys_a @ d - rhs)))
     if res > 1e-9:
-        ld = np.linalg.lstsq(sys_a.astype(np.longdouble),
-                             rhs.astype(np.longdouble), rcond=None)[0]
-        res = float(np.max(np.abs(sys_a.astype(np.longdouble) @ ld - rhs)))
-        d = ld.astype(float)
-        if res > 1e-9:
-            raise ValueError(f"null-space residual {res:.2e} too large; "
-                             "alpha is not a singular gain")
+        raise ValueError(f"null-space residual {res:.2e} too large; "
+                         "alpha is not a singular gain")
     return d  # d[j-2] multiplies row j
 
 
@@ -404,8 +398,8 @@ def build_sym_genie_ub2(params: NetworkParams, alpha: AlphaLike) -> GeniePartiti
                          "side_sum+3 leaves the top antennas uncoverable")
 
     d = _null_row_coeffs(pL, alpha)
-    above = (pL, build_m_and_inverse(pL, a).inverse)
-    below = (pR, build_m_and_inverse(pR, a).inverse)
+    above = (pL, m_inverse(pL, a))
+    below = (pR, m_inverse(pR, a))
 
     if gamma == 0 and theta == 0:
         return _whole_network(params, SYMMETRIC, "ub2", alpha)
@@ -481,7 +475,7 @@ def build_offset_genie(params: NetworkParams, alpha: AlphaLike) -> GeniePartitio
     has_tail = (q % 2 == 0)  # even q leaves a single hidden antenna at K
 
     vs = v_sequence(L + 1, a)
-    window = (L + 1, build_m_and_inverse(L + 1, a).inverse)
+    window = (L + 1, m_inverse(L + 1, a))
 
     group_a: List[int] = list(range(rl + 2, L + tr + 3))
     for m in range(1, gamma + 1):
@@ -513,14 +507,10 @@ def build_offset_genie(params: NetworkParams, alpha: AlphaLike) -> GeniePartitio
 
     b1 = (rl + 1,)
     rest = tuple(sorted(set(range(1, K + 1)) - set(group_a) - set(b1)))
-    v_norm_sq = float(sum(vs[j] ** 2 for j in range(0, L + 1)))
-    info = {"v_top": float(vs[L + 1]), "v_norm_sq": v_norm_sq,
-            "L": L, "q": q, "prelog_bound": K - q}
     return GeniePartition(params, SYMMETRIC, "offset", alpha_token(alpha),
                           group_a=tuple(group_a), groups_b=(b1, rest),
                           r_a=_reach_of(params, group_a),
-                          genies=tuple(genies), steps=tuple(steps),
-                          info_term=info)
+                          genies=tuple(genies), steps=tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +572,8 @@ def verify_reconstruction(partition: GeniePartition, model: ChannelModel,
     procedure makes it available) are reported before any numeric work.
     Every encoder may use its whole cognition window, the model's worst case.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if partition.params != model.params or partition.topology != model.topology:
         raise ValueError("partition and model describe different instances")
     err = _structural_check(partition)
@@ -630,13 +622,15 @@ class EntropyReport:
                 "p_free": self.p_free}
 
 
-def genie_entropy_check(partition: GeniePartition, model: ChannelModel,
-                        eig_tol: float = 1e-10) -> EntropyReport:
+_EIG_TOL = 1e-10  # smallest conditional eigenvalue counted as nonsingular
+
+
+def genie_entropy_check(partition: GeniePartition, model: ChannelModel) -> EntropyReport:
     """Finiteness condition: the noises A observes keep a nonsingular
     conditional covariance given the genies' noise parts.
 
     Input-carrying components (power-offset genie) are excluded here; their
-    contribution is bounded separately through the recorded signal term.
+    contribution is bounded separately through the genie's input coefficients.
     Coefficients are plain constants, so nothing depends on the power.
     """
     if partition.params != model.params or partition.topology != model.topology:
@@ -654,4 +648,4 @@ def genie_entropy_check(partition: GeniePartition, model: ChannelModel,
     cond = np.eye(len(ra)) - cross @ np.linalg.pinv(cc) @ cross.T
     eigs = np.linalg.eigvalsh(cond)
     mn = float(eigs.min())
-    return EntropyReport(mn > eig_tol, mn, True)
+    return EntropyReport(mn > _EIG_TOL, mn, True)

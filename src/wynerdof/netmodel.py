@@ -153,7 +153,7 @@ def sample_generic_gains(K: int, topology: str, seed: int) -> CrossGainAssignmen
     rng = np.random.default_rng(seed)
     sub = tuple(_draw_nonzero(rng, K - 1))
     sup = tuple(_draw_nonzero(rng, K - 1)) if topology == SYMMETRIC else None
-    return CrossGainAssignment(kind="explicit", sub=sub, sup=sup, seed=int(seed))
+    return CrossGainAssignment(kind="explicit", sub=sub, sup=sup)
 
 
 @dataclass(frozen=True)
@@ -206,6 +206,22 @@ class ChannelModel:
         return h
 
 
+def _check_instance(K: int, topology: str, gains: CrossGainAssignment) -> None:
+    """Reject an unknown topology, or explicit gains that do not hold K-1
+    entries for each diagonal the topology uses.  Plain Python: no numpy."""
+    if topology not in TOPOLOGIES:
+        raise ValueError(f"unknown topology {topology!r}")
+    if gains.kind != "explicit":
+        return
+    if len(gains.sub) != K - 1:
+        raise ValueError(f"expected {K - 1} sub-diagonal gains, got {len(gains.sub)}")
+    if topology == SYMMETRIC:
+        if gains.sup is None:
+            raise ValueError("symmetric topology needs super-diagonal gains")
+        if len(gains.sup) != K - 1:
+            raise ValueError(f"expected {K - 1} super-diagonal gains, got {len(gains.sup)}")
+
+
 def _resolve_gains(K: int, topology: str, gains: CrossGainAssignment):
     """Per-link (sub, sup) gain arrays of length K-1 each."""
     import numpy as np
@@ -221,16 +237,10 @@ def _resolve_gains(K: int, topology: str, gains: CrossGainAssignment):
         return _resolve_gains(K, topology, resolved)
     if gains.kind == "explicit":
         sub = np.asarray(gains.sub, dtype=float)
-        if sub.shape != (K - 1,):
-            raise ValueError(f"expected {K - 1} sub-diagonal gains, got {sub.shape[0]}")
         if np.any(sub == 0):
             raise ValueError("nonzero cross-gain required")
         if topology == SYMMETRIC:
-            if gains.sup is None:
-                raise ValueError("symmetric topology needs super-diagonal gains")
             sup = np.asarray(gains.sup, dtype=float)
-            if sup.shape != (K - 1,):
-                raise ValueError(f"expected {K - 1} super-diagonal gains, got {sup.shape[0]}")
             if np.any(sup == 0):
                 raise ValueError("nonzero cross-gain required")
         else:
@@ -244,8 +254,7 @@ def channel_band(K: int, topology: str, gains: CrossGainAssignment) -> np.ndarra
     the sub- and super-diagonal gains (zero for the asymmetric topology),
     each zero-padded at the end to length K."""
     import numpy as np
-    if topology not in TOPOLOGIES:
-        raise ValueError(f"unknown topology {topology!r}")
+    _check_instance(K, topology, gains)
     sub, sup = _resolve_gains(K, topology, gains)
     band = np.zeros((3, K))
     band[0] = 1.0
@@ -323,7 +332,9 @@ def instance_to_json(model: ChannelModel) -> dict:
     }
 
 
-def instance_from_json(obj) -> ChannelModel:
+def instance_from_json(obj) -> tuple:
+    """(params, topology, gains) of an instance file, checked without
+    building the channel; `build_channel(*instance_from_json(obj))` builds it."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     if not isinstance(obj, dict):
@@ -354,4 +365,5 @@ def instance_from_json(obj) -> ChannelModel:
         gains = CrossGainAssignment.random(g["seed"])
     else:
         raise ValueError(f"unknown gain kind {kind!r}")
-    return build_channel(params, obj["topology"], gains)
+    _check_instance(params.K, obj["topology"], gains)
+    return params, obj["topology"], gains

@@ -112,7 +112,6 @@ class Subnet:
     kind: str  # "generic" | "reduced"
     scalar_steps: Tuple[ScalarStep, ...]
     mimo_blocks: Tuple[MimoBlock, ...]
-    claimed: int
 
 
 @dataclass(frozen=True)
@@ -181,11 +180,6 @@ def _finalize(params, topology, family, silenced_tx, silenced_rx, subnets, deps,
         for blk in sn.mimo_blocks:
             for msg, w in blk.prelog:
                 prelog[msg] = prelog.get(msg, 0) + w
-    claimed = sum(prelog.values())
-    for sn in subnets:
-        if sum(1 for st in sn.scalar_steps) + sum(w for blk in sn.mimo_blocks
-                                                  for _, w in blk.prelog) != sn.claimed:
-            raise AssertionError("subnet claim does not match its steps")
     return TransmissionPlan(
         params=params,
         topology=topology,
@@ -195,7 +189,7 @@ def _finalize(params, topology, family, silenced_tx, silenced_rx, subnets, deps,
         subnets=tuple(subnets),
         signal_deps=tuple(sorted((t, tuple(sorted(d))) for t, d in deps.items())),
         message_prelog=tuple(sorted(prelog.items())),
-        claimed_dof=claimed,
+        claimed_dof=sum(prelog.values()),
         alpha_token=alpha_token(alpha),
     )
 
@@ -283,7 +277,6 @@ def _rotation_plan(params: NetworkParams, i: int, family: str) -> TransmissionPl
             kind="generic" if generic else "reduced",
             scalar_steps=steps,
             mimo_blocks=(),
-            claimed=n_active,
         ))
     return _finalize(params, ASYMMETRIC, family, silenced, (), subnets, deps)
 
@@ -375,7 +368,7 @@ def _mimo_subnet(params: NetworkParams, offset: int, size: int,
                       prelog=tuple(prelog), tx_of=tuple(tx_of), decoders=tuple(decoders))
     sn = Subnet(active_tx=txs, rx_antennas=ants,
                 kind="generic" if kappa == params.t_left + params.r_left + 1 else "reduced",
-                scalar_steps=(), mimo_blocks=(block,), claimed=claimed)
+                scalar_steps=(), mimo_blocks=(block,))
     return sn, deps
 
 
@@ -433,7 +426,7 @@ def sym_symmetric_si_plan(params: NetworkParams, alpha: AlphaLike) -> Transmissi
 # general-parameter chain plans (pair-of-transmitters silencing)
 # ---------------------------------------------------------------------------
 
-def _f_block(rl_: int, tl_: int, t_end: int):
+def _f_block(rl_: int, t_end: int):
     """Double-interference chain over local transmitters 2..t_end.
 
     Antennas 1..t_end-1 are used; messages 2..t_end (own message, when the
@@ -519,18 +512,8 @@ def _lb_chain_blocks(params, beta, block_builder, family):
             kind=kind,
             scalar_steps=_remap_steps(steps, shift),
             mimo_blocks=tuple(_remap_block(b, shift) for b in blocks),
-            claimed=max(size - 2, 0),
         ))
     return _finalize(params, SYMMETRIC, family, silenced, (), subnets, deps)
-
-
-def _split_reach(total: int, r_side: int, t_side: int):
-    """Split a chain budget total = r' + t' with r' <= r_side, t' <= t_side."""
-    r_e = min(r_side, total)
-    t_e = total - r_e
-    if t_e > t_side:
-        raise ValueError("chain budget exceeds the side information")
-    return r_e, t_e
 
 
 def sym_general_plan(params: NetworkParams, bound_label: str) -> TransmissionPlan:
@@ -552,9 +535,7 @@ def sym_general_plan(params: NetworkParams, bound_label: str) -> TransmissionPla
 
         def build(size):
             t_end = size - 1
-            rl_e = min(rl, max(0, t_end - 1))
-            tl_e = min(tl, max(0, t_end - 1 - rl_e))
-            steps, d = _f_block(rl_e, tl_e, t_end)
+            steps, d = _f_block(min(rl, max(0, t_end - 1)), t_end)
             return steps, (), d
 
         return _lb_chain_blocks(params, beta, build, "sym-lb-left-chain")
@@ -576,10 +557,8 @@ def sym_general_plan(params: NetworkParams, bound_label: str) -> TransmissionPla
             # left and right chains back to back; two central antennas unused
             ltot = min(tl + rl, size - 1)
             rtot = size - ltot
-            rl_e, tl_e = _split_reach(ltot - 1, rl, tl) if ltot >= 1 else (0, 0)
-            rr_e, tr_e = _split_reach(rtot - 1, rr, tr) if rtot >= 1 else (0, 0)
-            lsteps, ldeps = _f_block(rl_e, tl_e, ltot)
-            rsteps, rdeps = _f_block(rr_e, tr_e, rtot)
+            lsteps, ldeps = _f_block(min(rl, max(0, ltot - 1)), ltot)
+            rsteps, rdeps = _f_block(min(rr, max(0, rtot - 1)), rtot)
             ref = lambda i: size + 1 - i
             rsteps = _remap_steps(rsteps, ref, StrategyTag.MIRRORED_DOUBLE_PAIR)
             rdeps = _remap_deps(rdeps, ref)
@@ -632,7 +611,6 @@ def _mirror_plan(plan: TransmissionPlan, params: NetworkParams, family: str) -> 
         kind=sn.kind,
         scalar_steps=_remap_steps(sn.scalar_steps, ref, StrategyTag.MIRRORED_DOUBLE_PAIR),
         mimo_blocks=tuple(_remap_block(b, ref) for b in sn.mimo_blocks),
-        claimed=sn.claimed,
     ) for sn in reversed(plan.subnets)]
     return _finalize(params, SYMMETRIC, family, map(ref, plan.silenced_tx),
                      map(ref, plan.silenced_rx), subnets, _remap_deps(plan.deps_map(), ref))

@@ -37,10 +37,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RateCurve:
-    plan_family: str
     points: Tuple[Tuple[float, float], ...]  # (P, sum rate in nats)
     slope_estimate: float
-    slope_stderr: float
     claimed_dof: int
 
     def to_csv(self, plan_id: str = "plan") -> str:
@@ -105,6 +103,8 @@ def plan_sum_rate(plan: TransmissionPlan, model: ChannelModel, P: float) -> floa
 
 
 def default_power_grid(lo: float = 1e3, hi: float = 1e14, points: int = 12):
+    if not (0 < lo < math.inf and 0 < hi < math.inf):
+        raise ValueError(f"powers must be positive and finite, got {lo:g} and {hi:g}")
     return tuple(float(p) for p in np.geomspace(lo, hi, points))
 
 
@@ -130,15 +130,8 @@ def slope_estimate(plan: TransmissionPlan, model: ChannelModel,
     top = points[len(points) // 2:]
     xs = np.array([0.5 * math.log(p) for p, _ in top])
     ys = np.array([r for _, r in top])
-    if np.allclose(ys, 0.0):
-        slope, stderr = 0.0, 0.0
-    else:
-        (slope, intercept), cov = np.polyfit(xs, ys, 1, cov=True)
-        stderr = float(math.sqrt(max(cov[0, 0], 0.0)))
-        slope = float(slope)
-    return RateCurve(plan_family=plan.family, points=points,
-                     slope_estimate=slope, slope_stderr=stderr,
-                     claimed_dof=plan.claimed_dof)
+    slope = 0.0 if np.allclose(ys, 0.0) else float(np.polyfit(xs, ys, 1)[0])
+    return RateCurve(points=points, slope_estimate=slope, claimed_dof=plan.claimed_dof)
 
 
 def offset_experiment(L: int, alpha_star: AlphaLike, K: int,
@@ -155,14 +148,18 @@ def offset_experiment(L: int, alpha_star: AlphaLike, K: int,
     normalized determinant that vanishes there.  The bounded remainder of
     the true offset is unknown and excluded: only the slope against
     -ln|alpha - alpha*| is meaningful, and it estimates the root's
-    multiplicity.
+    multiplicity.  The fit needs at least two gaps.
     """
+    if L < 0:
+        raise ValueError(f"L must be >= 0, got {L}")
     if (K + 1) % (L + 2) != 0:
         raise ValueError("K must equal q(L+2)-1 for an integer q")
     q = (K + 1) // (L + 2)
     astar = alpha_float(alpha_star)
     gaps = tuple(alpha_gaps) if alpha_gaps is not None else tuple(
         2.0 ** (-e) for e in range(3, 13))
+    if len(gaps) < 2:
+        raise ValueError(f"the alpha grid needs at least two gaps, got {len(gaps)}")
     if any(g <= 0 for g in gaps):
         raise ValueError("the alpha grid must not touch the critical value")
     grid = tuple(p_grid) if p_grid is not None else default_power_grid()
@@ -178,12 +175,9 @@ def offset_experiment(L: int, alpha_star: AlphaLike, K: int,
             0.5 * math.log1p(p_top * a * a * v_top * v_top / v_norm_sq)
         proxy = 0.5 * eta * math.log(p_top) - rate_ub
         samples.append((a, proxy))
-    if len(samples) >= 2:
-        xs = np.array([-math.log(abs(a - astar)) for a, _ in samples])
-        ys = np.array([v for _, v in samples])
-        nu = float(np.polyfit(xs, ys, 1)[0])
-    else:
-        nu = math.nan
+    xs = np.array([-math.log(abs(a - astar)) for a, _ in samples])
+    ys = np.array([v for _, v in samples])
+    nu = float(np.polyfit(xs, ys, 1)[0])
     return OffsetCurve(alpha_star=astar, samples=tuple(samples), fitted_nu=nu)
 
 

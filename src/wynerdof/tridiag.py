@@ -63,8 +63,8 @@ __all__ = [
     "VSequence",
     "v_sequence",
     "v_row_identity_check",
-    "BandedM",
-    "build_m_and_inverse",
+    "m_matrix",
+    "m_inverse",
 ]
 
 
@@ -420,18 +420,9 @@ def v_row_identity_check(p: int, l: int, alpha: AlphaLike) -> float:
 # upper-banded M_p(alpha) and its inverse
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BandedM:
+def m_matrix(p: int, alpha: AlphaLike) -> np.ndarray:
     """M_p(alpha): alpha on the diagonal, 1 and alpha on the first and second
     super-diagonals.  det M_p = alpha^p, so the inverse exists iff alpha != 0."""
-
-    p: int
-    alpha: float
-    matrix: np.ndarray
-    inverse: np.ndarray
-
-
-def m_matrix(p: int, alpha: AlphaLike) -> np.ndarray:
     import numpy as np
     a = alpha_float(alpha)
     m = np.zeros((p, p))
@@ -444,13 +435,13 @@ def m_matrix(p: int, alpha: AlphaLike) -> np.ndarray:
     return m
 
 
-def build_m_and_inverse(p: int, alpha: AlphaLike) -> BandedM:
-    """M_p(alpha) together with its explicit inverse.
+def m_inverse(p: int, alpha: AlphaLike) -> np.ndarray:
+    """The explicit inverse of M_p(alpha).
 
     The inverse of the upper-banded Toeplitz M_p is upper-triangular
     Toeplitz: its k-th super-diagonal is c_k, from back substitution's
     recurrence c_0 = 1/alpha, c_k = (-c_{k-1} - alpha c_{k-2}) / alpha.
-    Orders p >= 1 are accepted; p = 1 degenerates to the scalar [alpha].
+    Orders p >= 1 are accepted; p = 1 degenerates to the scalar [1/alpha].
     """
     import numpy as np
     a = alpha_float(alpha)
@@ -462,5 +453,4 @@ def build_m_and_inverse(p: int, alpha: AlphaLike) -> BandedM:
     for _ in range(p - 1):
         c.append(((0.0 - c[-1]) - a * c[-2]) / a)
     d = np.arange(p)[None, :] - np.arange(p)[:, None]  # column minus row
-    inv = np.where(d >= 0, np.array(c[1:])[np.abs(d)], 0.0)
-    return BandedM(p=p, alpha=a, matrix=m_matrix(p, a), inverse=inv)
+    return np.where(d >= 0, np.array(c[1:])[np.abs(d)], 0.0)

@@ -186,6 +186,13 @@ class TestConverse:
         assert code == 0 and err == ""
         assert blob["ok"] and blob["entropy_ok"] and blob["bound"] == q - 1
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_fewer_than_one_trial_is_usage_error(self, capsys, trials):
+        code, out, err = run(capsys, "converse", "--family", "ub1", "--topology", "symmetric",
+                             "--K", "12", *SI, "--alpha", "0.7", "--trials", trials)
+        assert code == 2 and out == ""
+        assert err == "error: trials must be >= 1\n"
+
 
 class TestPlanCertifyRoundTrip:
     def test_round_trip(self, capsys, tmp_path):
@@ -289,6 +296,26 @@ class TestPlanCertifyRoundTrip:
         f = tmp_path / "inst.json"
         f.write_text(json.dumps(edit(instance)))
         code, out, err = run(capsys, "certify", "--instance", str(f))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["mg", "bounds", "certify"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda blob: dict(blob, topology="ring"), "unknown topology 'ring'"),
+        (lambda blob: dict(blob, gains={"kind": "explicit", "sub": [0.5] * 3, "sup": [0.4] * 6}),
+         "expected 6 sub-diagonal gains, got 3"),
+        (lambda blob: dict(blob, gains={"kind": "explicit", "sub": [0.5] * 6}),
+         "symmetric topology needs super-diagonal gains"),
+        (lambda blob: dict(blob, gains={"kind": "explicit", "sub": [0.5] * 6, "sup": [0.4] * 7}),
+         "expected 6 super-diagonal gains, got 7"),
+    ], ids=["topology", "sub-count", "no-sup", "sup-count"])
+    def test_an_instance_file_that_fits_no_channel_is_usage_error(self, capsys, tmp_path,
+                                                                  command, edit, message):
+        instance = {"K": 7, "t_left": 1, "t_right": 1, "r_left": 1, "r_right": 1,
+                    "topology": "symmetric", "gains": {"kind": "equal", "alpha": 0.3}}
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(edit(instance)))
+        code, out, err = run(capsys, command, "--instance", str(f))
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
@@ -480,6 +507,30 @@ class TestSimulateAndOffset:
         assert code == 0
         assert out.splitlines()[0] == "alpha,offset_proxy"
         assert "fitted_nu=" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flag, shown", [
+        (["--pmin", "-5"], "-5 and 1e+14"), (["--pmax", "1e400"], "1000 and inf"),
+        (["--pmin", "nan"], "nan and 1e+14"),
+    ], ids=["negative", "inf", "nan"])
+    def test_a_non_positive_or_non_finite_power_is_usage_error(self, capsys, flag, shown):
+        code, out, err = run(capsys, "simulate", "--topology", "symmetric", "--K", "7", *SI,
+                             "--alpha", "0.3", *flag)
+        assert code == 2 and out == ""
+        assert err == f"error: powers must be positive and finite, got {shown}\n"
+
+    def test_a_negative_l_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "offset", "--L", "-1", "--K", "7", "--alpha-star", "0.5")
+        assert code == 2 and out == ""
+        assert err == "error: L must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("lo, hi, n", [("5", "4", 0), ("4", "4", 1)],
+                             ids=["no-gap", "one-gap"])
+    def test_fewer_than_two_gaps_is_usage_error(self, capsys, lo, hi, n):
+        code, out, err = run(capsys, "offset", "--L", "2", "--K", "7", "--alpha-star",
+                             "root:3:1", "--gap-min-exp", lo, "--gap-max-exp", hi)
+        assert code == 2 and out == ""
+        assert err == f"error: the alpha grid needs at least two gaps, got {n}\n"
 
 
 class TestRandomCheck:

@@ -80,11 +80,11 @@ class TestSymUb1:
         assert {8, 9} <= set(rep.targets)
 
     def test_coefficients_come_from_banded_inverses(self):
-        from wynerdof.tridiag import build_m_and_inverse
+        from wynerdof.tridiag import m_inverse
         p = P(K=12, t_left=1, t_right=1, r_left=1, r_right=1)
         a = 0.9
         g = cv.build_sym_genie_ub1(p, a)
-        ainv = build_m_and_inverse(3, a).inverse
+        ainv = m_inverse(3, a)
         # the genie hiding antenna 1 carries (a_{1,j} + alpha*a_{2,j}) weights
         v0 = dict(g.genies[0].noise_coeff)
         for j in range(1, 4):
@@ -118,6 +118,10 @@ class TestSymUb2:
         resid = np.max(np.abs(h[0] - d @ h[1:]))
         assert resid <= 1e-10
         assert d == pytest.approx([math.sqrt(2), -1.0], rel=1e-9)
+
+    def test_a_non_singular_gain_is_rejected_by_the_residual_guard(self):
+        with pytest.raises(ValueError, match="alpha is not a singular gain"):
+            cv._null_row_coeffs(3, 0.3)
 
     def test_requires_singular_determinant(self):
         p = P(K=9, t_left=1, t_right=1, r_left=1, r_right=1)
@@ -176,17 +180,24 @@ class TestSymUb2:
 L2_K7 = P(K=7, t_left=2, t_right=2)
 
 
+def v_top(g, a):
+    """v_{L+1}, read off the first genie's signal part -alpha v_{L+1} X_{L+1} (L = 2)."""
+    (idx, coeff), = g.genies[0].input_coeff
+    assert idx == 3
+    return -coeff / a
+
+
 class TestOffsetGenie:
     def test_even_period_count(self):
         a = ROOT3.value + 0.05
         g = cv.build_offset_genie(L2_K7, a)
         assert g.missing() == (1, 7)
         assert g.bound == 5
-        assert g.info_term["q"] == 2
+        assert g.params.K - g.bound == 2  # q = (K+1)/(L+2) periods, one hidden antenna each
 
     def test_odd_period_count(self):
         g = cv.build_offset_genie(P(K=11, t_left=2, t_right=2), 0.9)
-        assert g.info_term["q"] == 3
+        assert g.params.K - g.bound == 3
         assert g.bound == 8
 
     def test_v_weighted_identity_reconstructs_the_first_antenna(self):
@@ -197,12 +208,12 @@ class TestOffsetGenie:
 
     def test_signal_term_vanishes_at_the_critical_gain(self):
         g = cv.build_offset_genie(L2_K7, ROOT3)
-        assert abs(g.info_term["v_top"]) < 1e-12
+        assert abs(v_top(g, ROOT3.value)) < 1e-12
 
     def test_signal_term_direction(self):
         for gap in (0.2, 0.1, 0.05):
             g = cv.build_offset_genie(L2_K7, ROOT3.value + gap)
-            assert abs(g.info_term["v_top"]) > 0
+            assert abs(v_top(g, ROOT3.value + gap)) > 0
 
     def test_bad_network_size_rejected(self):
         with pytest.raises(ValueError, match="q"):

@@ -2,8 +2,9 @@
 
 Every case starts a fresh interpreter, runs ``cli.main`` on one command line
 and reports which modules are then loaded.  The closed-form commands (mg,
-bounds, roots) and plan synthesis never need numpy; certify, converse,
-entropy and simulate skip the modules they do not call.
+bounds, roots) and plan synthesis never need numpy, from flags or from an
+--instance file; certify, converse, entropy and simulate skip the modules
+they do not call.
 """
 
 import json
@@ -51,9 +52,16 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_a_command_loads_only_what_it_runs(name):
-    argv, must_not_load = CASES[name]
+INSTANCE = {"K": 12, "t_left": 1, "t_right": 1, "r_left": 1, "r_right": 1,
+            "topology": "symmetric"}
+GAINS = {
+    "equal": {"kind": "equal", "alpha": "root:3:1"},
+    "explicit": {"kind": "explicit", "sub": [0.5 + k / 100 for k in range(11)],
+                 "sup": [-0.7 - k / 100 for k in range(11)]},
+}
+
+
+def loaded_modules(argv):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
                           stdin=subprocess.DEVNULL, capture_output=True, text=True,
@@ -62,4 +70,22 @@ def test_a_command_loads_only_what_it_runs(name):
     code, loaded = json.loads(proc.stdout)
     assert code == 0
     assert "wynerdof.cli" in loaded
+    return loaded
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_a_command_loads_only_what_it_runs(name):
+    argv, must_not_load = CASES[name]
+    assert sorted(must_not_load.intersection(loaded_modules(argv))) == []
+
+
+@pytest.mark.parametrize("kind", GAINS)
+@pytest.mark.parametrize("command, must_not_load", [
+    (["mg"], NUMPY_AND_CHECKS), (["bounds"], NUMPY_AND_CHECKS),
+    (["plan", "--bound-label", "lb-combined"], NUMPY_AND_CHECKS - {"wynerdof.schemes"}),
+], ids=["mg", "bounds", "plan"])
+def test_an_instance_file_is_read_without_numpy(tmp_path, command, must_not_load, kind):
+    f = tmp_path / "instance.json"
+    f.write_text(json.dumps(dict(INSTANCE, gains=GAINS[kind])))
+    loaded = loaded_modules([*command, "--instance", str(f)])
     assert sorted(must_not_load.intersection(loaded)) == []

@@ -191,7 +191,7 @@ class TestJson:
     def test_round_trip(self):
         p = nm.NetworkParams(K=4, t_left=1, t_right=2, r_left=0, r_right=1)
         m = nm.build_channel(p, nm.SYMMETRIC, equal(0.7))
-        again = nm.instance_from_json(json.dumps(nm.instance_to_json(m)))
+        again = nm.build_channel(*nm.instance_from_json(json.dumps(nm.instance_to_json(m))))
         assert again.params == p
         assert np.allclose(again.matrix, m.matrix)
 
@@ -199,8 +199,9 @@ class TestJson:
         m = nm.build_channel(nm.NetworkParams(K=3), nm.SYMMETRIC, equal(RootAlpha(3, 1)))
         blob = nm.instance_to_json(m)
         assert blob["gains"]["alpha"] == "root:3:1"
-        again = nm.instance_from_json(blob)
-        assert isinstance(again.gains.alpha, RootAlpha)
+        params, topology, gains = nm.instance_from_json(blob)
+        assert (params, topology) == (m.params, m.topology)
+        assert isinstance(gains.alpha, RootAlpha)
 
     def test_a_bool_is_not_a_gain(self):
         for flag in (True, False):
@@ -214,7 +215,7 @@ class TestJson:
     def test_random_kind_round_trip(self):
         m = nm.build_channel(nm.NetworkParams(K=5), nm.SYMMETRIC,
                              nm.CrossGainAssignment.random(11))
-        again = nm.instance_from_json(nm.instance_to_json(m))
+        again = nm.build_channel(*nm.instance_from_json(nm.instance_to_json(m)))
         assert np.allclose(again.matrix, m.matrix)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from itertools import product
 
@@ -618,3 +619,40 @@ class TestPlanJson:
         tags = plan.strategy_map()
         assert set(tags) == set(range(1, 9))
         assert tags[plan.silenced_tx[0]] == "Silenced"
+
+
+class TestEveryPlanUnchanged:
+    """Every family's plan over K <= 12 and every side parameter 0..2, field
+    for field, against a digest recorded before the subnets' own `claimed`
+    counts and the chain blocks' unread transmit-reach argument were
+    deleted.  A plan that changes on purpose must re-record it."""
+
+    DIGEST = "5cf07dcbd687a072bbbdce22d1c46e633065c487f545645a189c06ed816632df"
+
+    @staticmethod
+    def every_family(p):
+        yield "asym-silencing", lambda: sc.asym_plan(p)
+        for i in range(1, p.side_sum + 3):
+            yield f"asym-rotation-{i}", lambda: sc.synthesize_plan(p, f"asym-rotation-{i}")
+        for alpha in (0.3, ROOT3, RootAlpha(2, 1)):
+            yield f"sym-si {alpha!r}", lambda: sc.sym_symmetric_si_plan(p, alpha)
+        for label in ("lb-combined", "lb-left-chain", "lb-right-chain", "lb-central-mimo"):
+            yield label, lambda: sc.sym_general_plan(p, label)
+
+    def test_every_family_matches_the_recorded_digest(self):
+        h = hashlib.sha256()
+        for K in range(1, 13):
+            for side in product(range(3), repeat=4):
+                p = P(K, *side)
+                for name, build in self.every_family(p):
+                    try:
+                        pl = build()
+                        text = repr((pl.family, pl.topology, pl.params, pl.silenced_tx,
+                                     pl.silenced_rx, pl.signal_deps, pl.message_prelog,
+                                     pl.claimed_dof, pl.alpha_token,
+                                     [(sn.active_tx, sn.rx_antennas, sn.kind, sn.scalar_steps,
+                                       sn.mimo_blocks) for sn in pl.subnets]))
+                    except ValueError as exc:  # NotApplicableError included
+                        text = f"{type(exc).__name__}: {exc}"
+                    h.update(f"{p} {name} {text}\n".encode())
+        assert h.hexdigest() == self.DIGEST

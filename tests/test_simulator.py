@@ -161,9 +161,9 @@ class TestOffsetExperiment:
             assert inc == pytest.approx(math.log(2), rel=0.05)
 
     def test_power_stability_once_saturated(self):
-        big = sim.offset_experiment(2, ROOT3, 7, alpha_gaps=[0.05],
+        big = sim.offset_experiment(2, ROOT3, 7, alpha_gaps=[0.05, 0.025],
                                     p_grid=np.geomspace(1e3, 1e14, 12))
-        bigger = sim.offset_experiment(2, ROOT3, 7, alpha_gaps=[0.05],
+        bigger = sim.offset_experiment(2, ROOT3, 7, alpha_gaps=[0.05, 0.025],
                                        p_grid=np.geomspace(1e3, 1e16, 12))
         assert big.samples[0][1] == pytest.approx(bigger.samples[0][1], abs=1e-6)
 

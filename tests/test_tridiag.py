@@ -322,13 +322,11 @@ class TestVSequence:
 
 class TestBandedM:
     def test_two_by_two_closed_form(self):
-        bm = td.build_m_and_inverse(2, 2.0)
-        assert bm.matrix.tolist() == [[2.0, 1.0], [0.0, 2.0]]
-        assert bm.inverse.tolist() == [[0.5, -0.25], [0.0, 0.5]]
+        assert td.m_matrix(2, 2.0).tolist() == [[2.0, 1.0], [0.0, 2.0]]
+        assert td.m_inverse(2, 2.0).tolist() == [[0.5, -0.25], [0.0, 0.5]]
 
     def test_band_pattern_transcription(self):
-        bm = td.build_m_and_inverse(3, 1.0)
-        assert bm.matrix.tolist() == [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
+        assert td.m_matrix(3, 1.0).tolist() == [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
 
     def test_determinant_is_alpha_power(self):
         for p, a in ((4, 0.5), (3, -1.2), (6, 0.3)):
@@ -340,17 +338,15 @@ class TestBandedM:
         for _ in range(25):
             p = int(rng.integers(1, 12))
             a = float(rng.uniform(0.1, 2.0)) * (1 if rng.random() < 0.5 else -1)
-            bm = td.build_m_and_inverse(p, a)
-            assert np.max(np.abs(bm.matrix @ bm.inverse - np.eye(p))) < 1e-10
+            assert np.max(np.abs(td.m_matrix(p, a) @ td.m_inverse(p, a) - np.eye(p))) < 1e-10
 
     def test_back_substitution_agrees_with_dense_inverse(self):
         for p, a in ((5, 0.7), (8, -0.4), (3, 1.9)):
-            bm = td.build_m_and_inverse(p, a)
-            assert np.max(np.abs(bm.inverse - np.linalg.inv(bm.matrix))) < 1e-10
+            assert np.max(np.abs(td.m_inverse(p, a) - np.linalg.inv(td.m_matrix(p, a)))) < 1e-10
 
     def test_zero_gain_rejected(self):
         with pytest.raises(ValueError):
-            td.build_m_and_inverse(3, 0.0)
+            td.m_inverse(3, 0.0)
 
     def test_toeplitz_inverse_equals_column_back_substitution(self):
         # the column-by-column back substitution the closed recurrence replaced;
@@ -373,5 +369,4 @@ class TestBandedM:
         gains += [r.value for q in range(2, 9) for r in td.critical_roots(q).root_alphas]
         for p in range(1, 20):
             for a in gains:
-                assert np.array_equal(td.build_m_and_inverse(p, a).inverse,
-                                      back_substitution(p, a)), (p, a)
+                assert np.array_equal(td.m_inverse(p, a), back_substitution(p, a)), (p, a)
