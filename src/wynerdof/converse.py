@@ -26,6 +26,7 @@ combination - exactly what a genie can supply.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -109,6 +110,20 @@ class GeniePartition:
 # ---------------------------------------------------------------------------
 # shared machinery
 # ---------------------------------------------------------------------------
+
+def _overflow(token: Optional[str], what: str) -> ValueError:
+    return ValueError(f"arithmetic overflows at alpha={token}: {what} is not finite")
+
+
+def _quiet(func):
+    """Run func with numpy's overflow and invalid-value warnings off: the
+    verdicts check their own numbers and raise _overflow instead."""
+    @functools.wraps(func)
+    def run(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return func(*args, **kwargs)
+    return run
+
 
 def _reach_of(params: NetworkParams, group) -> Tuple[int, ...]:
     out = set()
@@ -235,22 +250,25 @@ def build_asym_genie(params: NetworkParams, alpha: AlphaLike) -> GeniePartition:
         c = 1 + m * beta
         noise: Dict[int, float] = {c: 1.0}
         ybag: Dict[int, float] = {}
-        for v in range(1, pA + 1):
-            w = (-1.0 / a) ** v
-            if c + v <= K:
-                noise[c + v] = w
-                ybag[c + v] = -w
-        if m >= 1:
-            for v in range(1, tr + rr + 1):
-                w = (-a) ** v
-                if c - v >= 1:
-                    noise[c - v] = w
-                    ybag[c - v] = -w
         xterms: Dict[int, float] = {}
-        if c + pA <= K:  # otherwise the chain runs off the network edge
-            xterms[pA + 1 + m * beta] = (-1.0 / a) ** pA
-        if m >= 1:
-            xterms[pA + 1 + (m - 1) * beta] = -((-a) ** (tr + rr + 1))
+        try:  # a float power that overflows raises
+            for v in range(1, pA + 1):
+                w = (-1.0 / a) ** v
+                if c + v <= K:
+                    noise[c + v] = w
+                    ybag[c + v] = -w
+            if m >= 1:
+                for v in range(1, tr + rr + 1):
+                    w = (-a) ** v
+                    if c - v >= 1:
+                        noise[c - v] = w
+                        ybag[c - v] = -w
+            if c + pA <= K:  # otherwise the chain runs off the network edge
+                xterms[pA + 1 + m * beta] = (-1.0 / a) ** pA
+            if m >= 1:
+                xterms[pA + 1 + (m - 1) * beta] = -((-a) ** (tr + rr + 1))
+        except OverflowError:
+            raise _overflow(alpha_token(alpha), "a geometric noise weight") from None
         genies.append(GenieSignal(index=m, noise_coeff=tuple(sorted(noise.items()))))
         steps.append(ReconstructionStep(
             round_no=1, target=c,
@@ -291,6 +309,7 @@ def mirror_partition(part: GeniePartition, params: NetworkParams) -> GeniePartit
         genies=genies, steps=steps)
 
 
+@_quiet
 def build_sym_genie_ub1(params: NetworkParams, alpha: AlphaLike) -> GeniePartition:
     """Partition for the generic (determinant-free) symmetric upper bound.
 
@@ -369,6 +388,7 @@ def _null_row_coeffs(pL: int, alpha: AlphaLike) -> np.ndarray:
     return d  # d[j-2] multiplies row j
 
 
+@_quiet
 def build_sym_genie_ub2(params: NetworkParams, alpha: AlphaLike) -> GeniePartition:
     """Multi-round partition exploiting a singular H_{t_l+r_l+1}(alpha).
 
@@ -451,6 +471,7 @@ def build_sym_genie_ub2(params: NetworkParams, alpha: AlphaLike) -> GeniePartiti
 # power-offset construction (signal-carrying genie)
 # ---------------------------------------------------------------------------
 
+@_quiet
 def build_offset_genie(params: NetworkParams, alpha: AlphaLike) -> GeniePartition:
     """Partition whose genie carries the vanishing signal component.
 
@@ -562,6 +583,7 @@ def _structural_check(partition: GeniePartition) -> Optional[str]:
     return None
 
 
+@_quiet
 def verify_reconstruction(partition: GeniePartition, model: ChannelModel,
                           trials: int = 100, tol: float = 1e-8,
                           seed: int = 0) -> ReconstructionReport:
@@ -571,6 +593,8 @@ def verify_reconstruction(partition: GeniePartition, model: ChannelModel,
     Structural problems (a recipe consuming an output or message before the
     procedure makes it available) are reported before any numeric work.
     Every encoder may use its whole cognition window, the model's worst case.
+    A replay error that is not finite (coefficients or outputs that
+    overflow) raises ValueError rather than give a verdict.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -597,7 +621,7 @@ def verify_reconstruction(partition: GeniePartition, model: ChannelModel,
             acc += c * x[idx - 1]
         vvals[g.index] = acc
     rec = {}  # reconstructed outputs, used by later rounds
-    worst = 0.0
+    errors = []
     for st in sorted(partition.steps, key=lambda s: s.round_no):
         acc = np.zeros(trials)
         for idx, c in st.y_terms:
@@ -606,8 +630,11 @@ def verify_reconstruction(partition: GeniePartition, model: ChannelModel,
             acc += c * x[idx - 1]
         for idx, c in st.v_terms:
             acc += c * vvals[idx]
-        worst = max(worst, float(np.max(np.abs(acc - y[st.target - 1]))))
+        errors.append(np.max(np.abs(acc - y[st.target - 1])))
         rec[st.target] = acc
+    worst = float(np.max(errors))  # nan propagates, unlike max()
+    if not math.isfinite(worst):
+        raise _overflow(partition.alpha_token, "the replay error")
     return ReconstructionReport(worst <= tol, worst, trials, targets, partition.bound)
 
 
@@ -625,13 +652,15 @@ class EntropyReport:
 _EIG_TOL = 1e-10  # smallest conditional eigenvalue counted as nonsingular
 
 
+@_quiet
 def genie_entropy_check(partition: GeniePartition, model: ChannelModel) -> EntropyReport:
     """Finiteness condition: the noises A observes keep a nonsingular
     conditional covariance given the genies' noise parts.
 
     Input-carrying components (power-offset genie) are excluded here; their
     contribution is bounded separately through the genie's input coefficients.
-    Coefficients are plain constants, so nothing depends on the power.
+    Coefficients are plain constants, so nothing depends on the power.  A
+    genie covariance or eigenvalue that is not finite raises ValueError.
     """
     if partition.params != model.params or partition.topology != model.topology:
         raise ValueError("partition and model describe different instances")
@@ -643,9 +672,13 @@ def genie_entropy_check(partition: GeniePartition, model: ChannelModel) -> Entro
     for i, g in enumerate(partition.genies):
         for idx, c in g.noise_coeff:
             C[i, idx - 1] = c
-    cc = C @ C.T
+    cc = C @ C.T  # its diagonal sums every coefficient squared
+    if not np.isfinite(cc).all():
+        raise _overflow(partition.alpha_token, "the genie noise covariance")
     cross = C[:, ra].T
     cond = np.eye(len(ra)) - cross @ np.linalg.pinv(cc) @ cross.T
     eigs = np.linalg.eigvalsh(cond)
     mn = float(eigs.min())
+    if not math.isfinite(mn):
+        raise _overflow(partition.alpha_token, "the conditional covariance")
     return EntropyReport(mn > _EIG_TOL, mn, True)

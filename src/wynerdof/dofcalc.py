@@ -9,21 +9,32 @@ Conventions baked in here (see the module tests for the worked numbers):
 
 * ceil(x) is clamped to 0 for x <= 0 in the asymmetric formula, so a fully
   cooperating short network keeps all K degrees of freedom.
-* The auxiliary moduli use the constructive definitions: kappa_i = K mod
-  beta_i with beta_1 = t_l+t_r+r_l+r_r, beta_2 = t_l+r_l+1 (and its mirror),
-  beta_3 = r_l+r_r+3.
-* The tail corrections theta_4/theta_5 of the two genie upper bounds follow
-  the stated case tables (theta_4 = 1 iff kappa_4 >= min(t_l+r_l+2,
-  t_r+r_r+2); theta_5 = 1 iff kappa_5 >= t_r+r_r+1).  A variant flag
+* The symmetric network's four lower and three upper bounds form one table.
+  Each is K - 2 floor(K/beta) - theta clipped below at 0, with the
+  constructive moduli kappa = K mod beta:
+  - lb-combined, lb-left-chain (and its mirror), lb-central-mimo: beta =
+    t_l+t_r+r_l+r_r (no bound when 0), t_l+r_l+1, r_l+r_r+3, theta =
+    min(kappa, 2);
+  - ub-generic: beta_4 = side_sum+4, theta_4 = 1 iff kappa_4 >=
+    min(t_l+r_l+2, t_r+r_r+2);
+  - ub-singular-left: beta_5 = side_sum+3, theta_5 = 1 iff kappa_5 >=
+    t_r+r_r+1, only where u_{t_l+r_l+1}(alpha) = 0; its mirror exchanges
+    the sides.
+  The tail corrections follow the stated case tables.  A variant flag
   evaluates the alternative theta_4 threshold (one smaller) that appears in
   the prose of the corresponding construction; both are reported in verbose
   listings rather than silently reconciled.
+* The table is evaluated as plain (value, label) pairs.  sym_dof_interval
+  merges them with the case split's values and runs each zero test at most
+  once per interval, shared by the singular bounds and the case split;
+  sym_lower_bounds and sym_upper_bounds wrap the same pairs in BoundValues.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import List, Optional, Union
 
@@ -153,6 +164,27 @@ def _require_symmetric_si(params: NetworkParams) -> int:
     return L
 
 
+def _periodic(K: int, beta: int, theta: int) -> int:
+    """K - 2 floor(K/beta) - theta, clipped below at 0 (it never exceeds K)."""
+    v = K - 2 * (K // beta) - theta
+    return v if v > 0 else 0
+
+
+def _si_case(K: int, L: int, zero) -> tuple:
+    """(lower, upper, lower_by, upper_by) of the case split for K != L+2;
+    zero(q) is the zero test of u_q at the equal gain."""
+    if K <= L + 1:
+        v = K - zero(K)
+        return v, v, "si-exact-full", "si-exact-full"
+    if not zero(L + 1):
+        g = K - K // (L + 2)
+        if not zero(L):
+            return g, g, "si-periodic-exact", "si-periodic-exact"
+        return g - 1, g, "si-periodic", "si-periodic"
+    upper = _periodic(K, 2 * L + 3, K % (2 * L + 3) > L + 1)
+    return K - K // (L + 1), upper, "si-critical-lower", "si-critical-upper"
+
+
 def sym_mg_symmetric_si(params: NetworkParams, alpha: AlphaLike) -> DofInterval:
     """Multiplexing-gain interval under equal gains and symmetric side-information.
 
@@ -171,25 +203,12 @@ def sym_mg_symmetric_si(params: NetworkParams, alpha: AlphaLike) -> DofInterval:
     if alpha_float(alpha) == 0:
         raise ValueError("nonzero cross-gain required")
     L = _require_symmetric_si(params)
-    K = params.K
-    if K <= L + 1:
-        d1 = 1 if u_is_zero(K, alpha) else 0
-        return DofInterval(K - d1, K - d1, "si-exact-full", "si-exact-full")
-    if K == L + 2:
+    if params.K == L + 2:
         merged = sym_dof_interval(params, alpha)
         return DofInterval(merged.lower, merged.upper, merged.lower_by, merged.upper_by,
                            note="K == t_left+r_left+2 is outside the case split; "
                                 "general bounds returned")
-    if not u_is_zero(L + 1, alpha):
-        g = K // (L + 2)
-        if not u_is_zero(L, alpha):
-            return DofInterval(K - g, K - g, "si-periodic-exact", "si-periodic-exact")
-        return DofInterval(K - g - 1, K - g, "si-periodic", "si-periodic")
-    G = K // (L + 1)
-    beta = 2 * L + 3
-    d2 = 1 if (K % beta) > L + 1 else 0
-    upper = K - 2 * (K // beta) - d2
-    return DofInterval(K - G, upper, "si-critical-lower", "si-critical-upper")
+    return DofInterval(*_si_case(params.K, L, lambda q: u_is_zero(q, alpha)))
 
 
 def sym_mg_per_user(params: NetworkParams, alpha: AlphaLike) -> PerUserAsymptote:
@@ -198,7 +217,12 @@ def sym_mg_per_user(params: NetworkParams, alpha: AlphaLike) -> PerUserAsymptote
     if alpha_float(alpha) == 0:
         raise ValueError("nonzero cross-gain required")
     L = _require_symmetric_si(params)
-    if not u_is_zero(L + 1, alpha):
+    return _per_user(L, u_is_zero(L + 1, alpha))
+
+
+@lru_cache(maxsize=256)
+def _per_user(L: int, critical: bool) -> PerUserAsymptote:
+    if not critical:
         v = Fraction(L + 1, L + 2)
         return PerUserAsymptote(v, v)
     return PerUserAsymptote(Fraction(L, L + 1), Fraction(2 * L + 1, 2 * L + 3))
@@ -208,38 +232,51 @@ def sym_mg_per_user(params: NetworkParams, alpha: AlphaLike) -> PerUserAsymptote
 # symmetric network, general parameters
 # ---------------------------------------------------------------------------
 
-def _theta_012(kappa: int) -> int:
-    return 0 if kappa == 0 else (1 if kappa == 1 else 2)
+_LOWER_LABELS = ("lb-combined", "lb-left-chain", "lb-right-chain", "lb-central-mimo")
+_UPPER_LABELS = ("ub-generic", "ub-singular-left", "ub-singular-right")
 
 
-def _clip(v: int, K: int) -> int:
-    return max(0, min(K, v))
+def _lower_pairs(params: NetworkParams) -> list:
+    """The lower bounds that apply as (value, label) pairs, led by (0, "trivial")."""
+    K = params.K
+    left, right = params.t_left + params.r_left, params.t_right + params.r_right
+    lows = [(0, "trivial")]
+    for label, beta in zip(_LOWER_LABELS, (left + right, left + 1, right + 1,
+                                           params.r_left + params.r_right + 3)):
+        if beta:
+            lows.append((_periodic(K, beta, min(K % beta, 2)), label))
+    return lows
+
+
+def _upper_pairs(params: NetworkParams, zero, shift: int = 2) -> list:
+    """The upper bounds that apply as (value, label) pairs, led by (K,
+    "trivial").  zero(q) is the zero test of u_q at the equal gain, None for
+    unequal gains; shift is theta_4's threshold over min(t_l+r_l, t_r+r_r)."""
+    K = params.K
+    left, right = params.t_left + params.r_left, params.t_right + params.r_right
+    b4 = left + right + 4
+    ups = [(K, "trivial"), (_periodic(K, b4, K % b4 >= min(left, right) + shift), "ub-generic")]
+    if zero is not None:
+        b5 = b4 - 1
+        for label, near, far in (("ub-singular-left", left, right),
+                                 ("ub-singular-right", right, left)):
+            if zero(near + 1):
+                ups.append((_periodic(K, b5, K % b5 > far), label))
+    return ups
+
+
+def _listing(pairs, labels, kind, reason) -> List[BoundValue]:
+    """The bounds `labels` as BoundValues, from the table's pairs; a label
+    the pairs leave out is inapplicable for reason(label)."""
+    value = {label: v for v, label in pairs}
+    return [BoundValue(label, value[label], True, kind) if label in value else
+            BoundValue(label, None, False, kind, reason(label)) for label in labels]
 
 
 def sym_lower_bounds(params: NetworkParams) -> List[BoundValue]:
     """The four achievable lower bounds (valid for any nonzero cross-gains)."""
-    K = params.K
-    tl, tr, rl, rr = params.t_left, params.t_right, params.r_left, params.r_right
-    out = []
-    for label, beta in (("lb-combined", params.side_sum), ("lb-left-chain", tl + rl + 1),
-                        ("lb-right-chain", tr + rr + 1), ("lb-central-mimo", rl + rr + 3)):
-        if beta == 0:
-            out.append(BoundValue(label, None, False, "lower",
-                                  "all side-information parameters are 0"))
-        else:
-            out.append(BoundValue(label, _clip(K - 2 * (K // beta) - _theta_012(K % beta), K),
-                                  True, "lower"))
-    return out
-
-
-def _ub_generic(params: NetworkParams, shift: int) -> BoundValue:
-    """The determinant-free genie bound; theta_4 = 1 iff
-    kappa_4 >= min(t_l+r_l, t_r+r_r) + shift."""
-    K = params.K
-    b4 = params.side_sum + 4
-    reach = min(params.t_left + params.r_left, params.t_right + params.r_right)
-    theta4 = 1 if K % b4 >= reach + shift else 0
-    return BoundValue("ub-generic", _clip(K - 2 * (K // b4) - theta4, K), True, "upper")
+    return _listing(_lower_pairs(params), _LOWER_LABELS, "lower",
+                    lambda label: "all side-information parameters are 0")
 
 
 def sym_upper_bounds(params: NetworkParams, alpha: Optional[AlphaLike],
@@ -258,25 +295,13 @@ def sym_upper_bounds(params: NetworkParams, alpha: Optional[AlphaLike],
         raise ValueError("nonzero cross-gain required")
     if theta4_variant not in ("statement", "prose"):
         raise ValueError("theta4_variant must be 'statement' or 'prose'")
-    K, b5 = params.K, params.side_sum + 3
-    left, right = params.t_left + params.r_left, params.t_right + params.r_right
-    return [_ub_generic(params, 2 if theta4_variant == "statement" else 1),
-            _ub_singular("ub-singular-left", K, b5, left, right, alpha),
-            _ub_singular("ub-singular-right", K, b5, right, left, alpha)]
-
-
-def _ub_singular(label: str, K: int, b5: int, near: int, far: int,
-                 alpha: Optional[AlphaLike]) -> BoundValue:
-    """The singular-gain genie bound seen from the side whose reach t+r is
-    `near`: applicable iff the gains are equal and u_{near+1}(alpha) = 0,
-    theta_5 = 1 iff kappa_5 >= far+1.  ub-singular-right is ub-singular-left
-    with the sides exchanged (kappa_5 = K mod b5 does not change)."""
-    if alpha is None:
-        return BoundValue(label, None, False, "upper", "needs equal cross-gains")
-    if not u_is_zero(near + 1, alpha):
-        return BoundValue(label, None, False, "upper", f"needs det H_{near + 1}(alpha) = 0")
-    theta5 = 1 if K % b5 >= far + 1 else 0
-    return BoundValue(label, _clip(K - 2 * (K // b5) - theta5, K), True, "upper")
+    zero = None if alpha is None else (lambda q: u_is_zero(q, alpha))
+    ups = _upper_pairs(params, zero, 2 if theta4_variant == "statement" else 1)
+    near = {"ub-singular-left": params.t_left + params.r_left,
+            "ub-singular-right": params.t_right + params.r_right}
+    return _listing(ups, _UPPER_LABELS, "upper",
+                    lambda label: "needs equal cross-gains" if alpha is None
+                    else f"needs det H_{near[label] + 1}(alpha) = 0")
 
 
 def sym_dof_interval(params: NetworkParams,
@@ -292,36 +317,34 @@ def sym_dof_interval(params: NetworkParams,
     K = params.K
     gains = alpha_or_gains if isinstance(alpha_or_gains, CrossGainAssignment) else None
     alpha = alpha_or_gains if gains is None else gains.alpha  # None for unequal gains
-    lows: List[tuple] = [(0, "trivial")]
-    ups: List[tuple] = [(K, "trivial")]
-    for b in sym_lower_bounds(params) + sym_upper_bounds(params, alpha):
-        if b.applicable:
-            (lows if b.kind == "lower" else ups).append((b.value, b.label))
+    zero = None
+    if alpha is not None:
+        if alpha_float(alpha) == 0:
+            raise ValueError("nonzero cross-gain required")
+        tested = {}
 
-    if alpha is None:
-        note = None
-        if gains.kind == "random":
-            L = params.t_left + params.r_left
-            if L == params.t_right + params.r_right:
-                if K <= L + 1:
-                    lows.append((K, "si-exact-full-p1"))
-                    ups.append((K, "si-exact-full-p1"))
-                else:
-                    v = K - K // (L + 2)
-                    lows.append((v, "si-periodic-exact-p1"))
-                    ups.append((v, "si-periodic-exact-p1"))
-                note = "probability-1 value for continuous random gains"
-        lower, lower_by = max(lows)
-        upper, upper_by = min(ups)
-        return DofInterval(lower, upper, lower_by, upper_by, note=note)
+        def zero(q):
+            z = tested.get(q)
+            if z is None:
+                z = tested[q] = u_is_zero(q, alpha)
+            return z
 
+    lows, ups = _lower_pairs(params), _upper_pairs(params, zero)
+    L = params.t_left + params.r_left
+    symmetric_si = L == params.t_right + params.r_right
     note = None
-    if params.t_left + params.r_left == params.t_right + params.r_right:
-        L = params.t_left + params.r_left
+    if alpha is None:
+        if gains.kind == "random" and symmetric_si:
+            label = "si-exact-full-p1" if K <= L + 1 else "si-periodic-exact-p1"
+            v = K if K <= L + 1 else K - K // (L + 2)
+            lows.append((v, label))
+            ups.append((v, label))
+            note = "probability-1 value for continuous random gains"
+    elif symmetric_si:
         if K != L + 2:
-            si = sym_mg_symmetric_si(params, alpha)
-            lows.append((si.lower, si.lower_by))
-            ups.append((si.upper, si.upper_by))
+            lo, hi, lo_by, hi_by = _si_case(K, L, zero)
+            lows.append((lo, lo_by))
+            ups.append((hi, hi_by))
         else:
             note = "K == t_left+r_left+2 sits outside the case split; general bounds only"
     lower, lower_by = max(lows)

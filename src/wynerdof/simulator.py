@@ -22,7 +22,7 @@ import numpy as np
 from .netmodel import ChannelModel, CrossGainAssignment, channel_band, \
     sample_generic_gains, submatrix
 from .schemes import RANK_REL_TOL, TransmissionPlan, certify_plan
-from .tridiag import AlphaLike, alpha_float, v_sequence
+from .tridiag import AlphaLike, alpha_float, alpha_token, u_is_zero, v_sequence
 
 __all__ = [
     "RateCurve",
@@ -148,12 +148,15 @@ def offset_experiment(L: int, alpha_star: AlphaLike, K: int,
     normalized determinant that vanishes there.  The bounded remainder of
     the true offset is unknown and excluded: only the slope against
     -ln|alpha - alpha*| is meaningful, and it estimates the root's
-    multiplicity.  The fit needs at least two gaps.
+    multiplicity.  alpha* must be a root of u_{L+1}, and the fit needs at
+    least two gaps.
     """
     if L < 0:
         raise ValueError(f"L must be >= 0, got {L}")
     if (K + 1) % (L + 2) != 0:
         raise ValueError("K must equal q(L+2)-1 for an integer q")
+    if not u_is_zero(L + 1, alpha_star):
+        raise ValueError(f"alpha* must be a root of u_{L + 1}, got {alpha_token(alpha_star)}")
     q = (K + 1) // (L + 2)
     astar = alpha_float(alpha_star)
     gaps = tuple(alpha_gaps) if alpha_gaps is not None else tuple(

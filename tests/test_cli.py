@@ -186,6 +186,20 @@ class TestConverse:
         assert code == 0 and err == ""
         assert blob["ok"] and blob["entropy_ok"] and blob["bound"] == q - 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, what", [
+        (["converse", "--family", "ub1", "--K", "6", *SI, "--alpha", "1e-160"],
+         "1e-160: the replay error"),
+        (["converse", "--family", "asym", "--K", "7", *SI, "--alpha", "1e-160"],
+         "1e-160: a geometric noise weight"),
+        (["entropy", "--family", "ub1", "--K", "3", "--alpha", "1e-300"],
+         "1e-300: the genie noise covariance"),
+    ], ids=["converse-ub1", "converse-asym", "entropy-ub1"])
+    def test_coefficients_that_overflow_are_usage_error(self, capsys, argv, what):
+        code, out, err = run(capsys, *argv, "--topology", "symmetric")
+        assert code == 2 and out == ""
+        assert err == f"error: arithmetic overflows at alpha={what} is not finite\n"
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_fewer_than_one_trial_is_usage_error(self, capsys, trials):
         code, out, err = run(capsys, "converse", "--family", "ub1", "--topology", "symmetric",
@@ -384,6 +398,19 @@ class TestSweep:
         assert rows[2]["error"] == "" and rows[2]["certified"] == "6"
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_converse_that_overflows_gets_an_error_cell(self, capsys, tmp_path):
+        spec = {"topology": "symmetric", "K": [6], "tl": [1], "tr": [1], "rl": [1],
+                "rr": [1], "alpha": [0.3, 1e-160], "checks": ["converse"]}
+        f = tmp_path / "sweep.json"
+        f.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "sweep", "--spec", str(f))
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["converse_ok"], r["error"]) for r in rows] == [
+            ("True", ""),
+            ("", "arithmetic overflows at alpha=1e-160: the replay error is not finite")]
+
     def test_a_non_finite_gain_gets_an_error_cell(self, capsys, tmp_path):
         spec = {"K": [7], "tl": [1], "tr": [1], "rl": [1], "rr": [1],
                 "alpha": [0.3, "nan"], "checks": ["mg"]}
@@ -523,6 +550,14 @@ class TestSimulateAndOffset:
         code, out, err = run(capsys, "offset", "--L", "-1", "--K", "7", "--alpha-star", "0.5")
         assert code == 2 and out == ""
         assert err == "error: L must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("alpha_star, shown", [("0", "0.0"), ("0.3", "0.3"),
+                                                    ("root:2:1", "root:2:1")])
+    def test_an_alpha_star_that_is_no_root_is_usage_error(self, capsys, alpha_star, shown):
+        code, out, err = run(capsys, "offset", "--L", "2", "--K", "7",
+                             "--alpha-star", alpha_star)
+        assert code == 2 and out == ""
+        assert err == f"error: alpha* must be a root of u_3, got {shown}\n"
 
     @pytest.mark.parametrize("lo, hi, n", [("5", "4", 0), ("4", "4", 1)],
                              ids=["no-gap", "one-gap"])

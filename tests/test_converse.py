@@ -263,6 +263,40 @@ class TestStructuralChecks:
         assert rep.failure is None and rep.ok
 
 
+class TestOverflowIsAnError:
+    """A verdict computed from numbers that overflowed is an error, never a pass."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_replay_that_overflows_raises(self):
+        p = P(K=6, t_left=1, t_right=1, r_left=1, r_right=1)
+        g = cv.build_sym_genie_ub1(p, 1e-160)
+        with pytest.raises(ValueError, match="^arithmetic overflows at alpha=1e-160: "
+                                             "the replay error is not finite$"):
+            cv.verify_reconstruction(g, model(p, nm.SYMMETRIC, 1e-160))
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_entropy_check_that_overflows_raises(self):
+        p = P(K=3)
+        g = cv.build_sym_genie_ub1(p, 1e-300)
+        with pytest.raises(ValueError, match="^arithmetic overflows at alpha=1e-300: "
+                                             "the genie noise covariance is not finite$"):
+            cv.genie_entropy_check(g, model(p, nm.SYMMETRIC, 1e-300))
+
+    def test_an_asym_noise_weight_that_overflows_raises(self):
+        with pytest.raises(ValueError, match="^arithmetic overflows at alpha=1e-160: "
+                                             "a geometric noise weight is not finite$"):
+            cv.build_asym_genie(P(K=7, t_left=1, t_right=1, r_left=1, r_right=1), 1e-160)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [1e-20, 1e300])
+    def test_large_finite_numbers_still_give_a_verdict(self, alpha):
+        p = P(K=6, t_left=1, t_right=1, r_left=1, r_right=1)
+        m = model(p, nm.SYMMETRIC, alpha)
+        g = cv.build_sym_genie_ub1(p, alpha)
+        assert math.isfinite(cv.verify_reconstruction(g, m).max_abs_error)
+        assert math.isfinite(cv.genie_entropy_check(g, m).min_eigenvalue)
+
+
 class TestEntropyCondition:
     def test_asym_example(self):
         p = P(K=7, t_left=2, t_right=1, r_left=2, r_right=1)

@@ -171,6 +171,15 @@ class TestOffsetExperiment:
         with pytest.raises(ValueError):
             sim.offset_experiment(2, ROOT3, 7, alpha_gaps=[0.1, 0.0])
 
+    @pytest.mark.parametrize("alpha_star", [0.3, RootAlpha(2, 1), 0.7071])
+    def test_alpha_star_must_be_a_root_of_the_next_order(self, alpha_star):
+        with pytest.raises(ValueError, match="^alpha\\* must be a root of u_3, got "):
+            sim.offset_experiment(2, alpha_star, 7)
+
+    def test_the_float_value_of_a_root_is_accepted(self):
+        curve = sim.offset_experiment(2, float(ROOT3), 7)
+        assert curve.alpha_star == ROOT3.value
+
     def test_network_size_validated(self):
         with pytest.raises(ValueError):
             sim.offset_experiment(2, ROOT3, 8)
