@@ -82,9 +82,16 @@ class GeniePartition:
     alpha_token: Optional[str]
     group_a: Tuple[int, ...]
     groups_b: Tuple[Tuple[int, ...], ...]
-    r_a: Tuple[int, ...]
     genies: Tuple[GenieSignal, ...]
     steps: Tuple[ReconstructionStep, ...]
+
+    @functools.cached_property
+    def r_a(self) -> Tuple[int, ...]:
+        """R_A, the antennas A observes: the union of A's clusters."""
+        out = set()
+        for k in self.group_a:
+            out.update(self.params.rx_window(k))
+        return tuple(sorted(out))
 
     @property
     def bound(self) -> int:
@@ -94,6 +101,9 @@ class GeniePartition:
         return tuple(sorted(set(range(1, self.params.K + 1)) - set(self.r_a)))
 
     def to_json(self) -> dict:
+        if not all(math.isfinite(c) for g in self.genies  # JSON has no inf or nan
+                   for _, c in g.noise_coeff + g.input_coeff):
+            raise _overflow(self.alpha_token, "a genie coefficient")
         return {
             "family": self.family,
             "bound": self.bound,
@@ -125,11 +135,18 @@ def _quiet(func):
     return run
 
 
-def _reach_of(params: NetworkParams, group) -> Tuple[int, ...]:
-    out = set()
-    for k in group:
-        out.update(params.rx_window(k))
-    return tuple(sorted(out))
+def _partition(params: NetworkParams, topology: str, family: str, alpha,
+               group_a, groups_b=(), genies=(), steps=()) -> GeniePartition:
+    """The partition with A sorted and deduplicated and the receivers in
+    neither A nor groups_b, if any, as the last B group.  alpha is the gain,
+    or the token of a built partition's gain."""
+    group_a = tuple(sorted(set(group_a)))
+    placed = set(group_a).union(*groups_b)
+    rest = tuple(k for k in range(1, params.K + 1) if k not in placed)
+    token = alpha if isinstance(alpha, str) else alpha_token(alpha)
+    return GeniePartition(params, topology, family, token, group_a,
+                          tuple(groups_b) + ((rest,) if rest else ()),
+                          tuple(genies), tuple(steps))
 
 
 class _TermBag:
@@ -205,15 +222,6 @@ def _materialize(bag: _TermBag, target: int, round_no: int,
     ))
 
 
-def _whole_network(params: NetworkParams, topology: str, family: str,
-                   alpha: AlphaLike) -> GeniePartition:
-    """The trivial partition: A is every receiver and nothing is hidden."""
-    every = tuple(range(1, params.K + 1))
-    return GeniePartition(params, topology, family, alpha_token(alpha),
-                          group_a=every, groups_b=(), r_a=every,
-                          genies=(), steps=())
-
-
 # ---------------------------------------------------------------------------
 # asymmetric construction
 # ---------------------------------------------------------------------------
@@ -234,15 +242,13 @@ def build_asym_genie(params: NetworkParams, alpha: AlphaLike) -> GeniePartition:
     pA = rl + tl + 1
     num = K - tl - rl - 1
     gamma = 0 if num <= 0 else -((-num) // beta)
-    if gamma == 0:
-        return _whole_network(params, ASYMMETRIC, "asym", alpha)
+    if gamma == 0:  # the whole network cooperates and nothing is hidden
+        return _partition(params, ASYMMETRIC, "asym", alpha, range(1, K + 1))
 
     group_a: List[int] = []
     for m in range(gamma - 1):
         group_a.extend(range(m * beta + rl + 2, (m + 1) * beta - rr + 1))
     group_a.extend(range((gamma - 1) * beta + rl + 2, K + 1))
-    group_a = sorted(set(group_a))
-    b1 = tuple(sorted(set(range(1, K + 1)) - set(group_a)))
 
     genies: List[GenieSignal] = []
     steps: List[ReconstructionStep] = []
@@ -276,10 +282,8 @@ def build_asym_genie(params: NetworkParams, alpha: AlphaLike) -> GeniePartition:
             x_terms=tuple(sorted((k, v) for k, v in xterms.items() if 1 <= k <= K)),
             v_terms=((m, 1.0),),
         ))
-    return GeniePartition(params, ASYMMETRIC, "asym", alpha_token(alpha),
-                          group_a=tuple(group_a), groups_b=(b1,),
-                          r_a=_reach_of(params, group_a),
-                          genies=tuple(genies), steps=tuple(steps))
+    return _partition(params, ASYMMETRIC, "asym", alpha, group_a,
+                      genies=genies, steps=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +304,9 @@ def mirror_partition(part: GeniePartition, params: NetworkParams) -> GeniePartit
     steps = tuple(ReconstructionStep(s.round_no, ref(s.target), mt(s.y_terms),
                                      mt(s.x_terms), s.v_terms)
                   for s in part.steps)
-    return GeniePartition(
-        params=params, topology=part.topology,
-        family=part.family + "-mirrored", alpha_token=part.alpha_token,
-        group_a=tuple(sorted(ref(k) for k in part.group_a)),
-        groups_b=tuple(tuple(sorted(ref(k) for k in b)) for b in part.groups_b),
-        r_a=tuple(sorted(ref(k) for k in part.r_a)),
-        genies=genies, steps=steps)
+    return _partition(params, part.topology, part.family + "-mirrored", part.alpha_token,
+                      map(ref, part.group_a),
+                      [tuple(sorted(map(ref, b))) for b in part.groups_b], genies, steps)
 
 
 @_quiet
@@ -330,7 +330,7 @@ def build_sym_genie_ub1(params: NetworkParams, alpha: AlphaLike) -> GeniePartiti
     if theta == 1 and kappa < tl + rl + 2:
         return mirror_partition(build_sym_genie_ub1(params.mirrored(), alpha), params)
     if gamma == 0 and theta == 0:
-        return _whole_network(params, SYMMETRIC, "ub1", alpha)
+        return _partition(params, SYMMETRIC, "ub1", alpha, range(1, K + 1))
 
     pL, pR = tl + rl + 1, tr + rr + 1
     above = (pL, m_inverse(pL, a))
@@ -344,8 +344,6 @@ def build_sym_genie_ub1(params: NetworkParams, alpha: AlphaLike) -> GeniePartiti
         group_a.extend(range(m * beta + rl + 2, hi + 1))
     if theta == 1:
         group_a.extend(range(gamma * beta + rl + 2, K + 1))
-    group_a = sorted(set(group_a))
-    b1 = tuple(sorted(set(range(1, K + 1)) - set(group_a)))
 
     genies: List[GenieSignal] = []
     steps: List[ReconstructionStep] = []
@@ -360,10 +358,8 @@ def build_sym_genie_ub1(params: NetworkParams, alpha: AlphaLike) -> GeniePartiti
         bag = _TermBag(K)
         _rebuild(bag, K, K, K, below, above, a)
         _materialize(bag, K, 1, genies, steps)
-    return GeniePartition(params, SYMMETRIC, "ub1", alpha_token(alpha),
-                          group_a=tuple(group_a), groups_b=(b1,),
-                          r_a=_reach_of(params, group_a),
-                          genies=tuple(genies), steps=tuple(steps))
+    return _partition(params, SYMMETRIC, "ub1", alpha, group_a,
+                      genies=genies, steps=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +418,7 @@ def build_sym_genie_ub2(params: NetworkParams, alpha: AlphaLike) -> GeniePartiti
     below = (pR, m_inverse(pR, a))
 
     if gamma == 0 and theta == 0:
-        return _whole_network(params, SYMMETRIC, "ub2", alpha)
+        return _partition(params, SYMMETRIC, "ub2", alpha, range(1, K + 1))
 
     group_a: List[int] = list(range(1, tr + 2)) if gamma >= 1 else []
     for m in range(1, gamma):
@@ -432,7 +428,6 @@ def build_sym_genie_ub2(params: NetworkParams, alpha: AlphaLike) -> GeniePartiti
         group_a.extend(range(gamma * beta - tl + 1, tail_hi + 1))
     else:
         group_a.extend(range(1, tail_hi + 1))
-    group_a = sorted(set(group_a))
 
     groups_b: List[Tuple[int, ...]] = []
     genies: List[GenieSignal] = []
@@ -458,13 +453,7 @@ def build_sym_genie_ub2(params: NetworkParams, alpha: AlphaLike) -> GeniePartiti
         _rebuild(bag, K, K, K, below, above, a)
         _materialize(bag, K, 2 * gamma + 1, genies, steps)
         groups_b.append(tuple(range(K - rr, K + 1)))
-    leftover = set(range(1, K + 1)) - set(group_a) - {k for b in groups_b for k in b}
-    if leftover:
-        groups_b.append(tuple(sorted(leftover)))
-    return GeniePartition(params, SYMMETRIC, "ub2", alpha_token(alpha),
-                          group_a=tuple(group_a), groups_b=tuple(groups_b),
-                          r_a=_reach_of(params, group_a),
-                          genies=tuple(genies), steps=tuple(steps))
+    return _partition(params, SYMMETRIC, "ub2", alpha, group_a, groups_b, genies, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +490,7 @@ def build_offset_genie(params: NetworkParams, alpha: AlphaLike) -> GeniePartitio
     group_a: List[int] = list(range(rl + 2, L + tr + 3))
     for m in range(1, gamma + 1):
         group_a.extend(range(m * beta + rl + 1, m * beta + L + tr + 3))
-    group_a = sorted(set(x for x in group_a if 1 <= x <= K))
+    group_a = [x for x in group_a if x <= K]
 
     genies: List[GenieSignal] = []
     steps: List[ReconstructionStep] = []
@@ -526,12 +515,8 @@ def build_offset_genie(params: NetworkParams, alpha: AlphaLike) -> GeniePartitio
         _rebuild(bag, K, K, K, window, window, a)
         _materialize(bag, K, 2, genies, steps)
 
-    b1 = (rl + 1,)
-    rest = tuple(sorted(set(range(1, K + 1)) - set(group_a) - set(b1)))
-    return GeniePartition(params, SYMMETRIC, "offset", alpha_token(alpha),
-                          group_a=tuple(group_a), groups_b=(b1, rest),
-                          r_a=_reach_of(params, group_a),
-                          genies=tuple(genies), steps=tuple(steps))
+    return _partition(params, SYMMETRIC, "offset", alpha, group_a, [(rl + 1,)],
+                      genies, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,8 @@ def sym_dof_interval(params: NetworkParams,
     symmetric side-information the probability-1 value K - floor(K/(L+2)) is
     exact.  Explicit unequal gains: determinant-free bounds only.
     """
+    if alpha_or_gains is None:
+        raise ValueError("sym_dof_interval needs the cross-gain: an alpha or a CrossGainAssignment")
     K = params.K
     gains = alpha_or_gains if isinstance(alpha_or_gains, CrossGainAssignment) else None
     alpha = alpha_or_gains if gains is None else gains.alpha  # None for unequal gains

@@ -287,6 +287,12 @@ class TestOverflowIsAnError:
                                              "a geometric noise weight is not finite$"):
             cv.build_asym_genie(P(K=7, t_left=1, t_right=1, r_left=1, r_right=1), 1e-160)
 
+    def test_a_partition_whose_coefficients_overflow_has_no_json(self):
+        g = cv.build_sym_genie_ub1(P(K=6, t_left=1, t_right=1, r_left=1, r_right=1), 1e-160)
+        with pytest.raises(ValueError, match="^arithmetic overflows at alpha=1e-160: "
+                                             "a genie coefficient is not finite$"):
+            g.to_json()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha", [1e-20, 1e300])
     def test_large_finite_numbers_still_give_a_verdict(self, alpha):
@@ -295,6 +301,37 @@ class TestOverflowIsAnError:
         g = cv.build_sym_genie_ub1(p, alpha)
         assert math.isfinite(cv.verify_reconstruction(g, m).max_abs_error)
         assert math.isfinite(cv.genie_entropy_check(g, m).min_eigenvalue)
+
+
+class TestPartitionInvariants:
+    """Every family, and its mirror where one applies, builds a partition
+    whose groups split the receivers and whose R_A is A's clusters."""
+
+    BUILDERS = [("asym", cv.build_asym_genie, False), ("ub1", cv.build_sym_genie_ub1, True),
+                ("ub2", cv.build_sym_genie_ub2, True), ("offset", cv.build_offset_genie, True)]
+    GAINS = [0.3, -1.4, RootAlpha(2, 1), ROOT3, RootAlpha(4, 1), RootAlpha(5, 2)]
+
+    def test_groups_split_the_receivers_and_r_a_is_the_reach_of_a(self):
+        built = dict.fromkeys([name for name, _, _ in self.BUILDERS], 0)
+        for K in range(1, 13):
+            for side in product(range(3), repeat=4):
+                p = P(K, *side)
+                for (name, build, can_mirror), a in product(self.BUILDERS, self.GAINS):
+                    for mirror in (False, True) if can_mirror else (False,):
+                        try:
+                            g = (cv.mirror_partition(build(p.mirrored(), a), p) if mirror
+                                 else build(p, a))
+                        except ValueError:  # the family does not apply here
+                            continue
+                        groups = (g.group_a,) + g.groups_b
+                        assert all(list(grp) == sorted(grp) for grp in groups), g
+                        assert sorted(k for grp in groups for k in grp) == \
+                            list(range(1, K + 1)), g
+                        reach = {i for k in g.group_a for i in p.rx_window(k)}
+                        assert g.r_a == tuple(sorted(reach)), g
+                        assert g.bound == len(g.r_a)
+                        built[name] += 1
+        assert min(built.values()) > 100, built
 
 
 class TestEntropyCondition:

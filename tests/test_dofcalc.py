@@ -191,6 +191,12 @@ class TestGeneralBounds:
         assert iv2.lower <= iv2.upper
 
 
+    def test_a_missing_gain_is_a_value_error(self):
+        with pytest.raises(ValueError, match="^sym_dof_interval needs the cross-gain: an alpha "
+                                             "or a CrossGainAssignment$"):
+            dc.sym_dof_interval(P(K=6, t_left=1, t_right=1, r_left=1, r_right=1), None)
+
+
 class TestPowerOffsetPrediction:
     def test_formula(self):
         v = dc.power_offset_prediction(2, ROOT3.value + 0.1, ROOT3, 1)

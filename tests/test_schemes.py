@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dense_certify as dense
+import mimo_subnet_branches as branches
 from wynerdof import dofcalc as dc
 from wynerdof import netmodel as nm
 from wynerdof import schemes as sc
@@ -656,3 +657,30 @@ class TestEveryPlanUnchanged:
                         text = f"{type(exc).__name__}: {exc}"
                     h.update(f"{p} {name} {text}\n".encode())
         assert h.hexdigest() == self.DIGEST
+
+
+class TestMimoSubnetMatchesTheBranches:
+    """The transmit/receive-dual MIMO subnet rule against the three
+    branches it replaced (tests/mimo_subnet_branches.py): equal subnets,
+    block fields, tags and deps."""
+
+    GAINS = [0.3, -0.45, 1.7] + [ra for p in range(2, 9)
+                                  for ra in critical_roots(p).root_alphas]
+
+    def test_every_split_size_offset_and_gain(self):
+        cases = 0
+        for L in range(7):
+            for tl, tr in product(range(L + 1), repeat=2):
+                for kappa in range(1, L + 3):
+                    for offset in (0, 7):
+                        p = P(offset + kappa, tl, tr, L - tl, L - tr)
+                        for alpha in self.GAINS:
+                            got, got_deps = sc._mimo_subnet(p, offset, kappa, alpha)
+                            want, want_deps = branches._mimo_subnet(p, offset, kappa, alpha)
+                            where = (p, offset, kappa, alpha)
+                            assert got.mimo_blocks[0].tag == want.mimo_blocks[0].tag, where
+                            assert got == want, where
+                            assert got_deps == want_deps, where
+                            cases += 1
+        assert cases == 64680
+        assert len(self.GAINS) == 3 + 2 * sum(p // 2 for p in range(2, 9))
