@@ -4,8 +4,10 @@ Each construction partitions the receivers into a cooperating group A and
 ordered groups B_1..B_q, reveals linear noise combinations (genies) to A,
 and supplies round-by-round recipes that rebuild every antenna output A
 cannot see from: outputs A observes (or rebuilt in earlier rounds), inputs
-computable from messages decoded so far, and the genies.  The resulting
-bound on the multiplexing gain is |R_A|, the number of antennas A observes.
+computable from messages decoded so far, and the genies.  A is derived from
+the recipes: every receiver whose cluster holds no rebuilt output.  The
+resulting bound on the multiplexing gain is |R_A|, the number of antennas A
+observes.
 
 The recipes are pure linear algebra over the channel law, so they are
 checked here numerically on sampled data to machine precision; the
@@ -125,6 +127,13 @@ def _overflow(token: Optional[str], what: str) -> ValueError:
     return ValueError(f"arithmetic overflows at alpha={token}: {what} is not finite")
 
 
+def _index(idx: int, K: int) -> int:
+    """idx, or ValueError when it lies outside 1..K."""
+    if not 1 <= idx <= K:
+        raise ValueError(f"index {idx} outside 1..{K}")
+    return idx
+
+
 def _quiet(func):
     """Run func with numpy's overflow and invalid-value warnings off: the
     verdicts check their own numbers and raise _overflow instead."""
@@ -135,14 +144,26 @@ def _quiet(func):
     return run
 
 
+def _seers(params: NetworkParams, antennas) -> set:
+    """The receivers whose cluster holds one of `antennas` (k sees t iff
+    t - r_right <= k <= t + r_left), indices outside 1..K included."""
+    out = set()
+    for t in antennas:
+        out.update(range(t - params.r_right, t + params.r_left + 1))
+    return out
+
+
 def _partition(params: NetworkParams, topology: str, family: str, alpha,
-               group_a, groups_b=(), genies=(), steps=()) -> GeniePartition:
-    """The partition with A sorted and deduplicated and the receivers in
-    neither A nor groups_b, if any, as the last B group.  alpha is the gain,
-    or the token of a built partition's gain."""
-    group_a = tuple(sorted(set(group_a)))
-    placed = set(group_a).union(*groups_b)
-    rest = tuple(k for k in range(1, params.K + 1) if k not in placed)
+               groups_b=(), genies=(), steps=()) -> GeniePartition:
+    """The partition whose A is every receiver whose cluster holds no output
+    the steps rebuild, with the receivers in neither A nor groups_b, if any,
+    as the last B group.  alpha is the gain, or the token of a built
+    partition's gain."""
+    sees = _seers(params, (st.target for st in steps))
+    unplaced = sees.difference(*groups_b)
+    receivers = range(1, params.K + 1)
+    group_a = tuple(k for k in receivers if k not in sees)
+    rest = tuple(k for k in receivers if k in unplaced)
     token = alpha if isinstance(alpha, str) else alpha_token(alpha)
     return GeniePartition(params, topology, family, token, group_a,
                           tuple(groups_b) + ((rest,) if rest else ()),
@@ -242,13 +263,6 @@ def build_asym_genie(params: NetworkParams, alpha: AlphaLike) -> GeniePartition:
     pA = rl + tl + 1
     num = K - tl - rl - 1
     gamma = 0 if num <= 0 else -((-num) // beta)
-    if gamma == 0:  # the whole network cooperates and nothing is hidden
-        return _partition(params, ASYMMETRIC, "asym", alpha, range(1, K + 1))
-
-    group_a: List[int] = []
-    for m in range(gamma - 1):
-        group_a.extend(range(m * beta + rl + 2, (m + 1) * beta - rr + 1))
-    group_a.extend(range((gamma - 1) * beta + rl + 2, K + 1))
 
     genies: List[GenieSignal] = []
     steps: List[ReconstructionStep] = []
@@ -282,8 +296,7 @@ def build_asym_genie(params: NetworkParams, alpha: AlphaLike) -> GeniePartition:
             x_terms=tuple(sorted((k, v) for k, v in xterms.items() if 1 <= k <= K)),
             v_terms=((m, 1.0),),
         ))
-    return _partition(params, ASYMMETRIC, "asym", alpha, group_a,
-                      genies=genies, steps=steps)
+    return _partition(params, ASYMMETRIC, "asym", alpha, genies=genies, steps=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +318,6 @@ def mirror_partition(part: GeniePartition, params: NetworkParams) -> GeniePartit
                                      mt(s.x_terms), s.v_terms)
                   for s in part.steps)
     return _partition(params, part.topology, part.family + "-mirrored", part.alpha_token,
-                      map(ref, part.group_a),
                       [tuple(sorted(map(ref, b))) for b in part.groups_b], genies, steps)
 
 
@@ -329,21 +341,12 @@ def build_sym_genie_ub1(params: NetworkParams, alpha: AlphaLike) -> GeniePartiti
     theta = 1 if kappa >= min(tl + rl + 2, tr + rr + 2) else 0
     if theta == 1 and kappa < tl + rl + 2:
         return mirror_partition(build_sym_genie_ub1(params.mirrored(), alpha), params)
-    if gamma == 0 and theta == 0:
-        return _partition(params, SYMMETRIC, "ub1", alpha, range(1, K + 1))
+    if gamma == 0 and theta == 0:  # the tail rule below would hide antenna K
+        return _partition(params, SYMMETRIC, "ub1", alpha)
 
     pL, pR = tl + rl + 1, tr + rr + 1
     above = (pL, m_inverse(pL, a))
     below = (pR, m_inverse(pR, a))
-
-    group_a: List[int] = []
-    for m in range(gamma):
-        hi = m * beta + rl + tl + tr + 3
-        if theta == 0 and m == gamma - 1:
-            hi = K - rr - 1
-        group_a.extend(range(m * beta + rl + 2, hi + 1))
-    if theta == 1:
-        group_a.extend(range(gamma * beta + rl + 2, K + 1))
 
     genies: List[GenieSignal] = []
     steps: List[ReconstructionStep] = []
@@ -358,8 +361,7 @@ def build_sym_genie_ub1(params: NetworkParams, alpha: AlphaLike) -> GeniePartiti
         bag = _TermBag(K)
         _rebuild(bag, K, K, K, below, above, a)
         _materialize(bag, K, 1, genies, steps)
-    return _partition(params, SYMMETRIC, "ub1", alpha, group_a,
-                      genies=genies, steps=steps)
+    return _partition(params, SYMMETRIC, "ub1", alpha, genies=genies, steps=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +419,6 @@ def build_sym_genie_ub2(params: NetworkParams, alpha: AlphaLike) -> GeniePartiti
     above = (pL, m_inverse(pL, a))
     below = (pR, m_inverse(pR, a))
 
-    if gamma == 0 and theta == 0:
-        return _partition(params, SYMMETRIC, "ub2", alpha, range(1, K + 1))
-
-    group_a: List[int] = list(range(1, tr + 2)) if gamma >= 1 else []
-    for m in range(1, gamma):
-        group_a.extend(range(m * beta - tl + 1, m * beta + tr + 2))
-    tail_hi = K - rr - 1 if theta == 1 else K
-    if gamma >= 1:
-        group_a.extend(range(gamma * beta - tl + 1, tail_hi + 1))
-    else:
-        group_a.extend(range(1, tail_hi + 1))
-
     groups_b: List[Tuple[int, ...]] = []
     genies: List[GenieSignal] = []
     steps: List[ReconstructionStep] = []
@@ -453,7 +443,7 @@ def build_sym_genie_ub2(params: NetworkParams, alpha: AlphaLike) -> GeniePartiti
         _rebuild(bag, K, K, K, below, above, a)
         _materialize(bag, K, 2 * gamma + 1, genies, steps)
         groups_b.append(tuple(range(K - rr, K + 1)))
-    return _partition(params, SYMMETRIC, "ub2", alpha, group_a, groups_b, genies, steps)
+    return _partition(params, SYMMETRIC, "ub2", alpha, groups_b, genies, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +477,6 @@ def build_offset_genie(params: NetworkParams, alpha: AlphaLike) -> GeniePartitio
     vs = v_sequence(L + 1, a)
     window = (L + 1, m_inverse(L + 1, a))
 
-    group_a: List[int] = list(range(rl + 2, L + tr + 3))
-    for m in range(1, gamma + 1):
-        group_a.extend(range(m * beta + rl + 1, m * beta + L + tr + 3))
-    group_a = [x for x in group_a if x <= K]
-
     genies: List[GenieSignal] = []
     steps: List[ReconstructionStep] = []
     # round 1: antenna 1 through the dependent-row combination of v weights
@@ -515,8 +500,7 @@ def build_offset_genie(params: NetworkParams, alpha: AlphaLike) -> GeniePartitio
         _rebuild(bag, K, K, K, window, window, a)
         _materialize(bag, K, 2, genies, steps)
 
-    return _partition(params, SYMMETRIC, "offset", alpha, group_a, [(rl + 1,)],
-                      genies, steps)
+    return _partition(params, SYMMETRIC, "offset", alpha, [(rl + 1,)], genies, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +525,14 @@ class ReconstructionReport:
 
 def _structural_check(partition: GeniePartition) -> Optional[str]:
     """The first recipe that uses an output or a message before the
-    procedure makes it available, or None.  Round r ends by decoding
-    groups_b[r-1], whether or not it rebuilds anything."""
+    procedure makes it available, or the first B receiver that decodes
+    before its antennas are, or None.  Round r ends by decoding
+    groups_b[r-1], whether or not it rebuilds anything.  A target or term
+    index outside 1..K raises ValueError."""
     params = partition.params
+    K = params.K
     known = set(partition.r_a)
+    unknown = set(range(1, K + 1)).difference(known)
     msgs_known = set(partition.group_a)
     by_round: Dict[int, List[ReconstructionStep]] = {}
     for st in partition.steps:
@@ -553,18 +541,25 @@ def _structural_check(partition: GeniePartition) -> Optional[str]:
         new_targets = set()
         for st in by_round.get(rnd, ()):
             for idx, _ in st.y_terms:
-                if idx not in known:
-                    return (f"round {rnd}: output {idx} used before it is "
+                if idx not in known:  # every known output is in range
+                    return (f"round {rnd}: output {_index(idx, K)} used before it is "
                             f"observed or reconstructed")
             for idx, _ in st.x_terms:
-                window = set(params.tx_window(idx))
-                if not window <= msgs_known:
+                window = params.tx_window(_index(idx, K))
+                if not msgs_known.issuperset(window):
                     return (f"round {rnd}: input {idx} needs messages "
-                            f"{sorted(window - msgs_known)} not yet decoded")
-            new_targets.add(st.target)
+                            f"{sorted(set(window) - msgs_known)} not yet decoded")
+            new_targets.add(_index(st.target, K))
         known |= new_targets
+        unknown -= new_targets
         if 1 <= rnd <= len(partition.groups_b):
-            msgs_known |= set(partition.groups_b[rnd - 1])
+            late = _seers(params, unknown).intersection(partition.groups_b[rnd - 1])
+            if late:
+                k = min(late)
+                return (f"round {rnd}: receiver {k} decodes before antennas "
+                        f"{sorted(unknown.intersection(params.rx_window(k)))} "
+                        f"are observed or reconstructed")
+            msgs_known.update(partition.groups_b[rnd - 1])
     return None
 
 
@@ -576,10 +571,12 @@ def verify_reconstruction(partition: GeniePartition, model: ChannelModel,
     report the worst absolute reconstruction error.
 
     Structural problems (a recipe consuming an output or message before the
-    procedure makes it available) are reported before any numeric work.
-    Every encoder may use its whole cognition window, the model's worst case.
-    A replay error that is not finite (coefficients or outputs that
-    overflow) raises ValueError rather than give a verdict.
+    procedure makes it available, or a B receiver decoding before its
+    antennas are) are reported before any numeric work.  Every encoder may
+    use its whole cognition window, the model's worst case.  A replay error
+    that is not finite (coefficients or outputs that overflow), or an index
+    outside 1..K where it is read, raises ValueError rather than give a
+    verdict.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -601,9 +598,9 @@ def verify_reconstruction(partition: GeniePartition, model: ChannelModel,
     for g in partition.genies:
         acc = np.zeros(trials)
         for idx, c in g.noise_coeff:
-            acc += c * n[idx - 1]
+            acc += c * n[_index(idx, K) - 1]
         for idx, c in g.input_coeff:
-            acc += c * x[idx - 1]
+            acc += c * x[_index(idx, K) - 1]
         vvals[g.index] = acc
     rec = {}  # reconstructed outputs, used by later rounds
     errors = []
@@ -645,7 +642,8 @@ def genie_entropy_check(partition: GeniePartition, model: ChannelModel) -> Entro
     Input-carrying components (power-offset genie) are excluded here; their
     contribution is bounded separately through the genie's input coefficients.
     Coefficients are plain constants, so nothing depends on the power.  A
-    genie covariance or eigenvalue that is not finite raises ValueError.
+    genie covariance or eigenvalue that is not finite, or a genie noise
+    index outside 1..K, raises ValueError.
     """
     if partition.params != model.params or partition.topology != model.topology:
         raise ValueError("partition and model describe different instances")
@@ -656,7 +654,7 @@ def genie_entropy_check(partition: GeniePartition, model: ChannelModel) -> Entro
     C = np.zeros((len(partition.genies), K))
     for i, g in enumerate(partition.genies):
         for idx, c in g.noise_coeff:
-            C[i, idx - 1] = c
+            C[i, _index(idx, K) - 1] = c
     cc = C @ C.T  # its diagonal sums every coefficient squared
     if not np.isfinite(cc).all():
         raise _overflow(partition.alpha_token, "the genie noise covariance")

@@ -5,6 +5,8 @@ from itertools import product
 import numpy as np
 import pytest
 
+from genie_groups_oracle import (asym_group_a, mirror_group_a, offset_group_a, ub1_group_a,
+                                 ub2_group_a)
 from wynerdof import converse as cv
 from wynerdof import dofcalc as dc
 from wynerdof import netmodel as nm
@@ -262,6 +264,56 @@ class TestStructuralChecks:
         rep = cv.verify_reconstruction(staged, model(p, nm.SYMMETRIC, ROOT3), trials=20)
         assert rep.failure is None and rep.ok
 
+    def test_a_b_receiver_decodes_only_from_antennas_it_has(self):
+        # ub1 rebuilds Y_1, Y_8, Y_9 and B is (1, 2, 7, 8, 9, 10); without the
+        # step that rebuilds Y_1 the other recipes still replay exactly, but
+        # receiver 1 cannot decode
+        p = P(K=12, t_left=1, t_right=1, r_left=1, r_right=1)
+        g = cv.build_sym_genie_ub1(p, 0.9)
+        assert [s.target for s in g.steps] == [1, 8, 9]
+        assert g.groups_b == ((1, 2, 7, 8, 9, 10),)
+        rep = cv.verify_reconstruction(dataclasses.replace(g, steps=g.steps[1:]),
+                                       model(p, nm.SYMMETRIC, 0.9))
+        assert (rep.ok, rep.trials) == (False, 0)
+        assert rep.failure == ("round 1: receiver 1 decodes before antennas [1] "
+                               "are observed or reconstructed")
+
+
+def _with_index(g, kind, bad):
+    """g with one index of the given kind set to `bad`."""
+    step, genie = g.steps[0], g.genies[0]
+    if kind == "target":
+        return dataclasses.replace(g, steps=(dataclasses.replace(step, target=bad),)
+                                   + g.steps[1:])
+    if kind in ("y", "x"):
+        field = kind + "_terms"
+        step = dataclasses.replace(step, **{field: getattr(step, field) + ((bad, 0.5),)})
+        return dataclasses.replace(g, steps=(step,) + g.steps[1:])
+    field = kind + "_coeff"
+    genie = dataclasses.replace(genie, **{field: getattr(genie, field) + ((bad, 0.5),)})
+    return dataclasses.replace(g, genies=(genie,) + g.genies[1:])
+
+
+class TestIndexOutsideTheNetwork:
+    """An index outside 1..K is an error where it is read, never a wrapped
+    numpy column or a verdict."""
+
+    P12 = P(K=12, t_left=1, t_right=1, r_left=1, r_right=1)
+
+    @pytest.mark.parametrize("bad", [0, 13])
+    @pytest.mark.parametrize("kind", ["target", "y", "x", "noise", "input"])
+    def test_the_replay_raises(self, kind, bad):
+        g = _with_index(cv.build_sym_genie_ub1(self.P12, 0.9), kind, bad)
+        with pytest.raises(ValueError, match=rf"^index {bad} outside 1\.\.12$"):
+            cv.verify_reconstruction(g, model(self.P12, nm.SYMMETRIC, 0.9))
+
+    @pytest.mark.parametrize("bad", [0, 13])
+    def test_the_entropy_check_raises_on_a_genie_noise_index(self, bad):
+        # the entropy check reads no step and no genie input
+        g = _with_index(cv.build_sym_genie_ub1(self.P12, 0.9), "noise", bad)
+        with pytest.raises(ValueError, match=rf"^index {bad} outside 1\.\.12$"):
+            cv.genie_entropy_check(g, model(self.P12, nm.SYMMETRIC, 0.9))
+
 
 class TestOverflowIsAnError:
     """A verdict computed from numbers that overflowed is an error, never a pass."""
@@ -332,6 +384,36 @@ class TestPartitionInvariants:
                         assert g.bound == len(g.r_a)
                         built[name] += 1
         assert min(built.values()) > 100, built
+
+
+class TestGroupAOracle:
+    """The derived A equals the hand-written formulas the builders used
+    before, for every family and its mirror (tests/genie_groups_oracle.py)."""
+
+    DECIMAL = [0.3, -1.4]
+    ROOTS = [RootAlpha(p, k) for p in range(2, 6) for k in range(1, p // 2 + 1)]
+    FAMILIES = [(cv.build_asym_genie, asym_group_a, DECIMAL),
+                (cv.build_sym_genie_ub1, ub1_group_a, DECIMAL),
+                (cv.build_sym_genie_ub2, ub2_group_a, ROOTS + [RootAlpha(3, 1, -1)]),
+                (cv.build_offset_genie, offset_group_a, DECIMAL + ROOTS)]
+
+    def test_derived_a_equals_the_hand_written_formulas(self):
+        compared = {build.__name__: 0 for build, _, _ in self.FAMILIES}
+        for K in range(1, 21):
+            for side in product(range(3), repeat=4):
+                p = P(K, *side)
+                for build, oracle, gains in self.FAMILIES:
+                    for a, mirror in product(gains, (False, True)):
+                        try:
+                            g = (cv.mirror_partition(build(p.mirrored(), a), p) if mirror
+                                 else build(p, a))
+                        except ValueError:  # the family does not apply here
+                            continue
+                        want = (mirror_group_a(oracle(p.mirrored()), p) if mirror
+                                else oracle(p))
+                        assert g.group_a == want, (build.__name__, p, a, mirror)
+                        compared[build.__name__] += 1
+        assert min(compared.values()) > 100, compared
 
 
 class TestEntropyCondition:
