@@ -527,10 +527,14 @@ def _structural_check(partition: GeniePartition) -> Optional[str]:
     """The first recipe that uses an output or a message before the
     procedure makes it available, or the first B receiver that decodes
     before its antennas are, or None.  Round r ends by decoding
-    groups_b[r-1], whether or not it rebuilds anything.  A target or term
-    index outside 1..K raises ValueError."""
+    groups_b[r-1], whether or not it rebuilds anything.  A receiver in
+    neither A nor any B group never decodes, so it fails too.  A target or
+    term index outside 1..K raises ValueError."""
     params = partition.params
     K = params.K
+    unplaced = set(range(1, K + 1)).difference(partition.group_a, *partition.groups_b)
+    if unplaced:
+        return f"receiver {min(unplaced)} is in neither A nor any B group"
     known = set(partition.r_a)
     unknown = set(range(1, K + 1)).difference(known)
     msgs_known = set(partition.group_a)
@@ -570,13 +574,14 @@ def verify_reconstruction(partition: GeniePartition, model: ChannelModel,
     """Sample inputs and noises, replay the recipes round by round, and
     report the worst absolute reconstruction error.
 
-    Structural problems (a recipe consuming an output or message before the
-    procedure makes it available, or a B receiver decoding before its
-    antennas are) are reported before any numeric work.  Every encoder may
-    use its whole cognition window, the model's worst case.  A replay error
-    that is not finite (coefficients or outputs that overflow), or an index
-    outside 1..K where it is read, raises ValueError rather than give a
-    verdict.
+    Structural problems (a receiver in no group, a recipe consuming an
+    output or message before the procedure makes it available, or a B
+    receiver decoding before its antennas are) are reported before any
+    numeric work.  Every encoder may use its whole cognition window, the
+    model's worst case.  A replay error that is not finite (coefficients or
+    outputs that overflow), an index outside 1..K where it is read, or a
+    step naming a genie the partition does not have raises ValueError
+    rather than give a verdict.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -611,6 +616,9 @@ def verify_reconstruction(partition: GeniePartition, model: ChannelModel,
         for idx, c in st.x_terms:
             acc += c * x[idx - 1]
         for idx, c in st.v_terms:
+            if idx not in vvals:
+                raise ValueError(f"the step for output {st.target} uses genie {idx}, "
+                                 f"which the partition does not have")
             acc += c * vvals[idx]
         errors.append(np.max(np.abs(acc - y[st.target - 1])))
         rec[st.target] = acc

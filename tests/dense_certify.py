@@ -1,10 +1,11 @@
 """Reference certification on the dense channel, kept in the tests as an oracle.
 
 ``wynerdof.schemes.certify_plan`` reads the channel's 3 x K band: it walks
-each antenna against its three possible neighbours for coupling, reads
-pivots through ``ChannelModel.entry`` and keys block ranks on the band slice
-a block spans.  This module keeps the version that replaced, which reads the
-dense K x K matrix throughout: coupling from ``np.nonzero`` of the matrix,
+each antenna against its three possible neighbours for coupling and for a
+scalar step's interference, and keys block ranks on the band entries a
+block's submatrix can read (``certify_oracle`` keeps the first banded
+version).  This module keeps the dense version both replaced, which reads
+the dense K x K matrix throughout: coupling from ``np.nonzero`` of the matrix,
 pivots by dense indexing, window checks through ``tx_window``/``rx_window``
 sets and block ranks keyed on each dense submatrix's bytes.  It shares no
 code with the banded version but ``ChannelModel.matrix`` (built from the

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -199,6 +200,22 @@ class TestConverse:
         code, out, err = run(capsys, *argv, "--topology", "symmetric")
         assert code == 2 and out == ""
         assert err == f"error: arithmetic overflows at alpha={what} is not finite\n"
+
+    def test_a_step_naming_a_missing_genie_is_usage_error(self, capsys, monkeypatch):
+        from wynerdof import converse
+        ub1 = converse.build_sym_genie_ub1
+
+        def missing_genie(params, alpha):  # step 0 names genie 7, which ub1 does not have
+            g = ub1(params, alpha)
+            step = dataclasses.replace(g.steps[0], v_terms=((7, -1.0),))
+            return dataclasses.replace(g, steps=(step,) + g.steps[1:])
+
+        monkeypatch.setattr(converse, "build_sym_genie_ub1", missing_genie)
+        code, out, err = run(capsys, "converse", "--family", "ub1", "--topology", "symmetric",
+                             "--K", "12", *SI, "--alpha", "0.9")
+        assert code == 2 and out == ""
+        assert err == ("error: the step for output 1 uses genie 7, "
+                       "which the partition does not have\n")
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_fewer_than_one_trial_is_usage_error(self, capsys, trials):

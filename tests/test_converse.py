@@ -279,6 +279,28 @@ class TestStructuralChecks:
                                "are observed or reconstructed")
 
 
+    def test_a_receiver_in_no_group_fails(self):
+        # A is (3, 4, 5, 6, 11, 12); with no B group receivers 1, 2, 7, 8, 9
+        # and 10 never decode, yet every recipe still replays exactly
+        p = P(K=12, t_left=1, t_right=1, r_left=1, r_right=1)
+        g = cv.build_sym_genie_ub1(p, 0.9)
+        assert g.group_a == (3, 4, 5, 6, 11, 12)
+        rep = cv.verify_reconstruction(dataclasses.replace(g, groups_b=()),
+                                       model(p, nm.SYMMETRIC, 0.9))
+        assert (rep.ok, rep.trials) == (False, 0)
+        assert rep.failure == "receiver 1 is in neither A nor any B group"
+
+    def test_a_step_naming_a_missing_genie_raises(self):
+        p = P(K=12, t_left=1, t_right=1, r_left=1, r_right=1)
+        g = cv.build_sym_genie_ub1(p, 0.9)
+        assert 7 not in {gen.index for gen in g.genies}
+        g = dataclasses.replace(g, steps=(dataclasses.replace(g.steps[0], v_terms=((7, -1.0),)),)
+                                + g.steps[1:])
+        with pytest.raises(ValueError, match=r"^the step for output 1 uses genie 7, "
+                                             r"which the partition does not have$"):
+            cv.verify_reconstruction(g, model(p, nm.SYMMETRIC, 0.9))
+
+
 def _with_index(g, kind, bad):
     """g with one index of the given kind set to `bad`."""
     step, genie = g.steps[0], g.genies[0]

@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -185,6 +186,16 @@ class TestSampler:
     def test_all_draws_nonzero(self, K, seed):
         g = nm.sample_generic_gains(K, nm.SYMMETRIC, seed)
         assert all(abs(x) >= 0.1 for x in g.sub + g.sup)
+
+    def test_signs_are_the_draw_rng_choice_makes(self):
+        # indexing (-1, 1) by integers(0, 2) is what rng.choice does inside:
+        # the same signs, bit for bit, and the generator left in the same state
+        for seed, n in product(range(200), (0, 1, 5, 59)):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = nm._draw_nonzero(got_rng, n)
+            want = want_rng.uniform(0.1, 2.0, size=n) * want_rng.choice((-1.0, 1.0), size=n)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (seed, n)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, (seed, n)
 
 
 class TestJson:

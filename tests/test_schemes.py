@@ -6,6 +6,8 @@ from itertools import product
 import numpy as np
 import pytest
 
+import certify_oracle as oracle
+import plan_synthesis_oracle as synth_oracle
 import dense_certify as dense
 import mimo_subnet_branches as branches
 from wynerdof import dofcalc as dc
@@ -345,20 +347,21 @@ def every_family():
 
 
 class TestNonInterferenceOracle:
-    """certify_plan against the same check with the dense certifier's scan of
-    the channel's nonzeros (`dense_certify._first_coupling`)."""
+    """certify_plan against the certification it replaced
+    (tests/certify_oracle.py) with the dense certifier's scan of the
+    channel's nonzeros (`dense_certify._first_coupling`) in place of its
+    coupling scan."""
 
     @staticmethod
     def both(plan, m, monkeypatch):
-        def run():
+        def run(certify):
             try:
-                return sc.certify_plan(plan, m)
+                return certify(plan, m)
             except ValueError as exc:
                 return repr(exc)
-        fast = run()
         with monkeypatch.context() as mp:
-            mp.setattr(sc, "_first_coupling", dense._first_coupling)
-            return fast, run()
+            mp.setattr(oracle, "_first_coupling", dense._first_coupling)
+            return run(sc.certify_plan), run(oracle.certify_plan)
 
     def test_every_family_matches_the_oracle(self, monkeypatch):
         plans = every_family()
@@ -458,6 +461,35 @@ def _with_block(plan, i, **fields):
     return _with_subnet(plan, i, mimo_blocks=(blk,) + plan.subnets[i].mimo_blocks[1:])
 
 
+def hand_edited_plans():
+    """Hand edits of a pair-silencing plan (K = 9) and a chain plan (K = 8),
+    by name, each with the channel it is certified on."""
+    p = P(K=9, t_left=1, t_right=1, r_left=1, r_right=1)
+    sym = sc.sym_symmetric_si_plan(p, 0.3)
+    chain = sc.asym_plan(P(K=8, t_left=1, r_left=1))
+    step = chain.subnets[0].scalar_steps[0]
+    edits = {
+        "shared tx": _with_subnet(sym, 0, active_tx=(1, 2, 3, 5)),
+        "shared antenna": _with_subnet(sym, 1, rx_antennas=(3, 5, 6, 7)),
+        "rx index 0": _with_subnet(sym, 1, rx_antennas=(0, 5, 6, 7)),
+        "tx index K+1": _with_subnet(sym, 2, active_tx=(9, 10)),
+        "block tx 0": _with_block(sym, 0, tx=(0, 2, 3)),
+        "block tx K+1": _with_block(sym, 2, tx=(10,)),
+        "silenced step antenna": _with_subnet(chain, 0, scalar_steps=(
+            dataclasses.replace(step, antenna=4),) + chain.subnets[0].scalar_steps[1:]),
+        "silenced block antenna": _with_block(sym, 1, decoders=((5, (4, 5, 6)),)),
+        "non-adjacent step": _with_subnet(chain, 0, scalar_steps=(
+            dataclasses.replace(step, antenna=3),) + chain.subnets[0].scalar_steps[1:]),
+        "claimed total": dataclasses.replace(sym, claimed_dof=sym.claimed_dof - 1),
+    }
+    edits["silenced step antenna"] = dataclasses.replace(
+        edits["silenced step antenna"], silenced_rx=(4,))
+    sym_m = model(p, nm.SYMMETRIC, 0.3)
+    chain_m = model(chain.params, nm.ASYMMETRIC, 0.5)
+    return {name: (plan, chain_m if plan.topology == nm.ASYMMETRIC else sym_m)
+            for name, plan in edits.items()}
+
+
 class TestDenseOracle:
     """certify_plan on the band against the dense-matrix version it replaced."""
 
@@ -506,30 +538,7 @@ class TestDenseOracle:
                     self.same(plan, nm.build_channel(p, topo, g))
 
     def test_hand_edited_plans(self):
-        p = P(K=9, t_left=1, t_right=1, r_left=1, r_right=1)
-        sym = sc.sym_symmetric_si_plan(p, 0.3)
-        chain = sc.asym_plan(P(K=8, t_left=1, r_left=1))
-        step = chain.subnets[0].scalar_steps[0]
-        edits = {
-            "shared tx": _with_subnet(sym, 0, active_tx=(1, 2, 3, 5)),
-            "shared antenna": _with_subnet(sym, 1, rx_antennas=(3, 5, 6, 7)),
-            "rx index 0": _with_subnet(sym, 1, rx_antennas=(0, 5, 6, 7)),
-            "tx index K+1": _with_subnet(sym, 2, active_tx=(9, 10)),
-            "block tx 0": _with_block(sym, 0, tx=(0, 2, 3)),
-            "block tx K+1": _with_block(sym, 2, tx=(10,)),
-            "silenced step antenna": _with_subnet(chain, 0, scalar_steps=(
-                dataclasses.replace(step, antenna=4),) + chain.subnets[0].scalar_steps[1:]),
-            "silenced block antenna": _with_block(sym, 1, decoders=((5, (4, 5, 6)),)),
-            "non-adjacent step": _with_subnet(chain, 0, scalar_steps=(
-                dataclasses.replace(step, antenna=3),) + chain.subnets[0].scalar_steps[1:]),
-            "claimed total": dataclasses.replace(sym, claimed_dof=sym.claimed_dof - 1),
-        }
-        edits["silenced step antenna"] = dataclasses.replace(
-            edits["silenced step antenna"], silenced_rx=(4,))
-        sym_m = model(p, nm.SYMMETRIC, 0.3)
-        chain_m = model(chain.params, nm.ASYMMETRIC, 0.5)
-        got = {name: self.same(plan, chain_m if plan.topology == nm.ASYMMETRIC else sym_m)
-               for name, plan in edits.items()}
+        got = {name: self.same(plan, m) for name, (plan, m) in hand_edited_plans().items()}
         failure = lambda name: got[name]["failure"]
         assert failure("shared tx") == "subnets 1 and 0 couple through the channel"
         assert failure("shared antenna") == "subnets 1 and 0 couple through the channel"
@@ -566,6 +575,11 @@ class TestDenseOracle:
         sub[5], sup[5] = 0.3, 0.3
         fine = nm.build_channel(p, nm.SYMMETRIC, nm.CrossGainAssignment.explicit(sub, sup))
         assert self.same(plan, fine)["ok"]
+        # the blocks' first columns agree; only l2 u2 = 0.91 makes the second singular
+        sub, sup = [0.3] * 8, [0.3] * 8
+        sub[5], sup[5] = 1.0, 0.91
+        m = nm.build_channel(p, nm.SYMMETRIC, nm.CrossGainAssignment.explicit(sub, sup))
+        assert self.same(plan, m)["failure"] == "rank 2 < required 3 in subnet 1"
 
     def test_certify_never_builds_the_dense_channel(self, monkeypatch):
         def boom(self):
@@ -675,7 +689,7 @@ class TestMimoSubnetMatchesTheBranches:
                     for offset in (0, 7):
                         p = P(offset + kappa, tl, tr, L - tl, L - tr)
                         for alpha in self.GAINS:
-                            got, got_deps = sc._mimo_subnet(p, offset, kappa, alpha)
+                            got, got_deps = sc._mimo_subnet(sc._mimo_shape(p, kappa, alpha), offset)
                             want, want_deps = branches._mimo_subnet(p, offset, kappa, alpha)
                             where = (p, offset, kappa, alpha)
                             assert got.mimo_blocks[0].tag == want.mimo_blocks[0].tag, where
@@ -684,3 +698,166 @@ class TestMimoSubnetMatchesTheBranches:
                             cases += 1
         assert cases == 64680
         assert len(self.GAINS) == 3 + 2 * sum(p // 2 for p in range(2, 9))
+
+
+def outcome(run):
+    """run(), or the type and text of the exception it raises."""
+    try:
+        return run()
+    except Exception as exc:  # NotApplicableError included
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestEveryFamilyMatchesTheOracles:
+    """Every family's plan against the synthesis and the certification they
+    replaced (tests/plan_synthesis_oracle.py, tests/certify_oracle.py):
+    equal plan reprs or the same error, then equal Certifications field for
+    field or the same exception type and text."""
+
+    @staticmethod
+    def check(build, channels):
+        want = outcome(lambda: repr(build(synth_oracle)))
+        plan = outcome(lambda: build(sc))
+        if isinstance(plan, str):
+            assert plan == want
+            return set()
+        assert repr(plan) == want
+        out = set()
+        for m in channels:
+            got = outcome(lambda: sc.certify_plan(plan, m))
+            assert got == outcome(lambda: oracle.certify_plan(plan, m)), (plan, m.gains)
+            out.add("ok" if got.ok else got.failure.split(" ")[0])
+        return out
+
+    def test_pair_silencing_plans_at_roots_and_decimals(self):
+        # per instance a decimal and a root of one u_q the case split tests;
+        # every third size also a plan made at 0.3, certified at a root of u_{L+1}
+        outcomes, plans = set(), 0
+        for K in range(1, 61):
+            for tl, tr, rl in product(range(4), repeat=3):
+                rr = tl + rl - tr
+                if not 0 <= rr <= 3:
+                    continue
+                p, L = P(K, tl, tr, rl, rr), tl + rl
+                qs = [q for q in (L + 1, K % (L + 2), L) if q >= 2]
+                gains = [(0.3, -0.45)[K % 2]]
+                if qs:
+                    gains.append(RootAlpha(qs[K % len(qs)], 1, (-1) ** K))
+                for alpha in gains:
+                    outcomes |= self.check(lambda m: m.sym_symmetric_si_plan(p, alpha),
+                                           [model(p, nm.SYMMETRIC, alpha)])
+                if K % 3 == 0 and L >= 1:
+                    outcomes |= self.check(lambda m: m.sym_symmetric_si_plan(p, 0.3),
+                                           [model(p, nm.SYMMETRIC, RootAlpha(L + 1, 1))])
+                    plans += 1
+                plans += len(gains)
+        assert plans > 5000 and outcomes == {"ok", "rank"}
+
+    def test_asymmetric_and_chain_plans(self):
+        outcomes = set()
+        for K in range(1, 17):
+            for side in product(range(3), repeat=4):
+                p = P(K, *side)
+                asym = [model(p, nm.ASYMMETRIC, 0.6)]
+                outcomes |= self.check(lambda m: m.asym_plan(p), asym)
+                for i in range(1, p.side_sum + 3):
+                    outcomes |= self.check(lambda m: m._rotation_plan(p, i, f"asym-rotation-{i}"),
+                                           asym)
+                sym = [model(p, nm.SYMMETRIC, a) for a in (0.3, ROOT3)]
+                for label in ("lb-combined", "lb-left-chain", "lb-right-chain", "lb-central-mimo"):
+                    outcomes |= self.check(lambda m: m.sym_general_plan(p, label), sym)
+        assert outcomes == {"ok", "rank"}
+
+
+def mutations(plan):
+    """Edits of `plan` that reach every certification check: subnet, step,
+    block, deps, silencing and total edits, duplicate signal_deps keys and
+    unsorted active_tx."""
+    K = plan.params.K
+    subs = plan.subnets
+    for i, sn in enumerate(subs[:3]):
+        nxt = subs[i + 1] if i + 1 < len(subs) else subs[0]
+        yield _with_subnet(plan, i, active_tx=sn.active_tx[::-1])
+        yield _with_subnet(plan, i, active_tx=sn.active_tx + nxt.active_tx[:1])
+        yield _with_subnet(plan, i, rx_antennas=sn.rx_antennas + nxt.rx_antennas[:1])
+        yield _with_subnet(plan, i, rx_antennas=sn.rx_antennas[1:])
+        yield _with_subnet(plan, i, rx_antennas=sn.rx_antennas + (K + 1,))
+        yield _with_subnet(plan, i, active_tx=(0,) + sn.active_tx)
+        yield _with_subnet(plan, i, scalar_steps=sn.scalar_steps[::-1])
+        for j, st in enumerate(sn.scalar_steps[:2]):
+            for field, value in [("antenna", st.antenna + 1), ("antenna", st.antenna - 1),
+                                 ("tx", st.tx + 1), ("tx", st.tx - 1), ("decoder", st.decoder + 2),
+                                 ("decoder", st.decoder - 2), ("message", K + 1), ("antenna", 0)]:
+                steps = list(sn.scalar_steps)
+                steps[j] = dataclasses.replace(st, **{field: value})
+                yield _with_subnet(plan, i, scalar_steps=tuple(steps))
+        for blk in sn.mimo_blocks[:1]:
+            (r, ants), (m, group), (pm, w) = blk.decoders[0], blk.tx_of[0], blk.prelog[0]
+            for fields in [dict(decoders=((r, ants + (max(ants) + 2,)),) + blk.decoders[1:]),
+                           dict(decoders=blk.decoders[1:]),
+                           dict(decoders=blk.decoders + ((K + 1, ()),)),
+                           dict(tx_of=((m, group + (max(group) + 3,)),) + blk.tx_of[1:]),
+                           dict(tx_of=((m + 5, group),) + blk.tx_of[1:]),
+                           dict(prelog=((pm, w + 1),) + blk.prelog[1:]),
+                           dict(prelog=((0, w),) + blk.prelog[1:]),
+                           dict(coupled=(1,)), dict(coupled=(K + 1,)),
+                           dict(tx=blk.tx + (0,)), dict(antennas=blk.antennas + (K + 1,))]:
+                yield _with_block(plan, i, **fields)
+    deps = plan.signal_deps
+    if deps:
+        t, d = deps[-1]
+        far = ((t, (t + plan.params.t_right + 1,)),)
+        yield dataclasses.replace(plan, signal_deps=deps + far)  # the last key wins
+        yield dataclasses.replace(plan, signal_deps=far + deps)
+        yield dataclasses.replace(plan, signal_deps=deps + ((t, (t - plan.params.t_left - 1,)),))
+        yield dataclasses.replace(plan, signal_deps=tuple((t, d[::-1] + d) for t, d in deps))
+        yield dataclasses.replace(plan, signal_deps=())
+        yield dataclasses.replace(plan, message_prelog=plan.message_prelog
+                                  + plan.message_prelog[:1])
+    active = [t for sn in subs for t in sn.active_tx]
+    if active:
+        yield dataclasses.replace(plan, silenced_tx=plan.silenced_tx + (active[0],))
+        yield dataclasses.replace(plan, silenced_rx=plan.silenced_rx + subs[0].rx_antennas[:1])
+    yield dataclasses.replace(plan, claimed_dof=plan.claimed_dof + 1)
+
+
+class TestCertifyMatchesTheOracle:
+    """certify_plan on edited plans against the certification it replaced
+    (tests/certify_oracle.py): equal Certifications field for field, or
+    the same exception type and text."""
+
+    @staticmethod
+    def same(plan, m):
+        got = outcome(lambda: sc.certify_plan(plan, m))
+        assert got == outcome(lambda: oracle.certify_plan(plan, m)), (plan, m.gains)
+        return got if isinstance(got, str) else got.failure or "ok"
+
+    def test_edited_plans(self):
+        outcomes = set()
+        plans = [pm for pm in hand_edited_plans().values()] + every_family()
+        for plan, m in plans:
+            for bad in mutations(plan):
+                outcomes.add(self.same(bad, m).split(" ")[0])
+        assert outcomes >= {"ok", "ValueError:", "subnets", "silenced", "transmitter", "message",
+                            "decoder", "zero", "step", "receiver", "joint", "rank", "claimed"}
+
+    @pytest.mark.parametrize("order, deps, named", [
+        ((2, 3, 4), {}, 2), ((4, 3, 2), {}, 4),
+        # transmitter 2 carries message 3 itself, so the sender cannot absorb it
+        ((2, 3, 4), {2: (3,), 3: (3, 4)}, 2),
+        # the sender of message 3 also sends message 2 and absorbs transmitter 2
+        ((2, 3, 4), {3: (2, 3)}, 4),
+    ], ids=["sorted", "unsorted", "own-message", "absorbed"])
+    def test_the_first_unremovable_interferer_is_named(self, order, deps, named):
+        # a step for message 3 at antenna 3 hears transmitters 2 and 4; with
+        # deps (t,) neither is removable, and the one named is the first
+        # unremovable one in active_tx
+        p = P(K=9, t_left=1, t_right=1, r_left=1, r_right=1)
+        plan = sc.sym_general_plan(p, "lb-central-mimo")
+        plan = dataclasses.replace(plan, signal_deps=tuple(
+            (t, deps.get(t, (t,))) for t in range(1, 10)))
+        step = dataclasses.replace(plan.subnets[0].scalar_steps[0],
+                                   message=3, tx=3, antenna=3, decoder=3)
+        bad = _with_subnet(plan, 0, active_tx=order, scalar_steps=(step,))
+        assert self.same(bad, model(p, nm.SYMMETRIC, 0.3)) == (
+            f"message 3: interference from transmitter {named} is not removable")
