@@ -191,19 +191,21 @@ class _TermBag:
 
 
 def _window_expr(bag: _TermBag, origin: int, step: int, row: int, p: int,
-                 inv: np.ndarray, a: float, scale: float):
+                 inv: List[List[float]], a: float, scale: float):
     """Add scale * (X_{origin+step*(row-1)} + noise-combination) expressed
     through the outputs Y_{origin+step*j}, j = 1..p, and the two boundary
     inputs at origin+step*p and origin+step*(p+1).  step = -1 reads the
-    window below origin, step = +1 the window above it."""
-    r = row - 1
+    window below origin, step = +1 the window above it.  inv is the window's
+    inverse as nested lists of floats, so each term is plain float
+    arithmetic."""
+    inv_r = inv[row - 1]
     for j in range(1, p + 1):
-        bag.add("y", origin + step * j, scale * inv[r, j - 1])
-        bag.add("n", origin + step * j, -scale * inv[r, j - 1])
+        bag.add("y", origin + step * j, scale * inv_r[j - 1])
+        bag.add("n", origin + step * j, -scale * inv_r[j - 1])
     if p >= 2:
-        bag.add("x", origin + step * p, -scale * inv[r, p - 2] * a)
-    bag.add("x", origin + step * p, -scale * inv[r, p - 1])
-    bag.add("x", origin + step * (p + 1), -scale * inv[r, p - 1] * a)
+        bag.add("x", origin + step * p, -scale * inv_r[p - 2] * a)
+    bag.add("x", origin + step * p, -scale * inv_r[p - 1])
+    bag.add("x", origin + step * (p + 1), -scale * inv_r[p - 1] * a)
 
 
 def _rebuild(bag: _TermBag, t: int, lo: int, hi: int, below, above, a: float):
@@ -345,8 +347,8 @@ def build_sym_genie_ub1(params: NetworkParams, alpha: AlphaLike) -> GeniePartiti
         return _partition(params, SYMMETRIC, "ub1", alpha)
 
     pL, pR = tl + rl + 1, tr + rr + 1
-    above = (pL, m_inverse(pL, a))
-    below = (pR, m_inverse(pR, a))
+    above = (pL, m_inverse(pL, a).tolist())
+    below = (pR, m_inverse(pR, a).tolist())
 
     genies: List[GenieSignal] = []
     steps: List[ReconstructionStep] = []
@@ -415,9 +417,9 @@ def build_sym_genie_ub2(params: NetworkParams, alpha: AlphaLike) -> GeniePartiti
         raise ValueError("construction gap: t_left = 0 and K a multiple of "
                          "side_sum+3 leaves the top antennas uncoverable")
 
-    d = _null_row_coeffs(pL, alpha)
-    above = (pL, m_inverse(pL, a))
-    below = (pR, m_inverse(pR, a))
+    d = _null_row_coeffs(pL, alpha).tolist()
+    above = (pL, m_inverse(pL, a).tolist())
+    below = (pR, m_inverse(pR, a).tolist())
 
     groups_b: List[Tuple[int, ...]] = []
     genies: List[GenieSignal] = []
@@ -475,7 +477,7 @@ def build_offset_genie(params: NetworkParams, alpha: AlphaLike) -> GeniePartitio
     has_tail = (q % 2 == 0)  # even q leaves a single hidden antenna at K
 
     vs = v_sequence(L + 1, a)
-    window = (L + 1, m_inverse(L + 1, a))
+    window = (L + 1, m_inverse(L + 1, a).tolist())
 
     genies: List[GenieSignal] = []
     steps: List[ReconstructionStep] = []

@@ -143,8 +143,9 @@ def _draw_nonzero(rng: np.random.Generator, n: int) -> np.ndarray:
     return mags * signs
 
 
-def sample_generic_gains(K: int, topology: str, seed: int) -> CrossGainAssignment:
-    """Reproducible continuous-draw gains; support [-2,-0.1] U [0.1,2]."""
+def _generic_draws(K: int, topology: str, seed: int):
+    """The (sub, sup) gain arrays of length K-1 that seed draws, support
+    [-2,-0.1] U [0.1,2]; sup is None for the asymmetric topology."""
     import numpy as np
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -153,9 +154,15 @@ def sample_generic_gains(K: int, topology: str, seed: int) -> CrossGainAssignmen
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    sub = tuple(_draw_nonzero(rng, K - 1))
-    sup = tuple(_draw_nonzero(rng, K - 1)) if topology == SYMMETRIC else None
-    return CrossGainAssignment(kind="explicit", sub=sub, sup=sup)
+    sub = _draw_nonzero(rng, K - 1)
+    return sub, _draw_nonzero(rng, K - 1) if topology == SYMMETRIC else None
+
+
+def sample_generic_gains(K: int, topology: str, seed: int) -> CrossGainAssignment:
+    """Reproducible continuous-draw gains; support [-2,-0.1] U [0.1,2]."""
+    sub, sup = _generic_draws(K, topology, seed)
+    return CrossGainAssignment(kind="explicit", sub=tuple(sub),
+                               sup=None if sup is None else tuple(sup))
 
 
 @dataclass(frozen=True)

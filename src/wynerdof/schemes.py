@@ -180,6 +180,11 @@ def _finalize(params, topology, family, silenced_tx, silenced_rx, subnets, deps,
         for blk in sn.mimo_blocks:
             for msg, w in blk.prelog:
                 prelog[msg] = prelog.get(msg, 0) + w
+    signal_deps, last = [], None
+    for t in sorted(deps):
+        if deps[t] is not last:  # a broadcast block's consecutive transmitters share one set
+            last, ordered = deps[t], tuple(sorted(deps[t]))
+        signal_deps.append((t, ordered))
     return TransmissionPlan(
         params=params,
         topology=topology,
@@ -187,7 +192,7 @@ def _finalize(params, topology, family, silenced_tx, silenced_rx, subnets, deps,
         silenced_tx=tuple(sorted(silenced_tx)),
         silenced_rx=tuple(sorted(silenced_rx)),
         subnets=tuple(subnets),
-        signal_deps=tuple(sorted((t, tuple(sorted(d))) for t, d in deps.items())),
+        signal_deps=tuple(signal_deps),
         message_prelog=tuple(sorted(prelog.items())),
         claimed_dof=sum(prelog.values()),
         alpha_token=alpha_token(alpha),

@@ -19,8 +19,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .netmodel import ChannelModel, CrossGainAssignment, channel_band, \
-    sample_generic_gains, submatrix
+from .netmodel import ChannelModel, CrossGainAssignment, _generic_draws, \
+    channel_band, submatrix
 from .schemes import RANK_REL_TOL, TransmissionPlan, certify_plan
 from .tridiag import AlphaLike, alpha_float, alpha_token, u_is_zero, v_sequence
 
@@ -224,38 +224,60 @@ def _ratio_lower_bounds(bands: np.ndarray, wmax: int) -> np.ndarray:
     [t, s-1, j] is for the s x s window at 0-based start j of channel t
     (entries with j > K - s are meaningless).
 
-    |det W| = prod sigma_i <= sigma_min sigma_max^(s-1) and sigma_max <=
-    sqrt(|W|_1 |W|_inf) give sigma_min / sigma_max >= |det W| /
-    (|W|_1 |W|_inf)^(s/2).  det W is the continuant theta_s = d theta_{s-1}
-    - l u theta_{s-2}, run for every start and all sizes at once; its
-    rounding error is at most (4s+2) eps tbar_s, where tbar is the same
-    recursion on absolute values, and that much is taken off |theta_s|.  The
-    row and column sums are running maxima.  Overflow gives nan or 0, which
-    never certifies.
+    |det W| = prod sigma_i is sigma_min times the top s-1 singular values.
+    With N = |W|_1 |W|_inf and F = |W|_F, every sigma_i <= sigma_max <=
+    min(sqrt(N), F), and AM-GM on sigma_i^2, whose sum is F^2, bounds the
+    top s-1 of them: their product is at most min(N, F^2/(s-1))^((s-1)/2).
+    So sigma_min / sigma_max >= |det W| /
+    (min(N, F^2/(s-1))^((s-1)/2) min(sqrt(N), F)), never less than the
+    bound |det W| / N^(s/2) that N alone gives.  det W is the continuant
+    theta_s = d theta_{s-1} - l u theta_{s-2}, run for every start and all
+    sizes at once; its rounding error is at most (4s+2) eps tbar_s, where
+    tbar is the same recursion on absolute values, and that much is taken
+    off |theta_s|.  The row and column sums are running maxima and F^2 a
+    running sum of squared entries.  Each of those squares is rounded at
+    most s+2 <= 2s times (its own rounding, two in its size step's sum, the
+    rest in the running sum), each by a factor of at least 1 - eps/2, so the
+    true F^2 is below the computed one times (1 - eps/2)^(-2s) < 1 + 2s eps:
+    F^2 is inflated by that factor.  The few roundings of the quotient itself
+    move it by a few eps relative, which the factor 100 of _CERTIFIED dwarfs.
+    Overflow gives nan or 0, which never certifies.
     """
     n, _, K = bands.shape
-    ext = np.zeros((n, 3, K + wmax))
-    ext[:, :, :K] = bands
-    d, lu = ext[:, 0], ext[:, 1] * ext[:, 2]
-    dm, lm, um = np.abs(ext).transpose(1, 0, 2)
-    lum = np.abs(lu)
+    ext = np.zeros((3, n, K + wmax))
+    ext[:, :, :K] = bands.transpose(1, 0, 2)
+    dm, lm, um = np.abs(ext)
+    sq = ext * ext
+    lu = ext[1] * ext[2]
+
+    def prev(a):  # entry x holds entry x-1 of a
+        return np.concatenate((np.zeros(a.shape[:-1] + (1,)), a[..., :-1]), axis=-1)
+
+    # [theta, tbar] as one recursion (tbar's link term is -|l u|), at sizes s-1 and s-2
+    diag, link = np.stack((ext[0], dm)), np.stack((lu, -np.abs(lu)))
+    theta, theta0 = diag[:, :, :K], np.ones((2, n, K))
+    # what index x brings to a window it ends: its squared entries and its
+    # [row, column] sums, and those sums once x + 1 joins too
+    sq_new = (sq[0] + prev(sq[1])) + prev(sq[2])
+    across = np.stack((um, lm))
+    last = np.stack((prev(lm), prev(um))) + dm
+    first, full = dm + across, last + across  # x starts the window, or not
+    fsq = sq[0, :, :K]
     eps = np.finfo(float).eps
     out = np.empty((n, wmax, K))
-    theta, theta0 = d[:, :K], np.ones((n, K))  # sizes 1 and 0
-    tbar, tbar0 = dm[:, :K], theta0
-    row_max = col_max = np.zeros((n, K))
-    row_last = col_last = tbar
     with np.errstate(all="ignore"):
-        out[:, 0] = (np.abs(theta) - 6 * eps * tbar) / tbar
+        np.divide(np.abs(theta[0]) - 6 * eps * theta[1], theta[1], out=out[:, 0])
         for s in range(2, wmax + 1):
             i, k = slice(s - 1, s - 1 + K), slice(s - 2, s - 2 + K)  # new index, its link
-            theta, theta0 = d[:, i] * theta - lu[:, k] * theta0, theta
-            tbar, tbar0 = dm[:, i] * tbar + lum[:, k] * tbar0, tbar
-            row_max = np.maximum(row_max, row_last + um[:, k])
-            col_max = np.maximum(col_max, col_last + lm[:, k])
-            row_last, col_last = lm[:, k] + dm[:, i], um[:, k] + dm[:, i]
-            norms = np.maximum(row_max, row_last) * np.maximum(col_max, col_last)
-            out[:, s - 1] = (np.abs(theta) - (4 * s + 2) * eps * tbar) / np.sqrt(norms) ** s
+            theta, theta0 = diag[:, :, i] * theta - link[:, :, k] * theta0, theta
+            closed = first[:, :, k] if s == 2 else np.maximum(closed, full[:, :, k])
+            row, col = np.maximum(closed, last[:, :, i])
+            norms = row * col
+            fsq = fsq + sq_new[:, i]
+            f2 = fsq * (1 + 2 * s * eps)
+            top = np.sqrt(np.minimum(norms, f2 / (s - 1))) ** (s - 1)
+            np.divide(np.abs(theta[0]) - (4 * s + 2) * eps * theta[1],
+                      top * np.sqrt(np.minimum(norms, f2)), out=out[:, s - 1])
     return out
 
 
@@ -269,9 +291,10 @@ def random_gain_rank_trials(K: int, topology: str, trials: int, seed: int,
     With continuous random gains no window ever loses rank (probability-1
     statement, finite sampling); passing an equal critical gain instead is
     the negative control that must fail.  Each trial's channel is held as
-    its three diagonals, read from the gains, a chunk of trials at a time.
-    A determinant certificate (_ratio_lower_bounds) first proves
-    sigma_min / sigma_max >= |det W| / (|W|_1 |W|_inf)^(s/2) for every
+    its three diagonals, a chunk of trials at a time; a random trial's
+    diagonals are written straight from its seed's draws.  A determinant
+    certificate (_ratio_lower_bounds) first proves a lower bound on
+    sigma_min / sigma_max from |det W|, |W|_1 |W|_inf and |W|_F for every
     window in one vectorised pass.  A window whose proven bound is at least
     _CERTIFIED = 100 * RANK_REL_TOL is full rank: LAPACK's O(eps * sigma_max)
     error could not bring its ratio down to RANK_REL_TOL.  The SVD decides
@@ -287,16 +310,24 @@ def random_gain_rank_trials(K: int, topology: str, trials: int, seed: int,
     wmax = min(K, _MAX_WINDOW)
     n_done = trials if gains is None else 1  # fixed gains: one pass suffices
     per_chunk = max(1, _WINDOW_CAP // K)
+    sizes = np.arange(1, wmax + 1)
     failures = []
     for t0 in range(0, n_done, per_chunk):
-        bands = np.array([
-            channel_band(K, topology, gains if gains is not None
-                         else sample_generic_gains(K, topology, seed + t))
-            for t in range(t0, min(n_done, t0 + per_chunk))])
-        proven = _ratio_lower_bounds(bands, wmax)
-        for size in range(1, wmax + 1):
+        if gains is not None:
+            bands = channel_band(K, topology, gains)[None]
+        else:
+            bands = np.zeros((min(n_done - t0, per_chunk), 3, K))
+            bands[:, 0] = 1.0
+            for t, band in enumerate(bands, t0):
+                sub, sup = _generic_draws(K, topology, seed + t)
+                band[1, :K - 1] = sub
+                if sup is not None:
+                    band[2, :K - 1] = sup
+        unproven = ~(_ratio_lower_bounds(bands, wmax) >= _CERTIFIED) & \
+            (np.arange(K) <= K - sizes[:, None])  # windows that exist
+        for size in sizes[unproven.any(axis=(0, 2))].tolist():
             n_start = K - size + 1
-            windows = np.flatnonzero(~(proven[:, size - 1, :n_start] >= _CERTIFIED))
+            windows = np.flatnonzero(unproven[:, size - 1, :n_start])
             for lo in range(0, windows.size, _WINDOW_CAP):
                 idx = windows[lo:lo + _WINDOW_CAP]
                 rows, starts = np.divmod(idx, n_start)

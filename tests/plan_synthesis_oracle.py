@@ -8,7 +8,8 @@ their offset.  This module keeps the versions that replaced, verbatim:
 every MIMO subnet is derived from scratch, and the chain blocks are built
 in local coordinates and then shifted by ``_remap_steps``/``_remap_block``.
 It shares no code with them but the plan types and the unchanged helpers
-``_finalize``, ``_reduce_asym`` and ``_pair_tx_silencing``.
+``_reduce_asym`` and ``_pair_tx_silencing``; ``_finalize`` is kept too, as
+it was before it sorted each shared deps set once.
 """
 
 from __future__ import annotations
@@ -17,8 +18,31 @@ from typing import Dict, List, Optional, Tuple
 
 from wynerdof.netmodel import ASYMMETRIC, SYMMETRIC, NetworkParams
 from wynerdof.schemes import (MimoBlock, NotApplicableError, ScalarStep, StrategyTag, Subnet,
-                              TransmissionPlan, _finalize, _pair_tx_silencing, _reduce_asym)
-from wynerdof.tridiag import AlphaLike, alpha_float, u_is_zero
+                              TransmissionPlan, _pair_tx_silencing, _reduce_asym)
+from wynerdof.tridiag import AlphaLike, alpha_float, alpha_token, u_is_zero
+
+
+def _finalize(params, topology, family, silenced_tx, silenced_rx, subnets, deps,
+              alpha=None) -> TransmissionPlan:
+    prelog: Dict[int, int] = {}
+    for sn in subnets:
+        for st in sn.scalar_steps:
+            prelog[st.message] = prelog.get(st.message, 0) + 1
+        for blk in sn.mimo_blocks:
+            for msg, w in blk.prelog:
+                prelog[msg] = prelog.get(msg, 0) + w
+    return TransmissionPlan(
+        params=params,
+        topology=topology,
+        family=family,
+        silenced_tx=tuple(sorted(silenced_tx)),
+        silenced_rx=tuple(sorted(silenced_rx)),
+        subnets=tuple(subnets),
+        signal_deps=tuple(sorted((t, tuple(sorted(d))) for t, d in deps.items())),
+        message_prelog=tuple(sorted(prelog.items())),
+        claimed_dof=sum(prelog.values()),
+        alpha_token=alpha_token(alpha),
+    )
 
 
 def _asym_block(offset: int, red: Tuple[int, int, int, int]):

@@ -492,3 +492,77 @@ class TestEntropyCondition:
                     except ValueError:
                         pass
                     assert cert.certified_dof <= min(bounds), (p, a)
+
+
+class _Float64Rows(np.ndarray):
+    """An array whose tolist() keeps it an array, so a builder handed one
+    indexes np.float64 scalars and runs each term's arithmetic on them."""
+
+    def tolist(self):
+        return self.view(np.ndarray)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _coefficients(part):
+    return [c for g in part.genies for _, c in g.noise_coeff + g.input_coeff] + \
+        [c for st in part.steps for _, c in st.y_terms + st.x_terms + st.v_terms]
+
+
+class TestGenieTermsArePlainFloats:
+    """The symmetric builders do their term arithmetic on Python floats read
+    from m_inverse(...).tolist() and _null_row_coeffs(...).tolist(): the
+    same numbers, reports and JSON as the same arithmetic on np.float64."""
+
+    GAINS = (0.05, -0.3, 1.0, 40.0, 1e120)
+
+    def cases(self):
+        roots = [ra for q in range(2, 6) for ra in critical_roots(q).root_alphas]
+        for K, (tl, tr, rl, rr) in product((3, 11, 40), product(range(3), repeat=4)):
+            p = P(K=K, t_left=tl, t_right=tr, r_left=rl, r_right=rr)
+            for a in self.GAINS:
+                yield p, "ub1", a
+            for ra in roots:
+                if ra.is_root_of(tl + rl + 1):
+                    yield p, "ub2", ra
+        for L, q in product(range(4), (2, 3, 4)):
+            for tl in range(L + 1):
+                p = P(K=q * (L + 2) - 1, t_left=tl, r_left=L - tl, t_right=L - tl, r_right=tl)
+                for a in self.GAINS + (RootAlpha(L + 2, 1),):
+                    yield p, "offset", a
+
+    def build(self, params, family, alpha, mirror):
+        build = {"ub1": cv.build_sym_genie_ub1, "ub2": cv.build_sym_genie_ub2,
+                 "offset": cv.build_offset_genie}[family]
+        if not mirror:
+            return _outcome(build, params, alpha)
+        part = _outcome(build, params.mirrored(), alpha)
+        return part if isinstance(part, str) else cv.mirror_partition(part, params)
+
+    def test_same_partitions_and_reports_as_float64_terms(self, monkeypatch):
+        cases = [(p, fam, a, mirror) for p, fam, a in self.cases() for mirror in (False, True)]
+        live = [self.build(*case) for case in cases]
+        built = [part for part in live if not isinstance(part, str)]
+        assert len(built) > 1000
+        assert all(type(c) is float for part in built for c in _coefficients(part))
+        m_inverse, null_row = cv.m_inverse, cv._null_row_coeffs
+        monkeypatch.setattr(cv, "m_inverse", lambda *a: m_inverse(*a).view(_Float64Rows))
+        monkeypatch.setattr(cv, "_null_row_coeffs", lambda *a: null_row(*a).view(_Float64Rows))
+        for case, part in zip(cases, live):
+            want = self.build(*case)
+            if isinstance(part, str) or isinstance(want, str):
+                assert part == want, case
+                continue
+            assert [float(c).hex() for c in _coefficients(part)] == \
+                [float(c).hex() for c in _coefficients(want)], case
+            assert _outcome(part.to_json) == _outcome(want.to_json), case
+            p, _, alpha, _ = case
+            m = model(p, nm.SYMMETRIC, alpha)
+            for check in (cv.genie_entropy_check, lambda g, m: cv.verify_reconstruction(g, m, 8)):
+                got, exp = _outcome(check, part, m), _outcome(check, want, m)
+                assert got == exp or repr(got) == repr(exp), case

@@ -187,6 +187,20 @@ class TestSampler:
         g = nm.sample_generic_gains(K, nm.SYMMETRIC, seed)
         assert all(abs(x) >= 0.1 for x in g.sub + g.sup)
 
+    def test_draws_are_the_sampled_gains(self):
+        # the arrays the rank trials write into their bands: bit for bit the
+        # uniform magnitudes and rng.choice signs, sub before sup, that
+        # sample_generic_gains wraps
+        for seed, K, topo in product(range(200), (1, 2, 13, 60), nm.TOPOLOGIES):
+            rng = np.random.default_rng(seed)
+            want = [rng.uniform(0.1, 2.0, size=K - 1) * rng.choice((-1.0, 1.0), size=K - 1)
+                    for _ in range(1 if topo == nm.ASYMMETRIC else 2)]
+            sub, sup = nm._generic_draws(K, topo, seed)
+            got = [sub] if sup is None else [sub, sup]
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want], (seed, K, topo)
+            g = nm.sample_generic_gains(K, topo, seed)
+            assert (g.sub, g.sup) == (tuple(sub), None if sup is None else tuple(sup))
+
     def test_signs_are_the_draw_rng_choice_makes(self):
         # indexing (-1, 1) by integers(0, 2) is what rng.choice does inside:
         # the same signs, bit for bit, and the generator left in the same state
