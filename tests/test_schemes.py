@@ -445,7 +445,25 @@ class TestNonInterferenceOracle:
         monkeypatch.setattr(nm, "submatrix", counting)
         cert = sc.certify_plan(plan, model(p, nm.SYMMETRIC, 0.3))
         assert cert.ok and cert.certified_dof == 120
-        assert len(calls) <= blocks
+        # every block is a window the determinant certificate proves full rank
+        assert calls == []
+
+    def test_a_singular_block_still_reaches_the_svd(self, monkeypatch):
+        # the certify-negative corpus command: a plan made at 0.3, certified
+        # at a root of u_3, where its 3 x 3 blocks drop to rank 2
+        p = P(K=30, t_left=1, t_right=1, r_left=1, r_right=1)
+        plan = sc.sym_symmetric_si_plan(p, 0.3)
+        ranks = []
+        numeric_rank = sc._numeric_rank
+
+        def counting(a):
+            ranks.append(numeric_rank(a))
+            return ranks[-1]
+
+        monkeypatch.setattr(sc, "_numeric_rank", counting)
+        cert = sc.certify_plan(plan, model(p, nm.SYMMETRIC, ROOT3))
+        assert not cert.ok and cert.failure == "rank 2 < required 3 in subnet 0"
+        assert ranks == [2]
 
 
 def _with_subnet(plan, i, **fields):
