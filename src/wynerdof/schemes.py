@@ -14,7 +14,10 @@ facts the degrees-of-freedom claims rest on:
 * scalar chains are triangular with nonzero pivots once interference is
   removed either by earlier decoding or by sender-side precancellation;
 * MIMO blocks have submatrix rank at least the degrees of freedom claimed
-  through them.
+  through them.  A principal window at equal gains is H_n(alpha) on the
+  symmetric band, so its rank is tridiag.rank_h's n - [u_n(alpha) = 0], by
+  the zero test the closed form uses; on the asymmetric band it is unit
+  lower-triangular, rank n.  The SVD decides every other block.
 
 Dirty-paper steps are modeled as removable known interference: the sender
 must be able to compute the interfering signal from messages it knows,
@@ -24,14 +27,12 @@ which is tracked through a per-transmitter dependency map.
 from __future__ import annotations
 
 import json
-import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from .netmodel import ASYMMETRIC, SYMMETRIC, ChannelModel, NetworkParams, submatrix
-from .tridiag import AlphaLike, alpha_float, alpha_token, u_is_zero
+from .tridiag import AlphaLike, alpha_float, alpha_token, rank_h, u_is_zero
 
 if TYPE_CHECKING:  # numpy is imported where arrays are built
     import numpy as np
@@ -54,9 +55,8 @@ __all__ = [
 ]
 
 # A matrix has full numeric rank when its smallest singular value exceeds
-# RANK_REL_TOL times its largest (block ranks here, window ranks in simulator).
+# RANK_REL_TOL times its largest (SVD'd block ranks here, window ranks in simulator).
 RANK_REL_TOL = 1e-8
-_CERTIFIED = 100 * RANK_REL_TOL  # proven sigma_min / sigma_max that spares the SVD
 
 
 class StrategyTag(str, Enum):
@@ -627,42 +627,6 @@ def _numeric_rank(a: np.ndarray) -> int:
     return int(np.count_nonzero(s > RANK_REL_TOL * s[0]))
 
 
-def _window_bound(key: tuple) -> float:
-    """The lower bound on sigma_min / sigma_max that
-    simulator._ratio_lower_bounds proves, for one principal window, in Python
-    floats and in the same operation order.  `key` is the window's last
-    diagonal entry, then (diagonal, sub-, super-diagonal) of each of its other
-    indices: the diagonal entry and the two that link it to the next index.
-    Overflow, or a zero denominator, gives 0, which never certifies."""
-    eps = sys.float_info.epsilon
-    n = len(key)
-    d = key[1][0] if n > 1 else key[0]
-    theta, theta0, tbar, tbar0 = d, 1.0, abs(d), 1.0
-    if n == 1:
-        return (abs(theta) - 6 * eps * tbar) / tbar if tbar else 0.0
-    # the newest index's row and column sums (the first index's are |d|),
-    # and the largest sums of the rows and columns before it, all complete
-    row, col, row_max, col_max = tbar, tbar, 0.0, 0.0
-    fsq = d * d
-    for s in range(2, n + 1):
-        _, l, u = key[s - 1]
-        d = key[s][0] if s < n else key[0]
-        lu, ad, al, au = l * u, abs(d), abs(l), abs(u)
-        theta, theta0 = d * theta - lu * theta0, theta
-        tbar, tbar0 = ad * tbar + abs(lu) * tbar0, tbar
-        row_max, col_max = max(row_max, row + au), max(col_max, col + al)
-        row, col = al + ad, au + ad
-        norms = max(row_max, row) * max(col_max, col)
-        fsq = fsq + ((d * d + l * l) + u * u)
-        f2 = fsq * (1 + 2 * s * eps)
-        try:
-            top = math.sqrt(min(norms, f2 / (s - 1))) ** (s - 1)
-        except OverflowError:  # numpy's inf, where the bound is 0 or nan
-            return 0.0
-    den = top * math.sqrt(min(norms, f2))
-    return (abs(theta) - (4 * n + 2) * eps * tbar) / den if den else 0.0
-
-
 def _outside(idx, lo: int, hi: int) -> List[int]:
     """The indices in `idx` outside lo..hi, sorted: for failure texts."""
     return sorted(x for x in idx if not lo <= x <= hi)
@@ -735,12 +699,13 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
             return fail(f"transmitter {t} uses messages {outside} outside its window")
     checks.append("encoder-feasibility")
 
-    # block ranks for this call only, keyed by the band entries a block's
-    # submatrix can read (H[hi][hi] and columns o..hi-1, o and hi its
-    # smallest and largest indices), led by its index tuple relative to o
-    # unless it is a principal window: exact for any gains, and equal gains
-    # make most blocks share one key.  A window whose _window_bound reaches
-    # _CERTIFIED has full rank; the SVD decides every other block.
+    # A principal window o..o+n-1 at equal gains is H_n(alpha), and on the
+    # asymmetric band unit lower-triangular at any gains (u_n(0) = 1).  The
+    # SVD decides every other block, its rank cached for this call under its
+    # index tuple relative to o and the band entries its submatrix can read
+    # (H[hi][hi] and columns o..hi-1, o and hi its smallest and largest
+    # indices): exact for any gains.
+    alpha = model.equal_alpha if plan.topology == SYMMETRIC else 0.0
     ranks: Dict[tuple, int] = {}
     certified = 0
     for si, sn in enumerate(plan.subnets):
@@ -803,21 +768,20 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
                 want += sum(prelog.get(m, 0) for m in blk.coupled)
             ants, n = blk.antennas, len(blk.antennas)
             o = ants[0] if ants else 1
-            window = (n and ants == blk.tx and o >= 1 and o + n <= K + 1
-                      and ants == tuple(range(o, o + n)))  # the window o..o+n-1
-            if window:
-                key = (diag[o + n - 2], *cols[o - 1:o + n - 2])
+            if (n and alpha is not None and ants == blk.tx and o >= 1
+                    and o + n <= K + 1 and ants == tuple(range(o, o + n))):
+                rank = rank_h(n, alpha)
             else:
                 idx = (*ants, *blk.tx)
                 o, hi = min(idx, default=1), max(idx, default=0)
                 if o < 1 or hi > K:
                     _check_range(idx, K)
                 key = (tuple(map(o.__rsub__, idx)), n, diag[hi - 1], *cols[o - 1:hi - 1])
-            if key not in ranks:
-                ranks[key] = (n if window and _window_bound(key) >= _CERTIFIED
-                              else _numeric_rank(submatrix(model, ants, blk.tx)))
-            if ranks[key] < want:
-                return fail(f"rank {ranks[key]} < required {want} in subnet {si}")
+                if key not in ranks:
+                    ranks[key] = _numeric_rank(submatrix(model, ants, blk.tx))
+                rank = ranks[key]
+            if rank < want:
+                return fail(f"rank {rank} < required {want} in subnet {si}")
             certified += own
     checks.append("chains-and-ranks")
 

@@ -177,7 +177,9 @@ def _float_rank(x: float) -> int:
 
 
 def rank_h(p: int, alpha: AlphaLike) -> int:
-    """rank H_p(alpha): p when u_p(alpha) != 0, else p-1 (the only two cases)."""
+    """rank H_p(alpha): p when u_p(alpha) != 0, else p-1 (the only two cases).
+    schemes.certify_plan takes each principal window's rank at equal gains
+    from here, so it and the closed form share one zero test."""
     if p < 1:
         raise ValueError("order p must be positive")
     return p - 1 if u_is_zero(p, alpha) else p

@@ -249,6 +249,17 @@ class TestPlanCertifyRoundTrip:
         assert code2 == 1
         assert not json.loads(out2)["ok"]
 
+    def test_certify_agrees_with_mg_next_to_a_critical_gain(self, capsys, monkeypatch):
+        # 0.70710678 is 1.2e-9 from root:3:1, so no window is singular
+        argv = ["--topology", "symmetric", "--K", "7", "--tl", "1", "--tr", "1",
+                "--rl", "1", "--rr", "1", "--alpha", "0.70710678"]
+        code, out, _ = run(capsys, "mg", *argv)
+        assert code == 0 and json.loads(out)["lower"] == 6
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        code, out, _ = run(capsys, "certify", *argv)
+        blob = json.loads(out)
+        assert code == 0 and blob["ok"] and blob["certified_dof"] == 6
+
     def test_plan_read_from_stdin_only_with_dash(self, capsys, tmp_path, monkeypatch):
         argv = ["--topology", "symmetric", "--K", "7", "--tl", "1", "--tr", "1",
                 "--rl", "1", "--rr", "1", "--alpha", "0.3"]

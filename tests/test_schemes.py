@@ -445,25 +445,42 @@ class TestNonInterferenceOracle:
         monkeypatch.setattr(nm, "submatrix", counting)
         cert = sc.certify_plan(plan, model(p, nm.SYMMETRIC, 0.3))
         assert cert.ok and cert.certified_dof == 120
-        # every block is a window the determinant certificate proves full rank
+        # every block is a window, whose rank the zero test gives without the SVD
         assert calls == []
 
-    def test_a_singular_block_still_reaches_the_svd(self, monkeypatch):
+    def test_a_singular_window_is_decided_by_the_zero_test(self, monkeypatch):
         # the certify-negative corpus command: a plan made at 0.3, certified
-        # at a root of u_3, where its 3 x 3 blocks drop to rank 2
+        # at a root of u_3, where its 3 x 3 windows H_3(alpha) drop to rank 2
         p = P(K=30, t_left=1, t_right=1, r_left=1, r_right=1)
         plan = sc.sym_symmetric_si_plan(p, 0.3)
-        ranks = []
-        numeric_rank = sc._numeric_rank
-
-        def counting(a):
-            ranks.append(numeric_rank(a))
-            return ranks[-1]
-
-        monkeypatch.setattr(sc, "_numeric_rank", counting)
+        ranks = svd_ranks(monkeypatch)
         cert = sc.certify_plan(plan, model(p, nm.SYMMETRIC, ROOT3))
         assert not cert.ok and cert.failure == "rank 2 < required 3 in subnet 0"
+        assert ranks == []
+
+    def test_a_block_that_is_no_window_still_reaches_the_svd(self, monkeypatch):
+        # the same first block with its transmitters listed in reverse: the
+        # columns of H_3 permuted, so no longer a principal window
+        p = P(K=30, t_left=1, t_right=1, r_left=1, r_right=1)
+        plan = sc.sym_symmetric_si_plan(p, 0.3)
+        bad = _with_block(plan, 0, tx=plan.subnets[0].mimo_blocks[0].tx[::-1])
+        ranks = svd_ranks(monkeypatch)
+        cert = sc.certify_plan(bad, model(p, nm.SYMMETRIC, ROOT3))
+        assert not cert.ok and cert.failure == "rank 2 < required 3 in subnet 0"
         assert ranks == [2]
+
+
+def svd_ranks(monkeypatch):
+    """The ranks schemes._numeric_rank returns from now on, in call order."""
+    ranks = []
+    numeric_rank = sc._numeric_rank
+
+    def counting(a):
+        ranks.append(numeric_rank(a))
+        return ranks[-1]
+
+    monkeypatch.setattr(sc, "_numeric_rank", counting)
+    return ranks
 
 
 def _with_subnet(plan, i, **fields):
@@ -859,6 +876,30 @@ class TestCertifyMatchesTheOracle:
         assert outcomes >= {"ok", "ValueError:", "subnets", "silenced", "transmitter", "message",
                             "decoder", "zero", "step", "receiver", "joint", "rank", "claimed"}
 
+    def test_edited_plans_at_random_gains(self):
+        outcomes = set()
+        for plan, m in every_family():
+            g = nm.CrossGainAssignment.random(plan.params.K)
+            m = nm.build_channel(plan.params, m.topology, g)
+            for bad in (plan, *mutations(plan)):
+                outcomes.add(self.same(bad, m).split(" ")[0])
+        assert {"ok", "ValueError:", "rank", "claimed"} <= outcomes
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_an_asymmetric_window_has_full_rank_at_any_gains(self, monkeypatch, seed):
+        # the sym-si plan's blocks are the windows 1..3 and 5..7; on the
+        # asymmetric band each is unit lower-triangular, so rank 3 at the
+        # gains --gains-seed draws, with no SVD
+        p = P(K=7, t_left=1, t_right=1, r_left=1, r_right=1)
+        plan = dataclasses.replace(sc.sym_symmetric_si_plan(p, 0.3), topology=nm.ASYMMETRIC)
+        assert [b.antennas for sn in plan.subnets for b in sn.mimo_blocks] == [
+            (1, 2, 3), (5, 6, 7)]
+        m = nm.build_channel(p, nm.ASYMMETRIC, nm.CrossGainAssignment.random(seed))
+        ranks = svd_ranks(monkeypatch)
+        assert self.same(plan, m) == "ok"
+        assert ranks == []
+        assert sc.certify_plan(plan, m).certified_dof == 6
+
     @pytest.mark.parametrize("order, deps, named", [
         ((2, 3, 4), {}, 2), ((4, 3, 2), {}, 4),
         # transmitter 2 carries message 3 itself, so the sender cannot absorb it
@@ -879,3 +920,27 @@ class TestCertifyMatchesTheOracle:
         bad = _with_subnet(plan, 0, active_tx=order, scalar_steps=(step,))
         assert self.same(bad, model(p, nm.SYMMETRIC, 0.3)) == (
             f"message 3: interference from transmitter {named} is not removable")
+
+
+class TestCertifyAgreesWithMg:
+    """At a gain near a critical one, certify_plan and mg decide block ranks
+    by the same zero test, so the default plan certifies at least mg's lower
+    bound."""
+
+    def test_default_plans_near_every_root(self):
+        sides = [(tl, tr, rl, tl + rl - tr) for tl, tr, rl in product(range(4), repeat=3)
+                 if 0 <= tl + rl - tr <= 3]
+        cases = 0
+        for q in range(2, 8):
+            for root in critical_roots(q).alphas():
+                for k, sign in product(range(3, 16), (1, -1)):
+                    gains = nm.CrossGainAssignment.equal(root + sign * 10.0 ** -k)
+                    for side in sides:
+                        p = P(7, *side)
+                        cert = sc.certify_plan(sc.sym_symmetric_si_plan(p, gains.alpha),
+                                               nm.build_channel(p, nm.SYMMETRIC, gains))
+                        lower = dc.sym_dof_interval(p, gains).lower
+                        assert cert.ok and cert.certified_dof >= lower, (
+                            p, gains.alpha, cert.failure, lower)
+                        cases += 1
+        assert len(sides) == 44 and cases == 24 * 26 * 44
