@@ -580,13 +580,15 @@ def verify_reconstruction(partition: GeniePartition, model: ChannelModel,
     output or message before the procedure makes it available, or a B
     receiver decoding before its antennas are) are reported before any
     numeric work.  Every encoder may use its whole cognition window, the
-    model's worst case.  A replay error that is not finite (coefficients or
-    outputs that overflow), an index outside 1..K where it is read, or a
-    step naming a genie the partition does not have raises ValueError
-    rather than give a verdict.
+    model's worst case.  A `tol` that is negative or not finite, a replay
+    error that is not finite (coefficients or outputs that overflow), an
+    index outside 1..K where it is read, or a step naming a genie the
+    partition does not have raises ValueError rather than give a verdict.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= tol < math.inf:  # nan compares false
+        raise ValueError(f"tol must be finite and >= 0, got {tol:g}")
     if partition.params != model.params or partition.topology != model.topology:
         raise ValueError("partition and model describe different instances")
     err = _structural_check(partition)

@@ -231,45 +231,30 @@ def _check_instance(K: int, topology: str, gains: CrossGainAssignment) -> None:
             raise ValueError(f"expected {K - 1} super-diagonal gains, got {len(gains.sup)}")
 
 
-def _resolve_gains(K: int, topology: str, gains: CrossGainAssignment):
-    """Per-link (sub, sup) gain arrays of length K-1 each."""
-    import numpy as np
-    if gains.kind == "equal":
-        a = alpha_float(gains.alpha)
-        if a == 0:
-            raise ValueError("nonzero cross-gain required")
-        sub = np.full(K - 1, a)
-        sup = np.full(K - 1, a)
-        return sub, sup
-    if gains.kind == "random":
-        resolved = sample_generic_gains(K, topology, gains.seed)
-        return _resolve_gains(K, topology, resolved)
-    if gains.kind == "explicit":
-        sub = np.asarray(gains.sub, dtype=float)
-        if np.any(sub == 0):
-            raise ValueError("nonzero cross-gain required")
-        if topology == SYMMETRIC:
-            sup = np.asarray(gains.sup, dtype=float)
-            if np.any(sup == 0):
-                raise ValueError("nonzero cross-gain required")
-        else:
-            sup = np.zeros(K - 1)
-        return sub, sup
-    raise ValueError(f"unknown gain kind {gains.kind!r}")
-
-
 def channel_band(K: int, topology: str, gains: CrossGainAssignment) -> np.ndarray:
     """The channel's three diagonals as a 3 x K array: the unit diagonal, then
     the sub- and super-diagonal gains (zero for the asymmetric topology),
-    each zero-padded at the end to length K."""
+    each zero-padded at the end to length K.  An equal gain puts
+    alpha_float(alpha) on every link, a random one the seed's
+    `_generic_draws`, an explicit one its tuples; every gain used must be
+    nonzero."""
     import numpy as np
     _check_instance(K, topology, gains)
-    sub, sup = _resolve_gains(K, topology, gains)
+    if gains.kind == "equal":
+        sub = sup = np.full(K - 1, alpha_float(gains.alpha))
+    elif gains.kind == "random":
+        sub, sup = _generic_draws(K, topology, gains.seed)
+    elif gains.kind == "explicit":
+        sub, sup = gains.sub, gains.sup
+    else:
+        raise ValueError(f"unknown gain kind {gains.kind!r}")
     band = np.zeros((3, K))
     band[0] = 1.0
     band[1, :K - 1] = sub
     if topology == SYMMETRIC:
         band[2, :K - 1] = sup
+    if not band[1:2 + (topology == SYMMETRIC), :K - 1].all():
+        raise ValueError("nonzero cross-gain required")
     return band
 
 

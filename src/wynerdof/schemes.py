@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 # A matrix has full numeric rank when its smallest singular value exceeds
-# RANK_REL_TOL times its largest (SVD'd block ranks here, window ranks in simulator).
+# RANK_REL_TOL times its largest (SVD'd blocks here, random-gain windows in simulator).
 RANK_REL_TOL = 1e-8
 
 
@@ -653,7 +653,6 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
     K = params.K
     tl, tr, rl, rr = params.t_left, params.t_right, params.r_left, params.r_right
     diag, sub, sup = model.band.tolist()
-    cols = list(zip(diag, sub, sup))
     deps = dict(plan.signal_deps)
     prelog = dict(plan.message_prelog)
     silenced_rx = set(plan.silenced_rx)
@@ -701,12 +700,8 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
 
     # A principal window o..o+n-1 at equal gains is H_n(alpha), and on the
     # asymmetric band unit lower-triangular at any gains (u_n(0) = 1).  The
-    # SVD decides every other block, its rank cached for this call under its
-    # index tuple relative to o and the band entries its submatrix can read
-    # (H[hi][hi] and columns o..hi-1, o and hi its smallest and largest
-    # indices): exact for any gains.
+    # SVD decides every other block.
     alpha = model.equal_alpha if plan.topology == SYMMETRIC else 0.0
-    ranks: Dict[tuple, int] = {}
     certified = 0
     for si, sn in enumerate(plan.subnets):
         decoded: set = set()
@@ -772,14 +767,8 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
                     and o + n <= K + 1 and ants == tuple(range(o, o + n))):
                 rank = rank_h(n, alpha)
             else:
-                idx = (*ants, *blk.tx)
-                o, hi = min(idx, default=1), max(idx, default=0)
-                if o < 1 or hi > K:
-                    _check_range(idx, K)
-                key = (tuple(map(o.__rsub__, idx)), n, diag[hi - 1], *cols[o - 1:hi - 1])
-                if key not in ranks:
-                    ranks[key] = _numeric_rank(submatrix(model, ants, blk.tx))
-                rank = ranks[key]
+                _check_range((*ants, *blk.tx), K)
+                rank = _numeric_rank(submatrix(model, ants, blk.tx))
             if rank < want:
                 return fail(f"rank {rank} < required {want} in subnet {si}")
             certified += own

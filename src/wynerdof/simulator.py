@@ -19,10 +19,11 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .netmodel import ChannelModel, CrossGainAssignment, _generic_draws, \
-    channel_band, submatrix
+from .netmodel import SYMMETRIC, TOPOLOGIES, ChannelModel, CrossGainAssignment, \
+    _generic_draws, submatrix
 from .schemes import RANK_REL_TOL, TransmissionPlan, certify_plan
-from .tridiag import AlphaLike, alpha_float, alpha_token, u_is_zero, v_sequence
+from .tridiag import AlphaLike, alpha_float, alpha_token, rank_h, u_is_zero, \
+    v_sequence
 
 __all__ = [
     "RateCurve",
@@ -285,21 +286,25 @@ def random_gain_rank_trials(K: int, topology: str, trials: int, seed: int,
                             gains: Optional[CrossGainAssignment] = None
                             ) -> RankTrialReport:
     """Check every contiguous principal submatrix of size up to 12 for full
-    numeric rank (smallest singular value above RANK_REL_TOL times the
-    largest).
+    rank.
 
     With continuous random gains no window ever loses rank (probability-1
     statement, finite sampling); passing an equal critical gain instead is
-    the negative control that must fail.  Each trial's channel is held as
-    its three diagonals, a chunk of trials at a time; a random trial's
-    diagonals are written straight from its seed's draws.  A determinant
-    certificate (_ratio_lower_bounds) first proves a lower bound on
-    sigma_min / sigma_max from |det W|, |W|_1 |W|_inf and |W|_F for every
-    window in one vectorised pass.  A window whose proven bound is at least
-    _CERTIFIED = 100 * RANK_REL_TOL is full rank: LAPACK's O(eps * sigma_max)
-    error could not bring its ratio down to RANK_REL_TOL.  The SVD decides
-    every other window: for each window size, those of a chunk go to LAPACK
-    in one batched SVD call of at most _WINDOW_CAP matrices.  Memory stays
+    the negative control that must fail.  Fixed gains must be of kind
+    "equal" and take one trial, no band and no SVD: a window of size s is
+    H_s(alpha) on the symmetric topology, of rank tridiag.rank_h(s, alpha)
+    (the zero test of mg and certify), and unit lower-triangular on the
+    asymmetric one.  A random trial's window has full rank when its smallest
+    singular value is above RANK_REL_TOL times its largest.  Each trial's
+    channel is held as its three diagonals, a chunk of trials at a time,
+    written straight from its seed's draws.  A determinant certificate
+    (_ratio_lower_bounds) first proves a lower bound on sigma_min / sigma_max
+    from |det W|, |W|_1 |W|_inf and |W|_F for every window in one vectorised
+    pass.  A window whose proven bound is at least _CERTIFIED = 100 *
+    RANK_REL_TOL is full rank: LAPACK's O(eps * sigma_max) error could not
+    bring its ratio down to RANK_REL_TOL.  The SVD decides every other
+    window: for each window size, those of a chunk go to LAPACK in one
+    batched SVD call of at most _WINDOW_CAP matrices.  Memory stays
     O(_WINDOW_CAP * 12^2) floats whatever K and `trials` are.  Failures are
     (trial, start, size), ordered by trial, size and start.
     """
@@ -308,21 +313,26 @@ def random_gain_rank_trials(K: int, topology: str, trials: int, seed: int,
     if K < 1:
         raise ValueError("K must be >= 1")
     wmax = min(K, _MAX_WINDOW)
-    n_done = trials if gains is None else 1  # fixed gains: one pass suffices
+    if gains is not None:
+        if gains.kind != "equal":
+            raise ValueError(f"fixed gains must be of kind 'equal', got {gains.kind!r}")
+        if topology not in TOPOLOGIES:
+            raise ValueError(f"unknown topology {topology!r}")
+        alpha = gains.alpha if topology == SYMMETRIC else 0.0
+        failures = [(0, j, s) for s in range(1, wmax + 1) if rank_h(s, alpha) < s
+                    for j in range(1, K - s + 2)]
+        return RankTrialReport(1, len(failures), wmax, tuple(failures[:50]))
     per_chunk = max(1, _WINDOW_CAP // K)
     sizes = np.arange(1, wmax + 1)
     failures = []
-    for t0 in range(0, n_done, per_chunk):
-        if gains is not None:
-            bands = channel_band(K, topology, gains)[None]
-        else:
-            bands = np.zeros((min(n_done - t0, per_chunk), 3, K))
-            bands[:, 0] = 1.0
-            for t, band in enumerate(bands, t0):
-                sub, sup = _generic_draws(K, topology, seed + t)
-                band[1, :K - 1] = sub
-                if sup is not None:
-                    band[2, :K - 1] = sup
+    for t0 in range(0, trials, per_chunk):
+        bands = np.zeros((min(trials - t0, per_chunk), 3, K))
+        bands[:, 0] = 1.0
+        for t, band in enumerate(bands, t0):
+            sub, sup = _generic_draws(K, topology, seed + t)
+            band[1, :K - 1] = sub
+            if sup is not None:
+                band[2, :K - 1] = sup
         unproven = ~(_ratio_lower_bounds(bands, wmax) >= _CERTIFIED) & \
             (np.arange(K) <= K - sizes[:, None])  # windows that exist
         for size in sizes[unproven.any(axis=(0, 2))].tolist():
@@ -337,5 +347,5 @@ def random_gain_rank_trials(K: int, topology: str, trials: int, seed: int,
                 failures += [(t0 + t, start + 1, size) for t, start in
                              zip(rows[bad].tolist(), starts[bad].tolist())]
     failures.sort(key=lambda c: (c[0], c[2], c[1]))
-    return RankTrialReport(trials=n_done, failures=len(failures),
+    return RankTrialReport(trials=trials, failures=len(failures),
                            max_window=wmax, failed_cases=tuple(failures[:50]))

@@ -224,6 +224,14 @@ class TestConverse:
         assert code == 2 and out == ""
         assert err == "error: trials must be >= 1\n"
 
+    @pytest.mark.parametrize("tol, shown", [("inf", "inf"), ("nan", "nan"), ("-1", "-1")])
+    def test_a_tolerance_that_is_negative_or_not_finite_is_usage_error(self, capsys, tol, shown):
+        # an infinite tol passed any finite replay error; nan and -1 failed every one
+        code, out, err = run(capsys, "converse", "--family", "ub1", "--topology", "symmetric",
+                             "--K", "7", "--alpha", "0.3", "--tol", tol)
+        assert code == 2 and out == ""
+        assert err == f"error: tol must be finite and >= 0, got {shown}\n"
+
 
 class TestPlanCertifyRoundTrip:
     def test_round_trip(self, capsys, tmp_path):
@@ -608,6 +616,15 @@ class TestRandomCheck:
                            "--topology", "symmetric", "--trials", "1",
                            "--seed", "0", "--alpha", "root:3:1")
         assert code == 1 and json.loads(out)["failures"] > 0
+
+    @pytest.mark.parametrize("K, topology, alpha", [
+        ("7", "symmetric", "0.70710678"),  # 1.2e-9 from root:3:1, which is no root
+        ("12", "asymmetric", "10"),        # every window is unit lower-triangular
+    ])
+    def test_a_gain_that_is_no_root_loses_no_window(self, capsys, K, topology, alpha):
+        code, out, err = run(capsys, "random-check", "--K", K, "--topology", topology,
+                             "--alpha", alpha)
+        assert code == 0 and err == "" and json.loads(out)["failures"] == 0
 
     def test_negative_seed_is_usage_error(self, capsys):
         code, out, err = run(capsys, "random-check", "--K", "10",

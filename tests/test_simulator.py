@@ -8,7 +8,7 @@ import rank_window_loop as rw
 from wynerdof import netmodel as nm
 from wynerdof import schemes as sc
 from wynerdof import simulator as sim
-from wynerdof.tridiag import RootAlpha, alpha_float, h_matrix
+from wynerdof.tridiag import RootAlpha, alpha_float, h_matrix, u_is_zero
 
 P = nm.NetworkParams
 ROOT3 = RootAlpha(3, 1)
@@ -228,6 +228,16 @@ def near_root_gains(p):
             for g in float_steps(alpha_float(RootAlpha(p, k, sign)))]
 
 
+def zero_test_report(K, topology, alpha):
+    """The fixed-gain report of the zero test: every window of each size s
+    with u_s(alpha) = 0 on the symmetric topology, none on the asymmetric
+    one, whose windows are unit lower-triangular."""
+    wmax = min(K, sim._MAX_WINDOW)
+    failed = [(0, j, s) for s in range(1, wmax + 1)
+              if topology == nm.SYMMETRIC and u_is_zero(s, alpha) for j in range(1, K - s + 2)]
+    return sim.RankTrialReport(1, len(failed), wmax, tuple(failed[:50]))
+
+
 # size-2 windows of the equal gain a have sigma_min / sigma_max = |1-a|/(1+a),
 # which is RANK_REL_TOL at this a: the SVD decides them either way
 AT_TOL = (1 - sc.RANK_REL_TOL) / (1 + sc.RANK_REL_TOL)
@@ -237,19 +247,19 @@ EXTREME_GAINS = [g * sign for g in (1e-3, 1e3, 1e5, 1e6, 1e8) for sign in (1, -1
 
 
 class TestRankTrialsMatchTheWindowLoop:
-    """The batched rank trials against the per-window loop they replaced
-    (tests/rank_window_loop.py): equal reports, field for field."""
+    """The batched rank trials at random gains against the per-window loop
+    they replaced (tests/rank_window_loop.py), and at fixed gains against the
+    zero test: equal reports, field for field."""
 
     @pytest.mark.parametrize("K", list(range(1, 31)) + [60])
     def test_equal_reports(self, K):
-        cases = [(topo, 3, K, None) for topo in nm.TOPOLOGIES]
-        cases += [(topo, 3, 0, nm.CrossGainAssignment.equal(a))
-                  for topo in nm.TOPOLOGIES for a in (1.0, -1.0, 0.3, 0.5)]
-        cases += [(nm.SYMMETRIC, 1, 0, nm.CrossGainAssignment.equal(a)) for a in ROOTS]
-        for topo, trials, seed, gains in cases:
-            want = rw.random_gain_rank_trials(K, topo, trials, seed, gains=gains)
-            got = sim.random_gain_rank_trials(K, topo, trials, seed, gains=gains)
-            assert got == want, (K, topo, gains)
+        for topo in nm.TOPOLOGIES:
+            want = rw.random_gain_rank_trials(K, topo, 3, K)
+            assert sim.random_gain_rank_trials(K, topo, 3, K) == want, (K, topo)
+        for topo, a in [(topo, a) for topo in nm.TOPOLOGIES for a in (1.0, -1.0, 0.3, 0.5)] + \
+                [(nm.SYMMETRIC, a) for a in ROOTS]:
+            got = sim.random_gain_rank_trials(K, topo, 3, 0, gains=nm.CrossGainAssignment.equal(a))
+            assert got == zero_test_report(K, topo, a), (K, topo, a)
 
     def test_failures_in_several_trials_keep_the_loop_order(self, monkeypatch):
         # odd seeds draw alpha = 1 (26 failing windows at K = 12), so trials
@@ -273,19 +283,18 @@ class TestRankTrialsMatchTheWindowLoop:
     @pytest.mark.parametrize("cap", [1, 7, 100])
     def test_small_window_cap_gives_the_same_report(self, monkeypatch, cap):
         monkeypatch.setattr(sim, "_WINDOW_CAP", cap)
-        for K, topo, trials, gains in ((9, nm.SYMMETRIC, 5, None),
-                                       (14, nm.SYMMETRIC, 1, nm.CrossGainAssignment.equal(1.0)),
-                                       (13, nm.ASYMMETRIC, 4, None)):
-            want = rw.random_gain_rank_trials(K, topo, trials, 2, gains=gains)
-            assert sim.random_gain_rank_trials(K, topo, trials, 2, gains=gains) == want
+        for K, topo, trials in ((9, nm.SYMMETRIC, 5), (13, nm.ASYMMETRIC, 4)):
+            want = rw.random_gain_rank_trials(K, topo, trials, 2)
+            assert sim.random_gain_rank_trials(K, topo, trials, 2) == want
 
     @pytest.mark.parametrize("p", range(2, 14))
     def test_near_root_gains(self, p):
-        for a in near_root_gains(p) + (EXTREME_GAINS if p == 2 else []):
+        # within 4 float steps of a rounded root, u_is_zero calls the gain critical
+        for a in near_root_gains(p):
             gains = nm.CrossGainAssignment.equal(a)
             for topo in nm.TOPOLOGIES:
-                want = rw.random_gain_rank_trials(14, topo, 1, 0, gains=gains)
-                assert sim.random_gain_rank_trials(14, topo, 1, 0, gains=gains) == want, (a, topo)
+                got = sim.random_gain_rank_trials(14, topo, 1, 0, gains=gains)
+                assert got == zero_test_report(14, topo, a), (a, topo)
 
     @pytest.mark.parametrize("K, trials", [(20, 30), (60, 100), (5, 3)])
     def test_one_svd_call_per_window_size_per_chunk(self, monkeypatch, K, trials):
@@ -316,6 +325,32 @@ class TestRankTrialsMatchTheWindowLoop:
         assert max(calls, default=0) <= sim._WINDOW_CAP
         assert len(chunks) == math.ceil(trials / per_chunk)
         assert sum(map(len, chunks)) == trials and max(map(len, chunks)) <= per_chunk
+
+
+class TestFixedGainsTakeTheZeroTest:
+    """A fixed equal gain fails exactly the windows whose determinant
+    u_s(alpha) vanishes, by the zero test mg and certify use: no band, no
+    determinant certificate and no SVD."""
+
+    def test_near_every_root_and_at_extreme_gains(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fixed gain reached the SVD or the certificate")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(sim, "_ratio_lower_bounds", refuse)
+        roots = [alpha_float(r) for r in ROOTS if r.p <= 7]
+        gains = [r + d * 10.0 ** -k for r in roots for k in range(3, 16) for d in (1, -1)]
+        assert len(gains) == 624
+        wrong = [(a, topo) for a in gains + EXTREME_GAINS for topo in nm.TOPOLOGIES
+                 if sim.random_gain_rank_trials(14, topo, 1, 0, gains=nm.CrossGainAssignment.equal(a))
+                 != zero_test_report(14, topo, a)]
+        assert not wrong, f"{len(wrong)} of {2 * (len(gains) + len(EXTREME_GAINS))}: {wrong[:5]}"
+
+    @pytest.mark.parametrize("topology", nm.TOPOLOGIES)
+    def test_fixed_gains_must_be_equal(self, topology):
+        explicit = nm.sample_generic_gains(6, topology, 0)
+        with pytest.raises(ValueError, match="kind 'equal', got 'explicit'"):
+            sim.random_gain_rank_trials(6, topology, 1, 0, gains=explicit)
 
 
 def exact_ratio_at_least(W, b):
