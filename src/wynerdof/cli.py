@@ -288,18 +288,7 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"sweep spec {k!r} must be a list")
     topology = {"topology": spec["topology"]} if "topology" in spec else {}
     instances = [dict(zip(keys, combo), **topology) for combo in product(*grids)]
-    rows_args = (range(len(instances)), instances, [checks] * len(instances))
-    # the rows' modules are loaded here, in the main thread, before any worker starts
-    if "certify" in checks:
-        from . import schemes  # noqa: F401
-    if "converse" in checks:
-        from . import converse  # noqa: F401
-    if (args.jobs or 1) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.jobs) as ex:
-            rows = list(ex.map(_sweep_one, *rows_args))
-    else:
-        rows = list(map(_sweep_one, *rows_args))
+    rows = [_sweep_one(i, inst, checks) for i, inst in enumerate(instances)]
     cols = sorted({k for r in rows for k in r}, key=lambda c: (c != "index", c))
     lines = [",".join(cols)]
     for r in rows:
@@ -379,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="parameter grid from a JSON spec (CSV)")
     p.add_argument("--spec", required=True)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, help="accepted and has no effect")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("random-check", help="probability-1 full-rank sampling")

@@ -177,7 +177,6 @@ class _TermBag:
         self.K = K
         self.y: Dict[int, float] = {}
         self.x: Dict[int, float] = {}
-        self.n: Dict[int, float] = {}
 
     def add(self, kind: str, idx: int, coef: float):
         if coef == 0 or not 1 <= idx <= self.K:
@@ -201,41 +200,42 @@ def _window_expr(bag: _TermBag, origin: int, step: int, row: int, p: int,
     inv_r = inv[row - 1]
     for j in range(1, p + 1):
         bag.add("y", origin + step * j, scale * inv_r[j - 1])
-        bag.add("n", origin + step * j, -scale * inv_r[j - 1])
     if p >= 2:
         bag.add("x", origin + step * p, -scale * inv_r[p - 2] * a)
     bag.add("x", origin + step * p, -scale * inv_r[p - 1])
     bag.add("x", origin + step * (p + 1), -scale * inv_r[p - 1] * a)
 
 
-def _rebuild(bag: _TermBag, t: int, lo: int, hi: int, below, above, a: float):
-    """Add the inputs of Y_t = a X_{t-1} + X_t + a X_{t+1} + N_t, in that
-    order.  An input at or below lo goes through the (p, inverse) window
-    `below` under lo, any other through the window `above` over hi+1; a row
-    past a one-output window is added as a known input.  Inputs outside
-    1..K are zero, and so is every term of their windows."""
+def _rebuild(K: int, t: int, lo: int, hi: int, below, above, a: float) -> _TermBag:
+    """A bag holding the inputs of Y_t = a X_{t-1} + X_t + a X_{t+1} + N_t,
+    added in that order.  An input at or below lo goes through the
+    (p, inverse) window `below` under lo, any other through the window
+    `above` over hi+1; a row past a one-output window is added as a known
+    input.  Inputs outside 1..K are zero, and so is every term of their
+    windows."""
+    bag = _TermBag(K)
     for i, w in ((t - 1, a), (t, 1.0), (t + 1, a)):
         (p, inv), origin, step = (below, lo, -1) if i <= lo else (above, hi + 1, 1)
         row = step * (i - origin) + 1
         if row > p:
             bag.add("x", i, w)
-        elif 1 <= i <= bag.K:
+        elif 1 <= i <= K:
             _window_expr(bag, origin, step, row, p, inv, a, w)
+    return bag
 
 
 def _materialize(bag: _TermBag, target: int, round_no: int,
                  genies: list, steps: list):
     """Close a recipe: the leftover noise mismatch becomes genie len(genies).
 
-    The bag holds scale*(X+noise) expressions whose X parts sum to the
-    channel inputs of Y_target, i.e. sum(y)+sum(x) = Y_target - N_target -
-    sum(bag noise).  Defining V = -N_target - sum(bag noise) makes
-    Y_target = sum(y) + sum(x) - V exact.
+    Each output term c*Y_i carries the noise c*N_i along with its inputs, so
+    sum(y)+sum(x) = Y_target - N_target + sum_i y_i N_i.  The genie
+    V = sum_i y_i N_i - N_target makes Y_target = sum(y) + sum(x) - V exact.
     """
     genie_index = len(genies)
-    vbag = dict(bag.n)
-    vbag[target] = vbag.get(target, 0.0) + 1.0
-    noise = tuple(sorted((k, -v) for k, v in vbag.items() if v != 0))
+    vbag = dict(bag.y)
+    vbag[target] = vbag.get(target, 0.0) - 1.0
+    noise = tuple(sorted((k, v) for k, v in vbag.items() if v != 0))
     genies.append(GenieSignal(index=genie_index, noise_coeff=noise))
     steps.append(ReconstructionStep(
         round_no=round_no, target=target,
@@ -356,13 +356,9 @@ def build_sym_genie_ub1(params: NetworkParams, alpha: AlphaLike) -> GeniePartiti
         c = m * beta  # hidden antennas c (m >= 1) and c + 1, split at column c
         for t in (c, c + 1):
             if 1 <= t <= K:
-                bag = _TermBag(K)
-                _rebuild(bag, t, c, c, below, above, a)
-                _materialize(bag, t, 1, genies, steps)
+                _materialize(_rebuild(K, t, c, c, below, above, a), t, 1, genies, steps)
     if theta == 0:  # hidden antenna K, rebuilt from below only
-        bag = _TermBag(K)
-        _rebuild(bag, K, K, K, below, above, a)
-        _materialize(bag, K, 1, genies, steps)
+        _materialize(_rebuild(K, K, K, K, below, above, a), K, 1, genies, steps)
     return _partition(params, SYMMETRIC, "ub1", alpha, genies=genies, steps=steps)
 
 
@@ -430,20 +426,15 @@ def build_sym_genie_ub2(params: NetworkParams, alpha: AlphaLike) -> GeniePartiti
         bag = _TermBag(K)
         for j in range(2, pL + 1):
             bag.add("y", s + j, d[j - 2])
-            bag.add("n", s + j, -d[j - 2])
         bag.add("x", (m + 1) * beta + 1, -d[pL - 2] * a)
         _window_expr(bag, s, -1, 1, *below, a, a)
         _materialize(bag, s + 1, 2 * m + 1, genies, steps)
         groups_b.append((m * beta + tr + rr + rl + 3,))
         # even round: rebuild Y_s using Y_{s+1} from the previous round
-        bag = _TermBag(K)
-        _rebuild(bag, s, s, s - 1, below, above, a)
-        _materialize(bag, s, 2 * m + 2, genies, steps)
+        _materialize(_rebuild(K, s, s, s - 1, below, above, a), s, 2 * m + 2, genies, steps)
         groups_b.append(tuple(range(m * beta + tr + 2, m * beta + tr + rr + rl + 3)))
     if theta == 1:
-        bag = _TermBag(K)
-        _rebuild(bag, K, K, K, below, above, a)
-        _materialize(bag, K, 2 * gamma + 1, genies, steps)
+        _materialize(_rebuild(K, K, K, K, below, above, a), K, 2 * gamma + 1, genies, steps)
         groups_b.append(tuple(range(K - rr, K + 1)))
     return _partition(params, SYMMETRIC, "ub2", alpha, groups_b, genies, steps)
 
@@ -494,13 +485,9 @@ def build_offset_genie(params: NetworkParams, alpha: AlphaLike) -> GeniePartitio
     for m in range(1, gamma + 1):
         c = m * beta  # hidden antennas c-1 and c, split at column c-1
         for t in (c - 1, c):
-            bag = _TermBag(K)
-            _rebuild(bag, t, c - 1, c - 1, window, window, a)
-            _materialize(bag, t, 2, genies, steps)
+            _materialize(_rebuild(K, t, c - 1, c - 1, window, window, a), t, 2, genies, steps)
     if has_tail:
-        bag = _TermBag(K)
-        _rebuild(bag, K, K, K, window, window, a)
-        _materialize(bag, K, 2, genies, steps)
+        _materialize(_rebuild(K, K, K, K, window, window, a), K, 2, genies, steps)
 
     return _partition(params, SYMMETRIC, "offset", alpha, [(rl + 1,)], genies, steps)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,7 +64,6 @@ class OffsetCurve:
 
 
 def _subnet_rate(plan: TransmissionPlan, model: ChannelModel, P: float) -> float:
-    prelog = plan.prelog_map()
     total = 0.0
     for sn in plan.subnets:
         coupled = set()
@@ -304,9 +304,11 @@ def random_gain_rank_trials(K: int, topology: str, trials: int, seed: int,
     RANK_REL_TOL is full rank: LAPACK's O(eps * sigma_max) error could not
     bring its ratio down to RANK_REL_TOL.  The SVD decides every other
     window: for each window size, those of a chunk go to LAPACK in one
-    batched SVD call of at most _WINDOW_CAP matrices.  Memory stays
-    O(_WINDOW_CAP * 12^2) floats whatever K and `trials` are.  Failures are
-    (trial, start, size), ordered by trial, size and start.
+    batched SVD call of at most _WINDOW_CAP matrices.  A chunk holds
+    max(1, _WINDOW_CAP // K) trials and the certificate 12 floats per window
+    start of each, so memory is O(12 * max(K, _WINDOW_CAP)) floats plus a
+    tuple per failure; a fixed gain counts its failures in O(1).  Failures
+    are (trial, start, size), ordered by trial, size and start.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -319,9 +321,9 @@ def random_gain_rank_trials(K: int, topology: str, trials: int, seed: int,
         if topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {topology!r}")
         alpha = gains.alpha if topology == SYMMETRIC else 0.0
-        failures = [(0, j, s) for s in range(1, wmax + 1) if rank_h(s, alpha) < s
-                    for j in range(1, K - s + 2)]
-        return RankTrialReport(1, len(failures), wmax, tuple(failures[:50]))
+        bad = [s for s in range(1, wmax + 1) if rank_h(s, alpha) < s]
+        cases = islice(((0, j, s) for s in bad for j in range(1, K - s + 2)), 50)
+        return RankTrialReport(1, sum(K - s + 1 for s in bad), wmax, tuple(cases))
     per_chunk = max(1, _WINDOW_CAP // K)
     sizes = np.arange(1, wmax + 1)
     failures = []

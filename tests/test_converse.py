@@ -408,6 +408,38 @@ class TestPartitionInvariants:
         assert min(built.values()) > 100, built
 
 
+class TestGenieNoiseIsTheRebuildResidue:
+    """A symmetric recipe rebuilds Y_target from outputs y_i Y_i and known
+    inputs; its genie is the noise those outputs leave over,
+    sum_i y_i N_i - N_target, read from the step's own y_terms."""
+
+    BUILDERS = [cv.build_sym_genie_ub1, cv.build_sym_genie_ub2, cv.build_offset_genie]
+    GAINS = [0.3, -1.4, RootAlpha(2, 1), ROOT3, RootAlpha(4, 1), RootAlpha(5, 2)]
+
+    def test_noise_is_the_output_terms_less_the_target(self):
+        checked = dict.fromkeys([b.__name__ for b in self.BUILDERS], 0)
+        for K in range(1, 13):
+            for side in product(range(3), repeat=4):
+                p = P(K, *side)
+                for build, a, mirror in product(self.BUILDERS, self.GAINS, (False, True)):
+                    try:
+                        g = (cv.mirror_partition(build(p.mirrored(), a), p) if mirror
+                             else build(p, a))
+                    except ValueError:  # the family does not apply here
+                        continue
+                    # offset's first step carries a signal genie and is built by hand
+                    steps = g.steps[1:] if build is cv.build_offset_genie else g.steps
+                    for st in steps:
+                        (idx, coef), = st.v_terms
+                        want = dict(st.y_terms)
+                        want[st.target] = want.get(st.target, 0.0) - 1.0
+                        assert coef == -1.0 and g.genies[idx].input_coeff == ()
+                        assert g.genies[idx].noise_coeff == \
+                            tuple(sorted((k, v) for k, v in want.items() if v != 0)), (g, st)
+                        checked[build.__name__] += 1
+        assert min(checked.values()) > 100, checked
+
+
 class TestGroupAOracle:
     """The derived A equals the hand-written formulas the builders used
     before, for every family and its mirror (tests/genie_groups_oracle.py)."""

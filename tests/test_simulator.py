@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -345,6 +346,18 @@ class TestFixedGainsTakeTheZeroTest:
                  if sim.random_gain_rank_trials(14, topo, 1, 0, gains=nm.CrossGainAssignment.equal(a))
                  != zero_test_report(14, topo, a)]
         assert not wrong, f"{len(wrong)} of {2 * (len(gains) + len(EXTREME_GAINS))}: {wrong[:5]}"
+
+    def test_a_large_network_is_counted_not_listed(self):
+        gains = nm.CrossGainAssignment.equal(RootAlpha(3, 1))
+        tracemalloc.start()
+        try:
+            rep = sim.random_gain_rank_trials(10 ** 6, nm.SYMMETRIC, 1, 0, gains=gains)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.failures == 2_999_982  # every window of size 3, 7 and 11
+        assert rep.failed_cases == tuple((0, j, 3) for j in range(1, 51))
+        assert peak < 2 ** 20, f"{peak} bytes traced"
 
     @pytest.mark.parametrize("topology", nm.TOPOLOGIES)
     def test_fixed_gains_must_be_equal(self, topology):
