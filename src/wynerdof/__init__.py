@@ -7,7 +7,8 @@ bounds), schemes (constructive plans and certification), converse
 (genie-aided bounds verified as linear identities), simulator (finite-power
 rate sweeps), cli (command-line front end).  Import the submodule you need
 (`from wynerdof import schemes`); the package itself loads none of them, so
-the closed-form commands start without numpy.
+the closed-form commands start without numpy, and so do certify at equal or
+explicit gains when every block is a window, and random-check at a fixed gain.
 """
 
 __version__ = "0.1.0"

@@ -3,7 +3,7 @@
 Asymmetric: receiver k hears its own transmitter plus the one to its left,
 so the channel is lower bidiagonal with unit diagonal.
 Symmetric: both neighbors interfere and the channel is tridiagonal.
-Either way a channel is stored as its three diagonals, a 3 x K band.
+Either way a channel is stored as its three diagonals, three K-tuples.
 
 Transmitter k is cognizant of messages k-t_left .. k+t_right; receiver k
 observes antennas k-r_left .. k+r_right (clipped to 1..K everywhere).
@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
 from .tridiag import AlphaLike, RootAlpha, alpha_float
 
@@ -161,19 +161,19 @@ def _generic_draws(K: int, topology: str, seed: int):
 def sample_generic_gains(K: int, topology: str, seed: int) -> CrossGainAssignment:
     """Reproducible continuous-draw gains; support [-2,-0.1] U [0.1,2]."""
     sub, sup = _generic_draws(K, topology, seed)
-    return CrossGainAssignment(kind="explicit", sub=tuple(sub),
-                               sup=None if sup is None else tuple(sup))
+    return CrossGainAssignment(kind="explicit", sub=tuple(sub.tolist()),
+                               sup=None if sup is None else tuple(sup.tolist()))
 
 
 @dataclass(frozen=True)
 class ChannelModel:
     """Immutable network instance: parameters, topology, gains, and the
-    channel's three diagonals as a read-only 3 x K band (`channel_band`)."""
+    channel's three diagonals as a band of three K-tuples (`channel_band`)."""
 
     params: NetworkParams
     topology: str
     gains: CrossGainAssignment
-    band: np.ndarray = field(compare=False)
+    band: Tuple[tuple, tuple, tuple] = field(compare=False)
 
     @property
     def K(self) -> int:
@@ -190,11 +190,11 @@ class ChannelModel:
             if not 1 <= j <= K:
                 raise ValueError(f"index {j} outside 1..{K}")
         if a == t:
-            return self.band[0, a - 1]
+            return self.band[0][a - 1]
         if a == t + 1:
-            return self.band[1, t - 1]
+            return self.band[1][t - 1]
         if a == t - 1:
-            return self.band[2, a - 1]
+            return self.band[2][a - 1]
         return 0.0
 
     @cached_property
@@ -206,11 +206,11 @@ class ChannelModel:
         j - i = 1, and (symmetric only) the right-neighbor gain when j - i = -1.
         """
         import numpy as np
-        K = self.params.K
-        h = np.eye(K)
-        idx = np.arange(K - 1)
-        h[idx + 1, idx] = self.band[1, :K - 1]
-        h[idx, idx + 1] = self.band[2, :K - 1]
+        diag, sub, sup = self.band
+        h = np.diag(diag)
+        idx = np.arange(len(diag) - 1)
+        h[idx + 1, idx] = sub[:-1]
+        h[idx, idx + 1] = sup[:-1]
         h.setflags(write=False)
         return h
 
@@ -231,45 +231,41 @@ def _check_instance(K: int, topology: str, gains: CrossGainAssignment) -> None:
             raise ValueError(f"expected {K - 1} super-diagonal gains, got {len(gains.sup)}")
 
 
-def channel_band(K: int, topology: str, gains: CrossGainAssignment) -> np.ndarray:
-    """The channel's three diagonals as a 3 x K array: the unit diagonal, then
-    the sub- and super-diagonal gains (zero for the asymmetric topology),
-    each zero-padded at the end to length K.  An equal gain puts
+def channel_band(K: int, topology: str, gains: CrossGainAssignment) -> Tuple[tuple, tuple, tuple]:
+    """The channel's three diagonals as three K-tuples of floats: the unit
+    diagonal, then the sub- and super-diagonal gains (zero for the asymmetric
+    topology), each zero-padded at the end to length K.  An equal gain puts
     alpha_float(alpha) on every link, a random one the seed's
     `_generic_draws`, an explicit one its tuples; every gain used must be
-    nonzero."""
-    import numpy as np
+    nonzero.  Only random gains import numpy, for the draws."""
     _check_instance(K, topology, gains)
+    if gains.kind == "random":
+        gains = sample_generic_gains(K, topology, gains.seed)
     if gains.kind == "equal":
-        sub = sup = np.full(K - 1, alpha_float(gains.alpha))
-    elif gains.kind == "random":
-        sub, sup = _generic_draws(K, topology, gains.seed)
+        sub = sup = (alpha_float(gains.alpha),) * (K - 1)
     elif gains.kind == "explicit":
         sub, sup = gains.sub, gains.sup
     else:
         raise ValueError(f"unknown gain kind {gains.kind!r}")
-    band = np.zeros((3, K))
-    band[0] = 1.0
-    band[1, :K - 1] = sub
-    if topology == SYMMETRIC:
-        band[2, :K - 1] = sup
-    if not band[1:2 + (topology == SYMMETRIC), :K - 1].all():
+    if 0 in sub or topology == SYMMETRIC and 0 in sup:
         raise ValueError("nonzero cross-gain required")
-    return band
+    if topology != SYMMETRIC:
+        sup = (0.0,) * (K - 1)
+    return (1.0,) * K, tuple(sub) + (0.0,), tuple(sup) + (0.0,)
 
 
 def build_channel(params: NetworkParams, topology: str, gains: CrossGainAssignment) -> ChannelModel:
-    """The channel for the requested topology, stored as its read-only band.
+    """The channel for the requested topology, stored as its band of tuples.
 
     Boundary inputs X_0 and X_{K+1} do not exist, so there is no wraparound.
     """
     band = channel_band(params.K, topology, gains)
-    band.setflags(write=False)
     return ChannelModel(params=params, topology=topology, gains=gains, band=band)
 
 
 def submatrix(model: ChannelModel, rx_indices: Iterable[int], tx_indices: Iterable[int]) -> np.ndarray:
-    """Entries H[j][i] for the given 1-based antenna/transmitter index lists."""
+    """Entries H[j][i] for the given 1-based antenna/transmitter index lists,
+    read from the band."""
     import numpy as np
     rx = list(rx_indices)
     tx = list(tx_indices)
@@ -277,17 +273,8 @@ def submatrix(model: ChannelModel, rx_indices: Iterable[int], tx_indices: Iterab
     for j in rx + tx:
         if not 1 <= j <= K:
             raise ValueError(f"index {j} outside 1..{K}")
-    if not rx or not tx:
-        return np.zeros((len(rx), len(tx)))
-    r = np.asarray(rx, dtype=int)[:, None] - 1
-    t = np.asarray(tx, dtype=int)[None, :] - 1
-    d = r - t
-    near = np.abs(d) <= 1
-    # band row d mod 3 holds offset d: 0 the diagonal, 1 the sub-diagonal
-    # (indexed by column), 2 the super-diagonal (indexed by row)
-    out = model.band[np.where(near, d % 3, 0), np.where(d == 1, t, r)]
-    out[~near] = 0.0
-    return out
+    rows = [[model.entry(a, t) for t in tx] for a in rx]
+    return np.array(rows, dtype=float).reshape(len(rx), len(tx))
 
 
 # ---------------------------------------------------------------------------

@@ -652,7 +652,7 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
         raise ValueError("plan and model describe different instances")
     K = params.K
     tl, tr, rl, rr = params.t_left, params.t_right, params.r_left, params.r_right
-    diag, sub, sup = model.band.tolist()
+    diag, sub, sup = model.band
     deps = dict(plan.signal_deps)
     prelog = dict(plan.message_prelog)
     silenced_rx = set(plan.silenced_rx)

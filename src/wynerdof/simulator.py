@@ -16,15 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from .netmodel import SYMMETRIC, TOPOLOGIES, ChannelModel, CrossGainAssignment, \
     _generic_draws, submatrix
 from .schemes import RANK_REL_TOL, TransmissionPlan, certify_plan
 from .tridiag import AlphaLike, alpha_float, alpha_token, rank_h, u_is_zero, \
     v_sequence
+
+if TYPE_CHECKING:  # numpy is imported where arrays are built
+    import numpy as np
 
 __all__ = [
     "RateCurve",
@@ -64,6 +65,7 @@ class OffsetCurve:
 
 
 def _subnet_rate(plan: TransmissionPlan, model: ChannelModel, P: float) -> float:
+    import numpy as np
     total = 0.0
     for sn in plan.subnets:
         coupled = set()
@@ -104,6 +106,7 @@ def plan_sum_rate(plan: TransmissionPlan, model: ChannelModel, P: float) -> floa
 
 
 def default_power_grid(lo: float = 1e3, hi: float = 1e14, points: int = 12):
+    import numpy as np
     if not (0 < lo < math.inf and 0 < hi < math.inf):
         raise ValueError(f"powers must be positive and finite, got {lo:g} and {hi:g}")
     return tuple(float(p) for p in np.geomspace(lo, hi, points))
@@ -117,6 +120,7 @@ def slope_estimate(plan: TransmissionPlan, model: ChannelModel,
     constant bias.  The grid must be increasing, span at least six decades,
     and hold at least twelve points.
     """
+    import numpy as np
     grid = tuple(p_grid) if p_grid is not None else default_power_grid()
     if len(grid) < 12:
         raise ValueError("power grid needs at least 12 points")
@@ -152,6 +156,7 @@ def offset_experiment(L: int, alpha_star: AlphaLike, K: int,
     multiplicity.  alpha* must be a root of u_{L+1}, and the fit needs at
     least two gaps.
     """
+    import numpy as np
     if L < 0:
         raise ValueError(f"L must be >= 0, got {L}")
     if (K + 1) % (L + 2) != 0:
@@ -211,6 +216,7 @@ def _window_stack(bands: np.ndarray, s: int, rows: np.ndarray,
                   starts: np.ndarray) -> np.ndarray:
     """The s x s principal windows at 0-based `starts` of the channels whose
     diagonal, sub- and super-diagonal are `bands[rows]`."""
+    import numpy as np
     r = np.arange(s)
     cols = starts[:, None] + r
     stack = np.zeros((rows.size, s, s))
@@ -244,6 +250,7 @@ def _ratio_lower_bounds(bands: np.ndarray, wmax: int) -> np.ndarray:
     move it by a few eps relative, which the factor 100 of _CERTIFIED dwarfs.
     Overflow gives nan or 0, which never certifies.
     """
+    import numpy as np
     n, _, K = bands.shape
     ext = np.zeros((3, n, K + wmax))
     ext[:, :, :K] = bands.transpose(1, 0, 2)
@@ -324,6 +331,7 @@ def random_gain_rank_trials(K: int, topology: str, trials: int, seed: int,
         bad = [s for s in range(1, wmax + 1) if rank_h(s, alpha) < s]
         cases = islice(((0, j, s) for s in bad for j in range(1, K - s + 2)), 50)
         return RankTrialReport(1, sum(K - s + 1 for s in bad), wmax, tuple(cases))
+    import numpy as np
     per_chunk = max(1, _WINDOW_CAP // K)
     sizes = np.arange(1, wmax + 1)
     failures = []

@@ -1,8 +1,8 @@
 """Plan certification as it was before the one-pass rewrite, kept in the
 tests as an oracle.
 
-``wynerdof.schemes.certify_plan`` reads the channel's three diagonals as
-Python lists once per call and makes one pass over the plan: the scalar
+``wynerdof.schemes.certify_plan`` reads the channel's three diagonals, the
+band's tuples, once per call and makes one pass over the plan: the scalar
 steps' interference scan visits only the active transmitters next to the
 step's antenna, and window tests are inline min/max comparisons.  This
 module keeps the version that replaced, verbatim: ``_first_coupling`` walks
@@ -15,6 +15,8 @@ shares no code with the rewrite but the plan types, ``_numeric_rank`` and
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from wynerdof.netmodel import ChannelModel, submatrix
 from wynerdof.schemes import Certification, TransmissionPlan, _numeric_rank
@@ -66,7 +68,7 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
     if params != model.params or plan.topology != model.topology:
         raise ValueError("plan and model describe different instances")
     H = model.entry
-    band = model.band
+    band = np.asarray(model.band)  # the memo keys on its slices' bytes
     K = params.K
     tl, tr, rl, rr = params.t_left, params.t_right, params.r_left, params.r_right
     deps = plan.deps_map()

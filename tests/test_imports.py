@@ -3,7 +3,10 @@
 Every case starts a fresh interpreter, runs ``cli.main`` on one command line
 and reports which modules are then loaded.  The closed-form commands (mg,
 bounds, roots) and plan synthesis never need numpy, from flags or from an
---instance file; certify, converse, entropy and simulate skip the modules
+--instance file.  Neither does certify at equal or explicit gains when every
+block is a window (its rank is the zero test's), from flags, from a --plan
+file or from an --instance file, nor random-check at a fixed --alpha on
+either topology.  Certify, converse, entropy and simulate skip the modules
 they do not call.
 """
 
@@ -42,14 +45,19 @@ CASES = {
     "plan-sym": (["plan", *SYM, "--alpha", "root:3:1"],
                  NUMPY_AND_CHECKS - {"wynerdof.schemes"}),
     "plan-asym": (["plan", *ASYM], NUMPY_AND_CHECKS - {"wynerdof.schemes"}),
-    "certify": (["certify", *SYM, "--alpha", "0.3"],
-                {"wynerdof.converse", "wynerdof.simulator"}),
+    "certify": (["certify", *SYM, "--alpha", "0.3"], NUMPY_AND_CHECKS - {"wynerdof.schemes"}),
     "converse": (["converse", "--family", "ub1", *SYM, "--alpha", "0.7", "--trials", "5"],
                  {"wynerdof.schemes", "wynerdof.simulator"}),
     "entropy": (["entropy", "--family", "ub1", *SYM, "--alpha", "0.9"],
                 {"wynerdof.schemes", "wynerdof.simulator"}),
     "simulate": (["simulate", *SYM, "--alpha", "0.3"], {"wynerdof.converse"}),
+    "random-check-sym-root": (["random-check", "--K", "20", "--topology", "symmetric",
+                               "--alpha", "root:3:1"], {"numpy", "wynerdof.converse"}),
+    "random-check-asym-root": (["random-check", "--K", "20", "--topology", "asymmetric",
+                                "--alpha", "root:3:1"], {"numpy", "wynerdof.converse"}),
 }
+# root:3:1 zeroes every symmetric window of size 3, 7 and 11
+EXIT_CODES = {"random-check-sym-root": 1}
 
 
 INSTANCE = {"K": 12, "t_left": 1, "t_right": 1, "r_left": 1, "r_right": 1,
@@ -61,14 +69,14 @@ GAINS = {
 }
 
 
-def loaded_modules(argv):
+def loaded_modules(argv, want_code=0):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
                           stdin=subprocess.DEVNULL, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     code, loaded = json.loads(proc.stdout)
-    assert code == 0
+    assert code == want_code
     assert "wynerdof.cli" in loaded
     return loaded
 
@@ -76,7 +84,17 @@ def loaded_modules(argv):
 @pytest.mark.parametrize("name", CASES)
 def test_a_command_loads_only_what_it_runs(name):
     argv, must_not_load = CASES[name]
-    assert sorted(must_not_load.intersection(loaded_modules(argv))) == []
+    loaded = loaded_modules(argv, EXIT_CODES.get(name, 0))
+    assert sorted(must_not_load.intersection(loaded)) == []
+
+
+def test_certify_reads_a_plan_file_without_numpy(tmp_path):
+    from wynerdof import netmodel, schemes
+    params = netmodel.NetworkParams(12, 1, 1, 1, 1)
+    f = tmp_path / "plan.json"
+    f.write_text(json.dumps(schemes.plan_to_json(schemes.sym_symmetric_si_plan(params, 0.3))))
+    loaded = loaded_modules(["certify", *SYM, "--alpha", "0.3", "--plan", str(f)])
+    assert sorted(NUMPY_AND_CHECKS.intersection(loaded)) == ["wynerdof.schemes"]
 
 
 @pytest.mark.parametrize("kind", GAINS)
@@ -89,3 +107,14 @@ def test_an_instance_file_is_read_without_numpy(tmp_path, command, must_not_load
     f.write_text(json.dumps(dict(INSTANCE, gains=GAINS[kind])))
     loaded = loaded_modules([*command, "--instance", str(f)])
     assert sorted(must_not_load.intersection(loaded)) == []
+
+
+# equal gains certify the sym-si plan, whose blocks are windows; explicit
+# ones have no such plan, and the lb-combined plan has scalar steps only
+@pytest.mark.parametrize("kind, plan", [("equal", []), ("explicit", ["--bound-label", "lb-combined"])],
+                         ids=GAINS)
+def test_certify_reads_an_instance_file_without_numpy(tmp_path, kind, plan):
+    f = tmp_path / "instance.json"
+    f.write_text(json.dumps(dict(INSTANCE, gains=GAINS[kind])))
+    loaded = loaded_modules(["certify", *plan, "--instance", str(f)])
+    assert sorted(NUMPY_AND_CHECKS.intersection(loaded)) == ["wynerdof.schemes"]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wynerdof import netmodel as nm
-from wynerdof.tridiag import RootAlpha, h_matrix
+from wynerdof.tridiag import RootAlpha, alpha_float, h_matrix
 
 
 def equal(a):
@@ -68,7 +68,8 @@ class TestBuildChannel:
 
 
 class TestChannelBand:
-    """The 3 x K band is the dense channel's three diagonals, zero-padded."""
+    """The band's three K-tuples are the dense channel's three diagonals,
+    zero-padded."""
 
     @pytest.mark.parametrize("topo", nm.TOPOLOGIES)
     def test_band_is_the_dense_diagonals(self, topo):
@@ -79,14 +80,15 @@ class TestChannelBand:
             want = np.zeros((3, K))
             for row, k in enumerate((0, -1, 1)):
                 want[row, :K - abs(k)] = np.diagonal(H, k)
-            assert band.tobytes() == want.tobytes()
+            assert np.array(band).tobytes() == want.tobytes()
 
     def test_the_band_is_the_only_stored_form(self):
         for K, topo in ((1, nm.ASYMMETRIC), (5, nm.SYMMETRIC), (20000, nm.SYMMETRIC)):
             m = nm.build_channel(nm.NetworkParams(K=K), topo, equal(0.3))
-            assert m.band.shape == (3, K) and not m.band.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                m.band[0, 0] = 2.0
+            assert type(m.band) is tuple and [len(d) for d in m.band] == [K] * 3
+            assert all(type(d) is tuple for d in m.band)
+            with pytest.raises(TypeError):
+                m.band[0][0] = 2.0
             assert "matrix" not in vars(m)
 
     def test_the_dense_view_is_built_once(self):
@@ -108,6 +110,79 @@ class TestChannelBand:
             with pytest.raises(ValueError) as exc:
                 build()
             assert str(exc.value) == message
+
+
+def old_dense(K, topo, g):
+    """The dense channel as the 3 x K float array band built it before the
+    band became tuples: np.full / _generic_draws / the explicit tuples
+    written into rows 1 and 2, then those rows written off the diagonal of
+    np.eye(K)."""
+    if g.kind == "equal":
+        sub = sup = np.full(K - 1, alpha_float(g.alpha))
+    elif g.kind == "random":
+        sub, sup = nm._generic_draws(K, topo, g.seed)
+    else:
+        sub, sup = g.sub, g.sup
+    band = np.zeros((3, K))
+    band[0] = 1.0
+    band[1, :K - 1] = sub
+    if topo == nm.SYMMETRIC:
+        band[2, :K - 1] = sup
+    h = np.eye(K)
+    idx = np.arange(K - 1)
+    h[idx + 1, idx] = band[1, :K - 1]
+    h[idx, idx + 1] = band[2, :K - 1]
+    return h
+
+
+class TestNothingNumericMoves:
+    """The tuple band gives the dense matrix, the blocks and the entries the
+    float array band gave, bit for bit."""
+
+    GAINS = {
+        "decimal": lambda K: equal(0.37),
+        "root": lambda K: equal(RootAlpha(3, 1)),
+        "explicit": lambda K: nm.CrossGainAssignment.explicit(
+            [0.5 + k / 97 for k in range(K - 1)], [-0.7 - k / 89 for k in range(K - 1)]),
+        "random": lambda K: nm.CrossGainAssignment.random(K),
+    }
+
+    @pytest.mark.parametrize("kind", GAINS)
+    @pytest.mark.parametrize("topo", nm.TOPOLOGIES)
+    @pytest.mark.parametrize("K", [1, 2, 7, 60])
+    def test_matrix_blocks_and_entries(self, K, topo, kind):
+        g = self.GAINS[kind](K)
+        m = nm.build_channel(nm.NetworkParams(K=K), topo, g)
+        want = old_dense(K, topo, g)
+        assert m.matrix.dtype == want.dtype and m.matrix.tobytes() == want.tobytes()
+        rng = np.random.default_rng(K)
+        blocks = [(range(o, o + n), range(o, o + n)) for n in (1, 2, 5) for o in range(1, K - n + 2)]
+        blocks += [(rng.integers(1, K + 1, size=rng.integers(0, 7)).tolist(),
+                    rng.integers(1, K + 1, size=rng.integers(0, 7)).tolist()) for _ in range(50)]
+        for rx, tx in blocks:
+            got = nm.submatrix(m, rx, tx)
+            block = want[np.ix_(np.array(rx, dtype=int) - 1, np.array(tx, dtype=int) - 1)]
+            assert got.shape == block.shape and got.tobytes() == block.tobytes(), (rx, tx)
+        for a, t in product(range(1, K + 1), repeat=2):
+            h = m.entry(a, t)
+            assert type(h) is float and np.float64(h).tobytes() == want[a - 1, t - 1].tobytes()
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("K", [2, 7, 60])
+    def test_a_zero_gain_is_still_rejected(self, K, zero):
+        rest = (0.5,) * (K - 2)
+        cases = [(topo, nm.CrossGainAssignment(kind="equal", alpha=zero)) for topo in nm.TOPOLOGIES]
+        cases += [(topo, nm.CrossGainAssignment(kind="explicit", sub=rest + (zero,), sup=rest + (0.5,)))
+                  for topo in nm.TOPOLOGIES]
+        cases.append((nm.SYMMETRIC, nm.CrossGainAssignment(kind="explicit", sub=rest + (0.5,),
+                                                           sup=(zero,) + rest)))
+        for topo, g in cases:
+            with pytest.raises(ValueError, match="^nonzero cross-gain required$"):
+                nm.build_channel(nm.NetworkParams(K=K), topo, g)
+        # the asymmetric channel has no super-diagonal, so its gains are unread
+        g = nm.CrossGainAssignment(kind="explicit", sub=(0.5,) * (K - 1), sup=(zero,) * (K - 1))
+        m = nm.build_channel(nm.NetworkParams(K=K), nm.ASYMMETRIC, g)
+        assert m.matrix.tobytes() == old_dense(K, nm.ASYMMETRIC, g).tobytes()
 
 
 class TestEntry:
