@@ -13,13 +13,17 @@ import dataclasses
 import json
 import sys
 from itertools import product
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-# Each command imports schemes, converse or simulator (and with them numpy)
-# where it calls them, so the closed-form commands start without numpy.
-from . import dofcalc, netmodel, tridiag
+# Each command imports the modules it calls (dofcalc, tridiag, schemes,
+# converse, simulator) where it calls them, so the closed-form commands start
+# without numpy and the others without dofcalc.
+from . import netmodel
 from .netmodel import (ASYMMETRIC, SYMMETRIC, CrossGainAssignment,
                        NetworkParams, build_channel, parse_alpha_token)
+
+if TYPE_CHECKING:
+    from . import dofcalc
 
 _EXIT_OK = 0
 _EXIT_VERIFY = 1
@@ -83,6 +87,7 @@ def _channel(params, topology, gains) -> netmodel.ChannelModel:
 
 
 def _mg(params, topology, gains) -> dofcalc.DofInterval:
+    from . import dofcalc
     if topology == ASYMMETRIC:
         v = dofcalc.asym_mg(params)
         return dofcalc.DofInterval(v, v, "chain-silencing", "cooperative-bound")
@@ -125,6 +130,7 @@ def _genie(model, family, mirror=False):
 
 
 def _cmd_mg(args) -> int:
+    from . import dofcalc
     params, topology, gains = _resolve(vars(args))
     out = _mg(params, topology, gains).to_json()
     if topology == ASYMMETRIC:
@@ -134,6 +140,7 @@ def _cmd_mg(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import dofcalc
     params, topology, gains = _resolve(vars(args))
     if topology != SYMMETRIC:
         raise ValueError("bounds lists the symmetric topology's bounds; "
@@ -154,6 +161,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_roots(args) -> int:
+    from . import tridiag
     rs = tridiag.critical_roots(args.p)
     _emit(rs.to_json())
     return _EXIT_OK

@@ -22,6 +22,12 @@ facts the degrees-of-freedom claims rest on:
 Dirty-paper steps are modeled as removable known interference: the sender
 must be able to compute the interfering signal from messages it knows,
 which is tracked through a per-transmitter dependency map.
+
+Bulk immutable plan records are NamedTuples: ScalarStep, MimoBlock, Subnet
+and TransmissionPlan are built per step and per subnet, about three times
+faster than frozen dataclasses, are hashable and are edited with
+``._replace``.  Records with a __post_init__, a field(compare=False) or a
+cached_property, and per-call reports such as Certification, stay dataclasses.
 """
 
 from __future__ import annotations
@@ -29,9 +35,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
-from .netmodel import ASYMMETRIC, SYMMETRIC, ChannelModel, NetworkParams, submatrix
+from .netmodel import (ASYMMETRIC, RANK_REL_TOL, SYMMETRIC, ChannelModel, NetworkParams,
+                       submatrix)
 from .tridiag import AlphaLike, alpha_float, alpha_token, rank_h, u_is_zero
 
 if TYPE_CHECKING:  # numpy is imported where arrays are built
@@ -54,10 +61,6 @@ __all__ = [
     "NotApplicableError",
 ]
 
-# A matrix has full numeric rank when its smallest singular value exceeds
-# RANK_REL_TOL times its largest (SVD'd blocks here, random-gain windows in simulator).
-RANK_REL_TOL = 1e-8
-
 
 class StrategyTag(str, Enum):
     SINGLE_USER_SIC_LEFT = "SingleUserSICLeft"
@@ -79,8 +82,7 @@ class NotApplicableError(ValueError):
     """Raised when a requested scheme label does not apply to the instance."""
 
 
-@dataclass(frozen=True)
-class ScalarStep:
+class ScalarStep(NamedTuple):
     """One message decoded from one antenna (successive cancellation / DPC)."""
 
     message: int
@@ -90,8 +92,7 @@ class ScalarStep:
     tag: StrategyTag
 
 
-@dataclass(frozen=True)
-class MimoBlock:
+class MimoBlock(NamedTuple):
     """Jointly decoded group: claimed prelogs ride on the block's rank.
 
     `coupled` lists messages whose prelog is claimed by scalar steps but
@@ -108,8 +109,7 @@ class MimoBlock:
     coupled: Tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class Subnet:
+class Subnet(NamedTuple):
     active_tx: Tuple[int, ...]
     rx_antennas: Tuple[int, ...]
     kind: str  # "generic" | "reduced"
@@ -117,8 +117,7 @@ class Subnet:
     mimo_blocks: Tuple[MimoBlock, ...]
 
 
-@dataclass(frozen=True)
-class TransmissionPlan:
+class TransmissionPlan(NamedTuple):
     params: NetworkParams
     topology: str
     family: str
@@ -185,7 +184,7 @@ def _finalize(params, topology, family, silenced_tx, silenced_rx, subnets, deps,
                 prelog[msg] = prelog.get(msg, 0) + w
     signal_deps, last = [], None
     for t in sorted(deps):
-        if deps[t] is not last:  # a broadcast block's consecutive transmitters share one set
+        if deps[t] is not last:  # a MIMO block's consecutive transmitters may share one set
             last = deps[t]
             ordered = tuple(sorted(last)) if len(last) > 1 else tuple(last)
         signal_deps.append((t, ordered))
@@ -350,10 +349,13 @@ def _mimo_subnet(shape, offset: int) -> Tuple[Subnet, Dict[int, set]]:
     block = MimoBlock(tag, txs, txs, tuple([(txs[j], w) for j, w in prelog]),
                       tuple([(txs[j], txs[a:b]) for j, (a, b) in tx_of]),
                       tuple([(txs[j], txs[a:b]) for j, (a, b) in decoders]))
+    # one set per message group, shared by its transmitters: nothing mutates deps
     if tag is StrategyTag.MIMO_MAC:
-        deps = {t: {m} for m, group in block.tx_of for t in group}
+        deps = {}
+        for m, group in block.tx_of:
+            deps.update(dict.fromkeys(group, {m}))
     else:
-        deps = dict.fromkeys(txs, set(txs[lo:hi + 1]))  # one set: nothing mutates deps
+        deps = dict.fromkeys(txs, set(txs[lo:hi + 1]))
     return Subnet(txs, txs, kind, (), (block,)), deps
 
 

@@ -18,14 +18,15 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-from .netmodel import SYMMETRIC, TOPOLOGIES, ChannelModel, CrossGainAssignment, \
-    _generic_draws, submatrix
-from .schemes import RANK_REL_TOL, TransmissionPlan, certify_plan
+from .netmodel import RANK_REL_TOL, SYMMETRIC, TOPOLOGIES, ChannelModel, \
+    CrossGainAssignment, _generic_draws, submatrix
 from .tridiag import AlphaLike, alpha_float, alpha_token, rank_h, u_is_zero, \
     v_sequence
 
-if TYPE_CHECKING:  # numpy is imported where arrays are built
+if TYPE_CHECKING:  # numpy and schemes are imported where they are called
     import numpy as np
+
+    from .schemes import TransmissionPlan
 
 __all__ = [
     "RateCurve",
@@ -97,6 +98,7 @@ def _subnet_rate(plan: TransmissionPlan, model: ChannelModel, P: float) -> float
 
 def plan_sum_rate(plan: TransmissionPlan, model: ChannelModel, P: float) -> float:
     """Achievable sum rate (nats) of a certified plan at power P."""
+    from .schemes import certify_plan
     if P <= 0:
         raise ValueError("power must be positive")
     cert = certify_plan(plan, model)
@@ -121,6 +123,8 @@ def slope_estimate(plan: TransmissionPlan, model: ChannelModel,
     and hold at least twelve points.
     """
     import numpy as np
+
+    from .schemes import certify_plan
     grid = tuple(p_grid) if p_grid is not None else default_power_grid()
     if len(grid) < 12:
         raise ValueError("power grid needs at least 12 points")

@@ -6,8 +6,9 @@ bounds, roots) and plan synthesis never need numpy, from flags or from an
 --instance file.  Neither does certify at equal or explicit gains when every
 block is a window (its rank is the zero test's), from flags, from a --plan
 file or from an --instance file, nor random-check at a fixed --alpha on
-either topology.  Certify, converse, entropy and simulate skip the modules
-they do not call.
+either topology, which loads neither schemes nor dofcalc.  Only mg, bounds
+and a sweep's mg check load dofcalc.  Certify, converse, entropy and
+simulate skip the modules they do not call.
 """
 
 import json
@@ -31,6 +32,7 @@ SI = ["--tl", "1", "--tr", "1", "--rl", "1", "--rr", "1"]
 SYM = ["--topology", "symmetric", "--K", "12", *SI]
 ASYM = ["--topology", "asymmetric", "--K", "12", *SI]
 NUMPY_AND_CHECKS = {"numpy", "wynerdof.schemes", "wynerdof.converse", "wynerdof.simulator"}
+DOFCALC = "wynerdof.dofcalc"
 
 CASES = {
     "mg-asym": (["mg", *ASYM], NUMPY_AND_CHECKS),
@@ -41,20 +43,28 @@ CASES = {
     "bounds-root": (["bounds", *SYM, "--alpha", "root:4:2", "--verbose"], NUMPY_AND_CHECKS),
     "bounds-gains-seed": (["bounds", *SYM, "--gains-seed", "3", "--verbose"],
                           NUMPY_AND_CHECKS),
-    "roots": (["roots", "--p", "30"], NUMPY_AND_CHECKS),
+    "roots": (["roots", "--p", "30"], NUMPY_AND_CHECKS | {DOFCALC}),
     "plan-sym": (["plan", *SYM, "--alpha", "root:3:1"],
-                 NUMPY_AND_CHECKS - {"wynerdof.schemes"}),
-    "plan-asym": (["plan", *ASYM], NUMPY_AND_CHECKS - {"wynerdof.schemes"}),
-    "certify": (["certify", *SYM, "--alpha", "0.3"], NUMPY_AND_CHECKS - {"wynerdof.schemes"}),
+                 NUMPY_AND_CHECKS - {"wynerdof.schemes"} | {DOFCALC}),
+    "plan-asym": (["plan", *ASYM], NUMPY_AND_CHECKS - {"wynerdof.schemes"} | {DOFCALC}),
+    "certify": (["certify", *SYM, "--alpha", "0.3"],
+                NUMPY_AND_CHECKS - {"wynerdof.schemes"} | {DOFCALC}),
     "converse": (["converse", "--family", "ub1", *SYM, "--alpha", "0.7", "--trials", "5"],
-                 {"wynerdof.schemes", "wynerdof.simulator"}),
+                 {"wynerdof.schemes", "wynerdof.simulator", DOFCALC}),
     "entropy": (["entropy", "--family", "ub1", *SYM, "--alpha", "0.9"],
-                {"wynerdof.schemes", "wynerdof.simulator"}),
-    "simulate": (["simulate", *SYM, "--alpha", "0.3"], {"wynerdof.converse"}),
+                {"wynerdof.schemes", "wynerdof.simulator", DOFCALC}),
+    "simulate": (["simulate", *SYM, "--alpha", "0.3"], {"wynerdof.converse", DOFCALC}),
+    "offset": (["offset", "--L", "2", "--K", "11", "--alpha-star", "root:3:1",
+                "--gap-min-exp", "3", "--gap-max-exp", "5"],
+               {"wynerdof.schemes", "wynerdof.converse", DOFCALC}),
     "random-check-sym-root": (["random-check", "--K", "20", "--topology", "symmetric",
-                               "--alpha", "root:3:1"], {"numpy", "wynerdof.converse"}),
+                               "--alpha", "root:3:1"],
+                              {"numpy", "wynerdof.schemes", "wynerdof.converse", DOFCALC}),
     "random-check-asym-root": (["random-check", "--K", "20", "--topology", "asymmetric",
-                                "--alpha", "root:3:1"], {"numpy", "wynerdof.converse"}),
+                                "--alpha", "root:3:1"],
+                               {"numpy", "wynerdof.schemes", "wynerdof.converse", DOFCALC}),
+    "random-check": (["random-check", "--K", "8", "--topology", "symmetric", "--trials", "4"],
+                     {"wynerdof.converse", DOFCALC}),
 }
 # root:3:1 zeroes every symmetric window of size 3, 7 and 11
 EXIT_CODES = {"random-check-sym-root": 1}

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 from itertools import product
@@ -269,11 +268,10 @@ class TestCertification:
         p = P(K=7, t_left=2, t_right=1, r_left=2, r_right=1)
         plan = sc.asym_plan(p)
         sn = plan.subnets[0]
-        bad_step = dataclasses.replace(
-            sn.scalar_steps[0], antenna=sn.scalar_steps[0].decoder + p.r_right + 1)
-        bad_sn = dataclasses.replace(
-            sn, scalar_steps=(bad_step,) + sn.scalar_steps[1:])
-        bad = dataclasses.replace(plan, subnets=(bad_sn,) + plan.subnets[1:])
+        bad_step = sn.scalar_steps[0]._replace(
+            antenna=sn.scalar_steps[0].decoder + p.r_right + 1)
+        bad_sn = sn._replace(scalar_steps=(bad_step,) + sn.scalar_steps[1:])
+        bad = plan._replace(subnets=(bad_sn,) + plan.subnets[1:])
         cert = sc.certify_plan(bad, model(p, nm.ASYMMETRIC, 0.5))
         assert not cert.ok
         assert "cluster" in cert.failure or "antenna" in cert.failure
@@ -297,7 +295,7 @@ class TestCertification:
             step = plan.subnets[0].scalar_steps[0]
             field = "message" if edit == "step message" else "decoder"
             plan = _with_subnet(plan, 0, scalar_steps=(
-                dataclasses.replace(step, **{field: bad}),) + plan.subnets[0].scalar_steps[1:])
+                step._replace(**{field: bad}),) + plan.subnets[0].scalar_steps[1:])
             topology = nm.ASYMMETRIC
         else:
             p = P(K=K, t_left=1, t_right=1, r_left=1, r_right=1)
@@ -314,7 +312,7 @@ class TestCertification:
     def test_overclaimed_total_fails(self):
         p = P(K=6, t_left=1, r_left=1)
         plan = sc.asym_plan(p)
-        bad = dataclasses.replace(plan, claimed_dof=plan.claimed_dof + 1)
+        bad = plan._replace(claimed_dof=plan.claimed_dof + 1)
         cert = sc.certify_plan(bad, model(p, nm.ASYMMETRIC, 0.5))
         assert not cert.ok and "claimed" in cert.failure
 
@@ -341,7 +339,7 @@ def every_family():
             out.append((sc.sym_symmetric_si_plan(p, 0.3), model(p, nm.SYMMETRIC, ROOT3)))
     p = P(K=9, t_left=1, t_right=1, r_left=1, r_right=1)
     plan = sc.sym_symmetric_si_plan(p, 0.3)
-    reach = dataclasses.replace(plan, signal_deps=((1, (1, 5)),) + plan.signal_deps[1:])
+    reach = plan._replace(signal_deps=((1, (1, 5)),) + plan.signal_deps[1:])
     out.append((reach, model(p, nm.SYMMETRIC, 0.3)))
     return out
 
@@ -384,8 +382,8 @@ class TestNonInterferenceOracle:
                 nxt = plan.subnets[i + 1].rx_antennas[0]
                 if nxt in sn.rx_antennas:
                     continue
-                bad = dataclasses.replace(plan, subnets=plan.subnets[:i] + (
-                    dataclasses.replace(sn, rx_antennas=sn.rx_antennas + (nxt,)),)
+                bad = plan._replace(subnets=plan.subnets[:i] + (
+                    sn._replace(rx_antennas=sn.rx_antennas + (nxt,)),)
                     + plan.subnets[i + 1:])
                 fast, slow = self.both(bad, m, monkeypatch)
                 assert fast == slow, plan.family
@@ -396,8 +394,8 @@ class TestNonInterferenceOracle:
         p = P(K=9, t_left=1, t_right=1, r_left=1, r_right=1)
         plan = sc.sym_symmetric_si_plan(p, 0.3)
         a, b = plan.subnets[0], plan.subnets[1]
-        bad = dataclasses.replace(plan, subnets=(
-            dataclasses.replace(a, active_tx=a.active_tx + b.active_tx[:1]),) + plan.subnets[1:])
+        bad = plan._replace(subnets=(
+            a._replace(active_tx=a.active_tx + b.active_tx[:1]),) + plan.subnets[1:])
         fast, slow = self.both(bad, model(p, nm.SYMMETRIC, 0.3), monkeypatch)
         assert fast == slow
         assert fast.failure == "subnets 1 and 0 couple through the channel"
@@ -409,8 +407,8 @@ class TestNonInterferenceOracle:
         plan = sc.asym_plan(p)
         last = plan.subnets[-1]
         field = "rx_antennas" if where == "rx" else "active_tx"
-        bad_sn = dataclasses.replace(last, **{field: getattr(last, field) + (p.K + 1,)})
-        bad = dataclasses.replace(plan, subnets=plan.subnets[:-1] + (bad_sn,))
+        bad_sn = last._replace(**{field: getattr(last, field) + (p.K + 1,)})
+        bad = plan._replace(subnets=plan.subnets[:-1] + (bad_sn,))
         m = model(p, nm.ASYMMETRIC, 0.5)
         fast, slow = self.both(bad, m, monkeypatch)
         assert fast == slow == repr(ValueError("index 9 outside 1..8"))
@@ -422,11 +420,11 @@ class TestNonInterferenceOracle:
         subs = list(plan.subnets)
         assert len(subs) == 3
         # antenna 5 is subnet 1's first: subnets 0 and 1 couple
-        subs[0] = dataclasses.replace(subs[0], rx_antennas=subs[0].rx_antennas + (5,))
-        subs[bad_subnet] = dataclasses.replace(
-            subs[bad_subnet], active_tx=subs[bad_subnet].active_tx + (0,))
+        subs[0] = subs[0]._replace(rx_antennas=subs[0].rx_antennas + (5,))
+        subs[bad_subnet] = subs[bad_subnet]._replace(
+            active_tx=subs[bad_subnet].active_tx + (0,))
         with pytest.raises(ValueError, match=r"^index 0 outside 1\.\.12$"):
-            sc.certify_plan(dataclasses.replace(plan, subnets=tuple(subs)),
+            sc.certify_plan(plan._replace(subnets=tuple(subs)),
                             model(p, nm.ASYMMETRIC, 0.5))
 
     def test_certify_does_not_loop_over_subnet_pairs(self, monkeypatch):
@@ -486,13 +484,13 @@ def svd_ranks(monkeypatch):
 def _with_subnet(plan, i, **fields):
     """`plan` with subnet i's fields replaced."""
     subs = list(plan.subnets)
-    subs[i] = dataclasses.replace(subs[i], **fields)
-    return dataclasses.replace(plan, subnets=tuple(subs))
+    subs[i] = subs[i]._replace(**fields)
+    return plan._replace(subnets=tuple(subs))
 
 
 def _with_block(plan, i, **fields):
     """`plan` with subnet i's first MIMO block's fields replaced."""
-    blk = dataclasses.replace(plan.subnets[i].mimo_blocks[0], **fields)
+    blk = plan.subnets[i].mimo_blocks[0]._replace(**fields)
     return _with_subnet(plan, i, mimo_blocks=(blk,) + plan.subnets[i].mimo_blocks[1:])
 
 
@@ -511,14 +509,13 @@ def hand_edited_plans():
         "block tx 0": _with_block(sym, 0, tx=(0, 2, 3)),
         "block tx K+1": _with_block(sym, 2, tx=(10,)),
         "silenced step antenna": _with_subnet(chain, 0, scalar_steps=(
-            dataclasses.replace(step, antenna=4),) + chain.subnets[0].scalar_steps[1:]),
+            step._replace(antenna=4),) + chain.subnets[0].scalar_steps[1:]),
         "silenced block antenna": _with_block(sym, 1, decoders=((5, (4, 5, 6)),)),
         "non-adjacent step": _with_subnet(chain, 0, scalar_steps=(
-            dataclasses.replace(step, antenna=3),) + chain.subnets[0].scalar_steps[1:]),
-        "claimed total": dataclasses.replace(sym, claimed_dof=sym.claimed_dof - 1),
+            step._replace(antenna=3),) + chain.subnets[0].scalar_steps[1:]),
+        "claimed total": sym._replace(claimed_dof=sym.claimed_dof - 1),
     }
-    edits["silenced step antenna"] = dataclasses.replace(
-        edits["silenced step antenna"], silenced_rx=(4,))
+    edits["silenced step antenna"] = edits["silenced step antenna"]._replace(silenced_rx=(4,))
     sym_m = model(p, nm.SYMMETRIC, 0.3)
     chain_m = model(chain.params, nm.ASYMMETRIC, 0.5)
     return {name: (plan, chain_m if plan.topology == nm.ASYMMETRIC else sym_m)
@@ -591,7 +588,7 @@ class TestDenseOracle:
         chain = sc.asym_plan(P(K=8, t_left=1, r_left=1))
         step = chain.subnets[0].scalar_steps[0]
         bad = _with_subnet(chain, 0, scalar_steps=(
-            dataclasses.replace(step, antenna=0),) + chain.subnets[0].scalar_steps[1:])
+            step._replace(antenna=0),) + chain.subnets[0].scalar_steps[1:])
         with pytest.raises(ValueError, match=r"^index 0 outside 1\.\.8$"):
             sc.certify_plan(bad, model(chain.params, nm.ASYMMETRIC, 0.5))
 
@@ -669,6 +666,125 @@ class TestPlanJson:
         tags = plan.strategy_map()
         assert set(tags) == set(range(1, 9))
         assert tags[plan.silenced_tx[0]] == "Silenced"
+
+
+class TestPlanRecords:
+    """The four plan records are immutable, hashable NamedTuples edited with
+    `_replace`; synthesis is deterministic, and `plan_to_json` of one plan
+    per family prints what `wynerdof plan` printed when the records were
+    frozen dataclasses."""
+
+    P5 = P(K=5, t_left=1, t_right=1, r_left=1, r_right=1)
+
+    @classmethod
+    def one_plan_per_family(cls):
+        p5 = cls.P5
+        return ([sc.asym_plan(p5), sc.synthesize_plan(p5, "asym-rotation-2"),
+                 sc.sym_symmetric_si_plan(P(3, 1, 1, 1, 1), 0.3)]
+                + [sc.sym_symmetric_si_plan(p5, a) for a in (RootAlpha(2, 1), 0.3, ROOT3)]
+                + [sc.sym_general_plan(p5, label) for label in
+                   ("lb-combined", "lb-left-chain", "lb-right-chain", "lb-central-mimo")])
+
+    # json.dumps(plan_to_json(plan), sort_keys=True) of each plan above, in order
+    PLAN_JSON = [
+        '{"K": 5, "alpha": null, "claimed_dof": 4, "family": "asym-silencing", '
+         '"prelog": {"1": 1, "2": 1, "3": 1, "5": 1}, "r_left": 1, "r_right": 1, '
+         '"silenced": [5], "silenced_pairs": [], "strategies": {"1": "SingleUserSICLeft", '
+         '"2": "SingleUserSICLeft", "3": "DPCLeft", "4": "Skipped", "5": "Silenced"}, '
+         '"subnets": [{"kind": "reduced", "rx": [1, 2, 3, 4, 5], "tx": [1, 2, 3, 4]}], '
+         '"t_left": 1, "t_right": 1, "topology": "asymmetric"}',
+        '{"K": 5, "alpha": null, "claimed_dof": 4, "family": "asym-rotation-2", '
+         '"prelog": {"1": 1, "3": 1, "4": 1, "5": 1}, "r_left": 1, "r_right": 1, '
+         '"silenced": [2], "silenced_pairs": [], "strategies": {"1": "SingleUserSICLeft", '
+         '"2": "Silenced", "3": "SingleUserSICLeft", "4": "SingleUserSICLeft", '
+         '"5": "DPCLeft"}, "subnets": [{"kind": "reduced", "rx": [1, 2], "tx": [1]}, '
+         '{"kind": "reduced", "rx": [3, 4, 5], "tx": [3, 4, 5]}], "t_left": 1, '
+         '"t_right": 1, "topology": "asymmetric"}',
+        '{"K": 3, "alpha": "0.3", "claimed_dof": 3, "family": "sym-si-case1", '
+         '"prelog": {"2": 3}, "r_left": 1, "r_right": 1, "silenced": [], '
+         '"silenced_pairs": [], "strategies": {"1": "Skipped", "2": "MimoP2P", '
+         '"3": "Skipped"}, "subnets": [{"kind": "generic", "rx": [1, 2, 3], "tx": [1, 2, '
+         '3]}], "t_left": 1, "t_right": 1, "topology": "symmetric"}',
+        '{"K": 5, "alpha": "root:2:1", "claimed_dof": 4, "family": "sym-si-case2", '
+         '"prelog": {"2": 3, "5": 1}, "r_left": 1, "r_right": 1, "silenced": [4], '
+         '"silenced_pairs": [4], "strategies": {"1": "Skipped", "2": "MimoP2P", '
+         '"3": "Skipped", "4": "Silenced", "5": "MimoP2P"}, "subnets": [{"kind": "generic", '
+         '"rx": [1, 2, 3], "tx": [1, 2, 3]}, {"kind": "reduced", "rx": [5], "tx": [5]}], '
+         '"t_left": 1, "t_right": 1, "topology": "symmetric"}',
+        '{"K": 5, "alpha": "0.3", "claimed_dof": 4, "family": "sym-si-case3", '
+         '"prelog": {"2": 3, "5": 1}, "r_left": 1, "r_right": 1, "silenced": [4], '
+         '"silenced_pairs": [4], "strategies": {"1": "Skipped", "2": "MimoP2P", '
+         '"3": "Skipped", "4": "Silenced", "5": "MimoP2P"}, "subnets": [{"kind": "generic", '
+         '"rx": [1, 2, 3], "tx": [1, 2, 3]}, {"kind": "reduced", "rx": [5], "tx": [5]}], '
+         '"t_left": 1, "t_right": 1, "topology": "symmetric"}',
+        '{"K": 5, "alpha": "root:3:1", "claimed_dof": 4, "family": "sym-si-case4", '
+         '"prelog": {"1": 1, "2": 1, "4": 1, "5": 1}, "r_left": 1, "r_right": 1, '
+         '"silenced": [3], "silenced_pairs": [3], "strategies": {"1": "MimoMAC", '
+         '"2": "MimoMAC", "3": "Silenced", "4": "MimoMAC", "5": "MimoMAC"}, '
+         '"subnets": [{"kind": "reduced", "rx": [1, 2], "tx": [1, 2]}, {"kind": "reduced", '
+         '"rx": [4, 5], "tx": [4, 5]}], "t_left": 1, "t_right": 1, "topology": "symmetric"}',
+        '{"K": 5, "alpha": null, "claimed_dof": 2, "family": "sym-lb-combined", '
+         '"prelog": {"2": 1, "3": 1}, "r_left": 1, "r_right": 1, "silenced": [1, 4, 5], '
+         '"silenced_pairs": [], "strategies": {"1": "Silenced", "2": "DoublePairSICLeft", '
+         '"3": "MirroredDoublePair", "4": "Silenced", "5": "Silenced"}, '
+         '"subnets": [{"kind": "generic", "rx": [1, 2, 3, 4], "tx": [2, 3]}, '
+         '{"kind": "reduced", "rx": [5], "tx": []}], "t_left": 1, "t_right": 1, '
+         '"topology": "symmetric"}',
+        '{"K": 5, "alpha": null, "claimed_dof": 1, "family": "sym-lb-left-chain", '
+         '"prelog": {"2": 1}, "r_left": 1, "r_right": 1, "silenced": [1, 3, 4, 5], '
+         '"silenced_pairs": [], "strategies": {"1": "Silenced", "2": "DoublePairSICLeft", '
+         '"3": "Silenced", "4": "Silenced", "5": "Silenced"}, '
+         '"subnets": [{"kind": "generic", "rx": [1, 2, 3], "tx": [2]}, {"kind": "reduced", '
+         '"rx": [4, 5], "tx": []}], "t_left": 1, "t_right": 1, "topology": "symmetric"}',
+        '{"K": 5, "alpha": null, "claimed_dof": 1, "family": "sym-lb-right-chain", '
+         '"prelog": {"4": 1}, "r_left": 1, "r_right": 1, "silenced": [1, 2, 3, 5], '
+         '"silenced_pairs": [], "strategies": {"1": "Silenced", "2": "Silenced", '
+         '"3": "Silenced", "4": "MirroredDoublePair", "5": "Silenced"}, '
+         '"subnets": [{"kind": "reduced", "rx": [1, 2], "tx": []}, {"kind": "generic", '
+         '"rx": [3, 4, 5], "tx": [4]}], "t_left": 1, "t_right": 1, "topology": "symmetric"}',
+        '{"K": 5, "alpha": null, "claimed_dof": 3, "family": "sym-lb-central-mimo", '
+         '"prelog": {"2": 1, "3": 1, "4": 1}, "r_left": 1, "r_right": 1, "silenced": [1, '
+         '5], "silenced_pairs": [], "strategies": {"1": "Silenced", '
+         '"2": "SingleUserSICLeft", "3": "CentralMimoDecode", "4": "SingleUserSICRight", '
+         '"5": "Silenced"}, "subnets": [{"kind": "generic", "rx": [1, 2, 3, 4, 5], '
+         '"tx": [2, 3, 4]}], "t_left": 1, "t_right": 1, "topology": "symmetric"}',
+    ]
+
+    @pytest.mark.parametrize("name", ["ScalarStep", "MimoBlock", "Subnet", "TransmissionPlan"])
+    def test_a_record_is_immutable_hashable_and_replaceable(self, name):
+        # the central-MIMO plan's first subnet has scalar steps and a block
+        plan = sc.sym_general_plan(P(9, 1, 1, 1, 1), "lb-central-mimo")
+        sn = plan.subnets[0]
+        rec = {"ScalarStep": sn.scalar_steps[0], "MimoBlock": sn.mimo_blocks[0],
+               "Subnet": sn, "TransmissionPlan": plan}[name]
+        cls = getattr(sc, name)
+        assert type(rec) is cls
+        for field in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, field, getattr(rec, field))
+        assert hash(rec) == hash(cls(*rec))
+        again = rec._replace(**{cls._fields[0]: getattr(rec, cls._fields[0])})
+        assert type(again) is cls and again == rec
+
+    def test_a_resynthesized_plan_equals_the_first(self):
+        for p in (self.P5, P(12, 1, 1, 1, 1), P(12, 2, 0, 1, 1), P(12, 0, 1, 2, 1)):
+            plans = [sc.asym_plan(p), *sc.fair_time_sharing_plan(p)]
+            for label in ("lb-combined", "lb-left-chain", "lb-right-chain", "lb-central-mimo"):
+                try:
+                    plans.append(sc.sym_general_plan(p, label))
+                except sc.NotApplicableError:
+                    pass
+            if p.t_left + p.r_left == p.t_right + p.r_right:
+                plans += [sc.sym_symmetric_si_plan(p, a) for a in (0.3, RootAlpha(2, 1), ROOT3)]
+            for plan in plans:
+                alpha = plan.alpha_token and nm.parse_alpha_token(plan.alpha_token)
+                again = sc.synthesize_plan(p, plan.family, alpha)
+                assert again == plan and hash(again) == hash(plan), (p, plan.family)
+
+    def test_plan_json_is_unchanged(self):
+        got = [json.dumps(sc.plan_to_json(plan), sort_keys=True)
+               for plan in self.one_plan_per_family()]
+        assert got == self.PLAN_JSON
 
 
 class TestEveryPlanUnchanged:
@@ -824,7 +940,7 @@ def mutations(plan):
                                  ("tx", st.tx + 1), ("tx", st.tx - 1), ("decoder", st.decoder + 2),
                                  ("decoder", st.decoder - 2), ("message", K + 1), ("antenna", 0)]:
                 steps = list(sn.scalar_steps)
-                steps[j] = dataclasses.replace(st, **{field: value})
+                steps[j] = st._replace(**{field: value})
                 yield _with_subnet(plan, i, scalar_steps=tuple(steps))
         for blk in sn.mimo_blocks[:1]:
             (r, ants), (m, group), (pm, w) = blk.decoders[0], blk.tx_of[0], blk.prelog[0]
@@ -842,18 +958,17 @@ def mutations(plan):
     if deps:
         t, d = deps[-1]
         far = ((t, (t + plan.params.t_right + 1,)),)
-        yield dataclasses.replace(plan, signal_deps=deps + far)  # the last key wins
-        yield dataclasses.replace(plan, signal_deps=far + deps)
-        yield dataclasses.replace(plan, signal_deps=deps + ((t, (t - plan.params.t_left - 1,)),))
-        yield dataclasses.replace(plan, signal_deps=tuple((t, d[::-1] + d) for t, d in deps))
-        yield dataclasses.replace(plan, signal_deps=())
-        yield dataclasses.replace(plan, message_prelog=plan.message_prelog
-                                  + plan.message_prelog[:1])
+        yield plan._replace(signal_deps=deps + far)  # the last key wins
+        yield plan._replace(signal_deps=far + deps)
+        yield plan._replace(signal_deps=deps + ((t, (t - plan.params.t_left - 1,)),))
+        yield plan._replace(signal_deps=tuple((t, d[::-1] + d) for t, d in deps))
+        yield plan._replace(signal_deps=())
+        yield plan._replace(message_prelog=plan.message_prelog + plan.message_prelog[:1])
     active = [t for sn in subs for t in sn.active_tx]
     if active:
-        yield dataclasses.replace(plan, silenced_tx=plan.silenced_tx + (active[0],))
-        yield dataclasses.replace(plan, silenced_rx=plan.silenced_rx + subs[0].rx_antennas[:1])
-    yield dataclasses.replace(plan, claimed_dof=plan.claimed_dof + 1)
+        yield plan._replace(silenced_tx=plan.silenced_tx + (active[0],))
+        yield plan._replace(silenced_rx=plan.silenced_rx + subs[0].rx_antennas[:1])
+    yield plan._replace(claimed_dof=plan.claimed_dof + 1)
 
 
 class TestCertifyMatchesTheOracle:
@@ -891,7 +1006,7 @@ class TestCertifyMatchesTheOracle:
         # asymmetric band each is unit lower-triangular, so rank 3 at the
         # gains --gains-seed draws, with no SVD
         p = P(K=7, t_left=1, t_right=1, r_left=1, r_right=1)
-        plan = dataclasses.replace(sc.sym_symmetric_si_plan(p, 0.3), topology=nm.ASYMMETRIC)
+        plan = sc.sym_symmetric_si_plan(p, 0.3)._replace(topology=nm.ASYMMETRIC)
         assert [b.antennas for sn in plan.subnets for b in sn.mimo_blocks] == [
             (1, 2, 3), (5, 6, 7)]
         m = nm.build_channel(p, nm.ASYMMETRIC, nm.CrossGainAssignment.random(seed))
@@ -913,10 +1028,9 @@ class TestCertifyMatchesTheOracle:
         # unremovable one in active_tx
         p = P(K=9, t_left=1, t_right=1, r_left=1, r_right=1)
         plan = sc.sym_general_plan(p, "lb-central-mimo")
-        plan = dataclasses.replace(plan, signal_deps=tuple(
+        plan = plan._replace(signal_deps=tuple(
             (t, deps.get(t, (t,))) for t in range(1, 10)))
-        step = dataclasses.replace(plan.subnets[0].scalar_steps[0],
-                                   message=3, tx=3, antenna=3, decoder=3)
+        step = plan.subnets[0].scalar_steps[0]._replace(message=3, tx=3, antenna=3, decoder=3)
         bad = _with_subnet(plan, 0, active_tx=order, scalar_steps=(step,))
         assert self.same(bad, model(p, nm.SYMMETRIC, 0.3)) == (
             f"message 3: interference from transmitter {named} is not removable")
