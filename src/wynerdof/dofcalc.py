@@ -9,34 +9,22 @@ Conventions baked in here (see the module tests for the worked numbers):
 
 * ceil(x) is clamped to 0 for x <= 0 in the asymmetric formula, so a fully
   cooperating short network keeps all K degrees of freedom.
-* The symmetric network's four lower and three upper bounds form one table.
-  Each is K - 2 floor(K/beta) - theta clipped below at 0, with the
-  constructive moduli kappa = K mod beta:
-  - lb-combined, lb-left-chain (and its mirror), lb-central-mimo: beta =
-    t_l+t_r+r_l+r_r (no bound when 0), t_l+r_l+1, r_l+r_r+3, theta =
-    min(kappa, 2);
-  - ub-generic: beta_4 = side_sum+4, theta_4 = 1 iff kappa_4 >=
-    min(t_l+r_l+2, t_r+r_r+2);
-  - ub-singular-left: beta_5 = side_sum+3, theta_5 = 1 iff kappa_5 >=
-    t_r+r_r+1, only where u_{t_l+r_l+1}(alpha) = 0; its mirror exchanges
-    the sides.
-  The tail corrections follow the stated case tables.  A variant flag
-  evaluates the alternative theta_4 threshold (one smaller) that appears in
-  the prose of the corresponding construction; both are reported in verbose
-  listings rather than silently reconciled.
-* The table is evaluated as plain (value, label) pairs.  sym_dof_interval
-  merges them with the case split's values and runs each zero test at most
-  once per interval, shared by the singular bounds and the case split;
-  sym_lower_bounds and sym_upper_bounds wrap the same pairs in BoundValues.
+* The symmetric network's bounds are the rows of one table, _ROWS.  An
+  interval is the largest lower and the smallest upper value of the rows
+  that apply; equal values go to the larger and to the smaller label.
+* Each zero test of u_q(alpha) runs at most once per interval, shared by
+  the singular bounds and the case split.
+* ub-generic's theta_4 has a prose variant, one smaller, from its
+  construction; `bounds --verbose` lists both rather than reconcile them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from fractions import Fraction
-from typing import List, Optional, Union
+from typing import Callable, List, NamedTuple, Optional, Union
 
 from .netmodel import CrossGainAssignment, NetworkParams
 from .tridiag import AlphaLike, alpha_float, u_is_zero
@@ -154,35 +142,156 @@ def asym_mg_per_user(params: NetworkParams) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# symmetric network, symmetric side-information (t_l + r_l = t_r + r_r)
+# symmetric network: the bound table
 # ---------------------------------------------------------------------------
+
+class _Row(NamedTuple):
+    """One symmetric bound: K - c floor(K/beta) - theta, clipped below at 0.
+
+    The rules read l = t_l+r_l, r = t_r+r_r, m = r_l+r_r and zero(q) =
+    [u_q(alpha) = 0] at equal gains (zero is None otherwise).
+    beta(l, r, m) and theta(K mod beta, l, r) give the value; theta is a
+    (lower, upper) pair on a "both" row.  A special row (c and beta None) is
+    K - theta(K, zero).  applies(K, l, r, zero) says where the row holds
+    (None: everywhere) and reason(l, r, zero) why not, for listed rows.
+
+    scope: "instance" rows read no gain; "equal" rows need equal gains;
+    "split" rows are the case split (equal gains, L = l = r, K != L+2) and
+    "random" rows its probability-1 values at random gains.
+    """
+
+    label: str
+    side: str  # "lower", "upper" or "both"
+    scope: str
+    applies: Optional[Callable]
+    reason: Optional[Callable]
+    c: Optional[int]
+    beta: Optional[Callable]
+    theta: Callable
+
+    def per_user(self, l: int, r: int, m: int) -> Optional[Fraction]:
+        """The large-K value per user, 1 - c/beta, clipped below at 0 like the
+        value (None for a special row)."""
+        if self.c is None:
+            return None
+        beta = self.beta(l, r, m)
+        return Fraction(max(beta - self.c, 0), beta)
+
+
+def _singular(left: bool):
+    """applies() and reason() of a bound at equal gains with u_q(alpha) = 0,
+    q = l+1 (left) or r+1."""
+    return (lambda K, l, r, zero: zero is not None and zero((l if left else r) + 1),
+            lambda l, r, zero: "needs equal cross-gains" if zero is None
+            else f"needs det H_{(l if left else r) + 1}(alpha) = 0")
+
+
+def _beyond(critical: bool, singular_L: Optional[bool] = None):
+    """applies() of a case-split row past K = L+1: [u_{L+1}(alpha) = 0] is
+    critical and, unless singular_L is None, [u_L(alpha) = 0] is singular_L."""
+    return lambda K, L, r, zero: K > L + 1 and zero(L + 1) == critical and (
+        singular_L is None or zero(L) == singular_L)
+
+
+_CAP2 = lambda kappa, l, r: kappa if kappa < 2 else 2  # noqa: E731
+_EXACT = lambda kappa, l, r: (0, 0)  # noqa: E731
+_FULL = lambda K, L, r, zero: K <= L + 1  # noqa: E731
+
+_ROWS = (
+    _Row("trivial", "both", "instance", None, None, None, None, lambda K, zero: (K, 0)),
+    _Row("lb-combined", "lower", "instance", lambda K, l, r, zero: l + r > 0,
+         lambda l, r, zero: "all side-information parameters are 0",
+         2, lambda l, r, m: l + r, _CAP2),
+    _Row("lb-left-chain", "lower", "instance", None, None, 2, lambda l, r, m: l + 1, _CAP2),
+    _Row("lb-right-chain", "lower", "instance", None, None, 2, lambda l, r, m: r + 1, _CAP2),
+    _Row("lb-central-mimo", "lower", "instance", None, None, 2, lambda l, r, m: m + 3, _CAP2),
+    _Row("ub-generic", "upper", "instance", None, None, 2, lambda l, r, m: l + r + 4,
+         lambda kappa, l, r: kappa >= min(l, r) + 2),
+    _Row("ub-singular-left", "upper", "equal", *_singular(True),
+         2, lambda l, r, m: l + r + 3, lambda kappa, l, r: kappa > r),
+    _Row("ub-singular-right", "upper", "equal", *_singular(False),
+         2, lambda l, r, m: l + r + 3, lambda kappa, l, r: kappa > l),
+    _Row("si-exact-full", "both", "split", _FULL, None, None, None,
+         lambda K, zero: (zero(K),) * 2),
+    _Row("si-periodic-exact", "both", "split", _beyond(False, False), None,
+         1, lambda L, r, m: L + 2, _EXACT),
+    _Row("si-periodic", "both", "split", _beyond(False, True), None,
+         1, lambda L, r, m: L + 2, lambda kappa, L, r: (1, 0)),
+    _Row("si-critical-lower", "lower", "split", _beyond(True), None,
+         1, lambda L, r, m: L + 1, lambda kappa, L, r: 0),
+    _Row("si-critical-upper", "upper", "split", _beyond(True), None,
+         2, lambda L, r, m: 2 * L + 3, lambda kappa, L, r: kappa > L + 1),
+    _Row("si-exact-full-p1", "both", "random", _FULL, None, None, None, lambda K, zero: (0, 0)),
+    _Row("si-periodic-exact-p1", "both", "random", lambda K, L, r, zero: K > L + 1, None,
+         1, lambda L, r, m: L + 2, _EXACT),
+)
+_INSTANCE, _EQUAL, _SPLIT, _RANDOM = (tuple(row for row in _ROWS if row.scope == scope)
+                                      for scope in ("instance", "equal", "split", "random"))
+_EQUAL_SPLIT = _EQUAL + _SPLIT
+
+
+def _zero_tests(alpha: AlphaLike):
+    """zero(q) = [u_q(alpha) = 0], each test run at most once."""
+    tested = {}
+    return lambda q: tested[q] if q in tested else tested.setdefault(q, u_is_zero(q, alpha))
+
+
+def _sums(p: NetworkParams) -> tuple:
+    """(K, l, r, m), the instance as the rows read it."""
+    return p.K, p.t_left + p.r_left, p.t_right + p.r_right, p.r_left + p.r_right
+
+
+def _evaluate(rows, K: int, l: int, r: int, m: int, zero) -> tuple:
+    """(lows, ups): the (value, label) pairs of the rows that apply."""
+    lows, ups = [], []
+    for label, side, _, applies, _, c, beta, theta in rows:
+        if applies is not None and not applies(K, l, r, zero):
+            continue
+        if c is None:
+            base, th = K, theta(K, zero)
+        else:
+            b = beta(l, r, m)
+            base, th = K - c * (K // b), theta(K % b, l, r)
+        if side == "both":
+            v = base - th[0]
+            lows.append((v if v > 0 else 0, label))
+            v = base - th[1]
+            ups.append((v if v > 0 else 0, label))
+        else:
+            v = base - th
+            (lows if side == "lower" else ups).append((v if v > 0 else 0, label))
+    return lows, ups
+
+
+def _interval(lows, ups, note: Optional[str] = None) -> DofInterval:
+    """The largest lower and smallest upper (value, label) pair: ties go to
+    the larger and to the smaller label."""
+    (lower, lower_by), (upper, upper_by) = max(lows), min(ups)
+    return DofInterval(lower, upper, lower_by, upper_by, note=note)
+
+
+@lru_cache(maxsize=256)
+def _instance_bracket(K: int, l: int, r: int, m: int) -> tuple:
+    """The best lower and upper pair of the rows that read no gain."""
+    lows, ups = _evaluate(_INSTANCE, K, l, r, m, None)
+    return max(lows), min(ups)
+
+
+def _bound_values(rows, p: NetworkParams, zero) -> List[BoundValue]:
+    """One-sided rows as BoundValues, in table order."""
+    K, l, r, m = _sums(p)
+    lows, ups = _evaluate(rows, K, l, r, m, zero)
+    value = {label: v for v, label in lows + ups}
+    return [BoundValue(row.label, value[row.label], True, row.side) if row.label in value else
+            BoundValue(row.label, None, False, row.side, row.reason(l, r, zero))
+            for row in rows]
+
 
 def _require_symmetric_si(params: NetworkParams) -> int:
     L = params.t_left + params.r_left
     if L != params.t_right + params.r_right:
         raise ValueError("requires symmetric side-information (t_left+r_left == t_right+r_right)")
     return L
-
-
-def _periodic(K: int, beta: int, theta: int) -> int:
-    """K - 2 floor(K/beta) - theta, clipped below at 0 (it never exceeds K)."""
-    v = K - 2 * (K // beta) - theta
-    return v if v > 0 else 0
-
-
-def _si_case(K: int, L: int, zero) -> tuple:
-    """(lower, upper, lower_by, upper_by) of the case split for K != L+2;
-    zero(q) is the zero test of u_q at the equal gain."""
-    if K <= L + 1:
-        v = K - zero(K)
-        return v, v, "si-exact-full", "si-exact-full"
-    if not zero(L + 1):
-        g = K - K // (L + 2)
-        if not zero(L):
-            return g, g, "si-periodic-exact", "si-periodic-exact"
-        return g - 1, g, "si-periodic", "si-periodic"
-    upper = _periodic(K, 2 * L + 3, K % (2 * L + 3) > L + 1)
-    return K - K // (L + 1), upper, "si-critical-lower", "si-critical-upper"
 
 
 def sym_mg_symmetric_si(params: NetworkParams, alpha: AlphaLike) -> DofInterval:
@@ -204,11 +313,9 @@ def sym_mg_symmetric_si(params: NetworkParams, alpha: AlphaLike) -> DofInterval:
         raise ValueError("nonzero cross-gain required")
     L = _require_symmetric_si(params)
     if params.K == L + 2:
-        merged = sym_dof_interval(params, alpha)
-        return DofInterval(merged.lower, merged.upper, merged.lower_by, merged.upper_by,
-                           note="K == t_left+r_left+2 is outside the case split; "
-                                "general bounds returned")
-    return DofInterval(*_si_case(params.K, L, lambda q: u_is_zero(q, alpha)))
+        return replace(sym_dof_interval(params, alpha), note="K == t_left+r_left+2 is outside "
+                       "the case split; general bounds returned")
+    return _interval(*_evaluate(_SPLIT, *_sums(params), _zero_tests(alpha)))
 
 
 def sym_mg_per_user(params: NetworkParams, alpha: AlphaLike) -> PerUserAsymptote:
@@ -217,66 +324,35 @@ def sym_mg_per_user(params: NetworkParams, alpha: AlphaLike) -> PerUserAsymptote
     if alpha_float(alpha) == 0:
         raise ValueError("nonzero cross-gain required")
     L = _require_symmetric_si(params)
-    return _per_user(L, u_is_zero(L + 1, alpha))
+    return _split_limits(L, u_is_zero(L + 1, alpha))
+
+
+# the case split's rows that hold past K = L+2 where [u_{L+1}(alpha) = 0] is
+# `critical`; which rows hold does not depend on L (found here at L = 1), and
+# u_L moves no limit, so it is taken nonzero
+_PAST_L2 = {critical: [row for row in _SPLIT if row.applies(4, 1, 1, {1: False, 2: critical}.get)]
+            for critical in (False, True)}
 
 
 @lru_cache(maxsize=256)
-def _per_user(L: int, critical: bool) -> PerUserAsymptote:
-    if not critical:
-        v = Fraction(L + 1, L + 2)
-        return PerUserAsymptote(v, v)
-    return PerUserAsymptote(Fraction(L, L + 1), Fraction(2 * L + 1, 2 * L + 3))
-
-
-# ---------------------------------------------------------------------------
-# symmetric network, general parameters
-# ---------------------------------------------------------------------------
-
-_LOWER_LABELS = ("lb-combined", "lb-left-chain", "lb-right-chain", "lb-central-mimo")
-_UPPER_LABELS = ("ub-generic", "ub-singular-left", "ub-singular-right")
-
-
-def _lower_pairs(params: NetworkParams) -> list:
-    """The lower bounds that apply as (value, label) pairs, led by (0, "trivial")."""
-    K = params.K
-    left, right = params.t_left + params.r_left, params.t_right + params.r_right
-    lows = [(0, "trivial")]
-    for label, beta in zip(_LOWER_LABELS, (left + right, left + 1, right + 1,
-                                           params.r_left + params.r_right + 3)):
-        if beta:
-            lows.append((_periodic(K, beta, min(K % beta, 2)), label))
-    return lows
-
-
-def _upper_pairs(params: NetworkParams, zero, shift: int = 2) -> list:
-    """The upper bounds that apply as (value, label) pairs, led by (K,
-    "trivial").  zero(q) is the zero test of u_q at the equal gain, None for
-    unequal gains; shift is theta_4's threshold over min(t_l+r_l, t_r+r_r)."""
-    K = params.K
-    left, right = params.t_left + params.r_left, params.t_right + params.r_right
-    b4 = left + right + 4
-    ups = [(K, "trivial"), (_periodic(K, b4, K % b4 >= min(left, right) + shift), "ub-generic")]
-    if zero is not None:
-        b5 = b4 - 1
-        for label, near, far in (("ub-singular-left", left, right),
-                                 ("ub-singular-right", right, left)):
-            if zero(near + 1):
-                ups.append((_periodic(K, b5, K % b5 > far), label))
-    return ups
-
-
-def _listing(pairs, labels, kind, reason) -> List[BoundValue]:
-    """The bounds `labels` as BoundValues, from the table's pairs; a label
-    the pairs leave out is inapplicable for reason(label)."""
-    value = {label: v for v, label in pairs}
-    return [BoundValue(label, value[label], True, kind) if label in value else
-            BoundValue(label, None, False, kind, reason(label)) for label in labels]
+def _split_limits(L: int, critical: bool) -> PerUserAsymptote:
+    """The largest lower and smallest upper per-user limit of those rows (a
+    split row's beta reads L alone, so m = 0 stands in for r_l+r_r)."""
+    lows, ups = [], []
+    for row in _PAST_L2[critical]:
+        limit = row.per_user(L, L, 0)
+        if row.side != "upper":
+            lows.append(limit)
+        if row.side != "lower":
+            ups.append(limit)
+    return PerUserAsymptote(max(lows), min(ups))
 
 
 def sym_lower_bounds(params: NetworkParams) -> List[BoundValue]:
-    """The four achievable lower bounds (valid for any nonzero cross-gains)."""
-    return _listing(_lower_pairs(params), _LOWER_LABELS, "lower",
-                    lambda label: "all side-information parameters are 0")
+    """The four achievable lower bounds, for any nonzero cross-gains except
+    where lb-central-mimo's central block is singular, u_{r_l+r_r+1}(alpha)
+    = 0: no plan certifies its value there (ROADMAP item 4)."""
+    return _bound_values([row for row in _INSTANCE if row.side == "lower"], params, None)
 
 
 def sym_upper_bounds(params: NetworkParams, alpha: Optional[AlphaLike],
@@ -295,13 +371,10 @@ def sym_upper_bounds(params: NetworkParams, alpha: Optional[AlphaLike],
         raise ValueError("nonzero cross-gain required")
     if theta4_variant not in ("statement", "prose"):
         raise ValueError("theta4_variant must be 'statement' or 'prose'")
-    zero = None if alpha is None else (lambda q: u_is_zero(q, alpha))
-    ups = _upper_pairs(params, zero, 2 if theta4_variant == "statement" else 1)
-    near = {"ub-singular-left": params.t_left + params.r_left,
-            "ub-singular-right": params.t_right + params.r_right}
-    return _listing(ups, _UPPER_LABELS, "upper",
-                    lambda label: "needs equal cross-gains" if alpha is None
-                    else f"needs det H_{near[label] + 1}(alpha) = 0")
+    rows = [row for row in _INSTANCE + _EQUAL if row.side == "upper"]
+    if theta4_variant == "prose":  # ub-generic leads the upper rows
+        rows[0] = rows[0]._replace(theta=lambda kappa, l, r: kappa >= min(l, r) + 1)
+    return _bound_values(rows, params, None if alpha is None else _zero_tests(alpha))
 
 
 def sym_dof_interval(params: NetworkParams,
@@ -316,42 +389,27 @@ def sym_dof_interval(params: NetworkParams,
     """
     if alpha_or_gains is None:
         raise ValueError("sym_dof_interval needs the cross-gain: an alpha or a CrossGainAssignment")
-    K = params.K
     gains = alpha_or_gains if isinstance(alpha_or_gains, CrossGainAssignment) else None
     alpha = alpha_or_gains if gains is None else gains.alpha  # None for unequal gains
-    zero = None
-    if alpha is not None:
-        if alpha_float(alpha) == 0:
-            raise ValueError("nonzero cross-gain required")
-        tested = {}
-
-        def zero(q):
-            z = tested.get(q)
-            if z is None:
-                z = tested[q] = u_is_zero(q, alpha)
-            return z
-
-    lows, ups = _lower_pairs(params), _upper_pairs(params, zero)
-    L = params.t_left + params.r_left
-    symmetric_si = L == params.t_right + params.r_right
-    note = None
+    K, l, r, m = _sums(params)
+    symmetric_si = l == r
+    rows, zero, note = (), None, None
     if alpha is None:
         if gains.kind == "random" and symmetric_si:
-            label = "si-exact-full-p1" if K <= L + 1 else "si-periodic-exact-p1"
-            v = K if K <= L + 1 else K - K // (L + 2)
-            lows.append((v, label))
-            ups.append((v, label))
-            note = "probability-1 value for continuous random gains"
-    elif symmetric_si:
-        if K != L + 2:
-            lo, hi, lo_by, hi_by = _si_case(K, L, zero)
-            lows.append((lo, lo_by))
-            ups.append((hi, hi_by))
-        else:
+            rows, note = _RANDOM, "probability-1 value for continuous random gains"
+    else:
+        if alpha_float(alpha) == 0:
+            raise ValueError("nonzero cross-gain required")
+        rows, zero = _EQUAL, _zero_tests(alpha)
+        if symmetric_si and K != l + 2:
+            rows = _EQUAL_SPLIT
+        elif symmetric_si:
             note = "K == t_left+r_left+2 sits outside the case split; general bounds only"
-    lower, lower_by = max(lows)
-    upper, upper_by = min(ups)
-    return DofInterval(lower, upper, lower_by, upper_by, note=note)
+    lows, ups = _evaluate(rows, K, l, r, m, zero)
+    lower, upper = _instance_bracket(K, l, r, m)
+    lows.append(lower)
+    ups.append(upper)
+    return _interval(lows, ups, note)
 
 
 # ---------------------------------------------------------------------------

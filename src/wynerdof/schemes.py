@@ -501,90 +501,95 @@ def _lb_chain_blocks(params, beta, block_builder, family):
     return _finalize(params, SYMMETRIC, family, silenced, (), subnets, deps)
 
 
-def sym_general_plan(params: NetworkParams, bound_label: str) -> TransmissionPlan:
-    """Constructive plan matching one of the four general lower bounds.
+def _left_chain_plan(params: NetworkParams) -> TransmissionPlan:
+    tl, rl = params.t_left, params.r_left
+    if tl + rl <= 1:
+        raise NotApplicableError("t_left+r_left <= 1: nothing to prove (bound <= 0)")
+    if tl == 0:
+        raise NotApplicableError("t_left = 0: delegates to lb-central-mimo")
 
-    bound_label in {"lb-combined", "lb-left-chain", "lb-right-chain",
-    "lb-central-mimo"}.  Raises NotApplicableError for labels whose scheme
-    does not cover the instance (with the delegation reason).
-    """
-    K = params.K
+    def build(offset, size):
+        t_end = size - 1
+        steps, d = _f_block(min(rl, max(0, t_end - 1)), t_end, lambda i: i + offset)
+        return steps, (), d
+
+    return _lb_chain_blocks(params, tl + rl + 1, build, "sym-lb-left-chain")
+
+
+def _right_chain_plan(params: NetworkParams) -> TransmissionPlan:
+    return _mirror_plan(_left_chain_plan(params.mirrored()), params, "sym-lb-right-chain")
+
+
+def _combined_plan(params: NetworkParams) -> TransmissionPlan:
     tl, tr, rl, rr = params.t_left, params.t_right, params.r_left, params.r_right
+    if tl + rl == 0:
+        raise NotApplicableError("t_left+r_left = 0: delegates to lb-right-chain")
+    if tr + rr == 0:
+        raise NotApplicableError("t_right+r_right = 0: delegates to lb-left-chain")
+    if params.side_sum <= 2:
+        raise NotApplicableError("side-information sum <= 2: nothing to prove")
 
-    if bound_label == "lb-left-chain":
-        if tl + rl <= 1:
-            raise NotApplicableError("t_left+r_left <= 1: nothing to prove (bound <= 0)")
-        if tl == 0:
-            raise NotApplicableError("t_left = 0: delegates to lb-central-mimo")
-        beta = tl + rl + 1
+    def build(offset, size):
+        # left and right chains back to back; two central antennas unused
+        ltot = min(tl + rl, size - 1)
+        rtot = size - ltot
+        lsteps, deps = _f_block(min(rl, max(0, ltot - 1)), ltot, lambda i: i + offset)
+        rsteps, rdeps = _f_block(min(rr, max(0, rtot - 1)), rtot,
+                                 lambda i: offset + size + 1 - i,
+                                 StrategyTag.MIRRORED_DOUBLE_PAIR)
+        deps.update(rdeps)
+        return lsteps + rsteps, (), deps
 
-        def build(offset, size):
-            t_end = size - 1
-            steps, d = _f_block(min(rl, max(0, t_end - 1)), t_end, lambda i: i + offset)
-            return steps, (), d
+    return _lb_chain_blocks(params, params.side_sum, build, "sym-lb-combined")
 
-        return _lb_chain_blocks(params, beta, build, "sym-lb-left-chain")
 
-    if bound_label == "lb-right-chain":
-        mirrored = sym_general_plan(params.mirrored(), "lb-left-chain")
-        return _mirror_plan(mirrored, params, "sym-lb-right-chain")
+def _central_mimo_plan(params: NetworkParams) -> TransmissionPlan:
+    rl, rr = params.r_left, params.r_right
 
-    if bound_label == "lb-combined":
-        if tl + rl == 0:
-            raise NotApplicableError("t_left+r_left = 0: delegates to lb-right-chain")
-        if tr + rr == 0:
-            raise NotApplicableError("t_right+r_right = 0: delegates to lb-left-chain")
-        if params.side_sum <= 2:
-            raise NotApplicableError("side-information sum <= 2: nothing to prove")
-        beta = params.side_sum
+    def build(offset, size):
+        if size < 3:
+            return (), (), {}
+        rl_e = min(rl, size - 3)
+        rr_e = size - 3 - rl_e
+        center = offset + rl_e + 2
+        steps: List[ScalarStep] = []
+        deps: Dict[int, set] = {center: {center}}
+        left_msgs = tuple(range(offset + 2, center))
+        right_msgs = tuple(range(center + 1, center + 1 + rr_e))
+        for k in left_msgs:
+            deps[k] = {k}
+            steps.append(ScalarStep(k, k, k - 1, k, StrategyTag.SINGLE_USER_SIC_LEFT))
+        for k in reversed(right_msgs):
+            deps[k] = {k}
+            steps.append(ScalarStep(k, k, k + 1, k, StrategyTag.SINGLE_USER_SIC_RIGHT))
+        inner = tuple(range(offset + 2, offset + size))
+        block = MimoBlock(
+            tag=StrategyTag.CENTRAL_MIMO_DECODE,
+            tx=inner,
+            antennas=inner,
+            prelog=((center, 1),),
+            tx_of=((center, (center,)),),
+            decoders=((center, inner),),
+            coupled=left_msgs + right_msgs,
+        )
+        return tuple(steps), (block,), deps
 
-        def build(offset, size):
-            # left and right chains back to back; two central antennas unused
-            ltot = min(tl + rl, size - 1)
-            rtot = size - ltot
-            lsteps, deps = _f_block(min(rl, max(0, ltot - 1)), ltot, lambda i: i + offset)
-            rsteps, rdeps = _f_block(min(rr, max(0, rtot - 1)), rtot,
-                                     lambda i: offset + size + 1 - i,
-                                     StrategyTag.MIRRORED_DOUBLE_PAIR)
-            deps.update(rdeps)
-            return lsteps + rsteps, (), deps
+    return _lb_chain_blocks(params, rl + rr + 3, build, "sym-lb-central-mimo")
 
-        return _lb_chain_blocks(params, beta, build, "sym-lb-combined")
 
-    if bound_label == "lb-central-mimo":
-        beta = rl + rr + 3
+# the plan behind each general lower bound, by the bound's label in dofcalc
+_GENERAL_PLANS = {"lb-combined": _combined_plan, "lb-left-chain": _left_chain_plan,
+                  "lb-right-chain": _right_chain_plan, "lb-central-mimo": _central_mimo_plan}
 
-        def build(offset, size):
-            if size < 3:
-                return (), (), {}
-            rl_e = min(rl, size - 3)
-            rr_e = size - 3 - rl_e
-            center = offset + rl_e + 2
-            steps: List[ScalarStep] = []
-            deps: Dict[int, set] = {center: {center}}
-            left_msgs = tuple(range(offset + 2, center))
-            right_msgs = tuple(range(center + 1, center + 1 + rr_e))
-            for k in left_msgs:
-                deps[k] = {k}
-                steps.append(ScalarStep(k, k, k - 1, k, StrategyTag.SINGLE_USER_SIC_LEFT))
-            for k in reversed(right_msgs):
-                deps[k] = {k}
-                steps.append(ScalarStep(k, k, k + 1, k, StrategyTag.SINGLE_USER_SIC_RIGHT))
-            inner = tuple(range(offset + 2, offset + size))
-            block = MimoBlock(
-                tag=StrategyTag.CENTRAL_MIMO_DECODE,
-                tx=inner,
-                antennas=inner,
-                prelog=((center, 1),),
-                tx_of=((center, (center,)),),
-                decoders=((center, inner),),
-                coupled=left_msgs + right_msgs,
-            )
-            return tuple(steps), (block,), deps
 
-        return _lb_chain_blocks(params, beta, build, "sym-lb-central-mimo")
-
-    raise NotApplicableError(f"unknown bound label {bound_label!r}")
+def sym_general_plan(params: NetworkParams, bound_label: str) -> TransmissionPlan:
+    """Constructive plan matching one of the four general lower bounds, the
+    keys of _GENERAL_PLANS.  Raises NotApplicableError for labels whose
+    scheme does not cover the instance (with the delegation reason)."""
+    build = _GENERAL_PLANS.get(bound_label)
+    if build is None:
+        raise NotApplicableError(f"unknown bound label {bound_label!r}")
+    return build(params)
 
 
 def _mirror_plan(plan: TransmissionPlan, params: NetworkParams, family: str) -> TransmissionPlan:
