@@ -226,7 +226,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_offset(args) -> int:
     from . import simulator
     alpha_star = parse_alpha_token(args.alpha_star)
-    gaps = tuple(2.0 ** (-e) for e in range(args.gap_min_exp, args.gap_max_exp + 1))
+    try:
+        gaps = tuple(2.0 ** (-e) for e in range(args.gap_min_exp, args.gap_max_exp + 1))
+    except OverflowError:
+        raise ValueError(f"--gap-min-exp {args.gap_min_exp} makes a gap 2^{-args.gap_min_exp}, "
+                         f"which overflows a float") from None
     curve = simulator.offset_experiment(args.L, alpha_star, args.K, alpha_gaps=gaps)
     _emit(curve.to_csv())
     _diag(f"fitted_nu={curve.fitted_nu:.6f}")

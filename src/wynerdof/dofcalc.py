@@ -20,7 +20,6 @@ Conventions baked in here (see the module tests for the worked numbers):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from fractions import Fraction
@@ -40,7 +39,6 @@ __all__ = [
     "sym_lower_bounds",
     "sym_upper_bounds",
     "sym_dof_interval",
-    "power_offset_prediction",
 ]
 
 
@@ -410,22 +408,3 @@ def sym_dof_interval(params: NetworkParams,
     lows.append(lower)
     ups.append(upper)
     return _interval(lows, ups, note)
-
-
-# ---------------------------------------------------------------------------
-# power offset near a critical gain
-# ---------------------------------------------------------------------------
-
-def power_offset_prediction(L: int, alpha: AlphaLike, alpha_star: AlphaLike, nu: int) -> float:
-    """Divergent part -nu * ln|alpha - alpha*| of the high-SNR power offset.
-
-    The bounded remainder is not computable in closed form and is excluded;
-    only the growth term is predicted.  alpha == alpha* is rejected (the
-    offset diverges there).
-    """
-    if nu < 1:
-        raise ValueError("multiplicity nu must be >= 1")
-    gap = abs(alpha_float(alpha) - alpha_float(alpha_star))
-    if gap == 0:
-        raise ValueError("alpha must differ from the critical gain")
-    return -nu * math.log(gap)

@@ -415,21 +415,21 @@ def sym_symmetric_si_plan(params: NetworkParams, alpha: AlphaLike) -> Transmissi
 # general-parameter chain plans (pair-of-transmitters silencing)
 # ---------------------------------------------------------------------------
 
-def _f_block(rl_: int, t_end: int, f, tag: Optional[StrategyTag] = None):
+def _f_block(rl: int, t_end: int, f, tag: Optional[StrategyTag] = None):
     """Double-interference chain over local transmitters 2..t_end, each local
     index i built at f(i); `tag` replaces the steps' tags.
 
     Antennas 1..t_end-1 are used; messages 2..t_end (own message, when the
     decoder can reach to its left) or 1..t_end-1 (shifted onto the right
-    neighbor when r_l' = 0).  Claims t_end-1 degrees of freedom.
+    neighbor when r_l = 0).  Claims t_end-1 degrees of freedom.
     """
     steps: List[ScalarStep] = []
     deps: Dict[int, set] = {}
     sic, dpc = tag or StrategyTag.DOUBLE_PAIR_SIC_LEFT, tag or StrategyTag.DOUBLE_PAIR_DPC
     if t_end < 2:
         return tuple(steps), deps
-    if rl_ >= 1:
-        f1_end = min(rl_ + 1, t_end)
+    if rl >= 1:
+        f1_end = min(rl + 1, t_end)
         for k in range(2, f1_end + 1):
             deps[k] = {k}
             steps.append(ScalarStep(f(k), f(k), f(k - 1), f(k), sic))
@@ -440,25 +440,7 @@ def _f_block(rl_: int, t_end: int, f, tag: Optional[StrategyTag] = None):
         for k in range(2, t_end + 1):
             deps[k] = {k - 1} | deps.get(k - 1, set()) | deps.get(k - 2, set())
             steps.append(ScalarStep(f(k - 1), f(k), f(k - 1), f(k - 1), dpc))
-    return tuple(steps), _remap_deps(deps, f)
-
-
-def _remap_deps(deps, f):
-    return {f(t): {f(m) for m in d} for t, d in deps.items()}
-
-
-def _remap_block(b: MimoBlock, f) -> MimoBlock:
-    """Block with every index moved by f; index lists stay ascending."""
-    ids = lambda idx: tuple(sorted(map(f, idx)))
-    return MimoBlock(
-        tag=b.tag,
-        tx=ids(b.tx),
-        antennas=ids(b.antennas),
-        prelog=tuple((f(m), w) for m, w in b.prelog),
-        tx_of=tuple((f(m), ids(g)) for m, g in b.tx_of),
-        decoders=tuple((f(r), ids(ants)) for r, ants in b.decoders),
-        coupled=ids(b.coupled),
-    )
+    return tuple(steps), {f(t): {f(m) for m in d} for t, d in deps.items()}
 
 
 def _pair_tx_silencing(K: int, beta: int):
@@ -474,12 +456,14 @@ def _pair_tx_silencing(K: int, beta: int):
     return silenced, gamma, kappa, theta
 
 
-def _lb_chain_blocks(params, beta, block_builder, family):
+def _lb_chain_blocks(params, beta, block_builder, family, from_right=False):
     """Shared skeleton for the transmitter-pair silencing chain schemes.
 
     block_builder(offset, size) returns (scalar_steps, mimo_blocks, deps) on
     antennas offset+1 .. offset+size (active transmitters are offset+2 ..
-    offset+size-1).
+    offset+size-1).  Segments are laid out from antenna 1, the shorter tail
+    segment last; from_right lays them out from antenna K down, so the tail
+    sits at the left end and the silenced set is reflected (s -> K+1-s).
     """
     K = params.K
     silenced, gamma, kappa, theta = _pair_tx_silencing(K, beta)
@@ -488,6 +472,9 @@ def _lb_chain_blocks(params, beta, block_builder, family):
     segments = [(m * beta, beta, "generic") for m in range(gamma)]
     if theta >= 1 and kappa >= 1:
         segments.append((gamma * beta, kappa, "reduced"))
+    if from_right:
+        silenced = {K + 1 - s for s in silenced}
+        segments = [(K - offset - size, size, kind) for offset, size, kind in reversed(segments)]
     for offset, size, kind in segments:
         steps, blocks, d = block_builder(offset, size)
         deps.update(d)
@@ -501,23 +488,38 @@ def _lb_chain_blocks(params, beta, block_builder, family):
     return _finalize(params, SYMMETRIC, family, silenced, (), subnets, deps)
 
 
+def _chains(params: NetworkParams, left: int):
+    """Segment builder of the chain plans: a segment of `size` antennas holds
+    a left chain over its first min(left, size-1) positions and the mirrored
+    right chain over the rest.  A chain of one position is empty."""
+    def build(offset, size):
+        ltot = min(left, size - 1)
+        steps, deps = _f_block(params.r_left, ltot, lambda i: i + offset)
+        rsteps, rdeps = _f_block(params.r_right, size - ltot, lambda i: offset + size + 1 - i,
+                                 StrategyTag.MIRRORED_DOUBLE_PAIR)
+        deps.update(rdeps)
+        return steps + rsteps, (), deps
+
+    return build
+
+
 def _left_chain_plan(params: NetworkParams) -> TransmissionPlan:
     tl, rl = params.t_left, params.r_left
     if tl + rl <= 1:
         raise NotApplicableError("t_left+r_left <= 1: nothing to prove (bound <= 0)")
     if tl == 0:
         raise NotApplicableError("t_left = 0: delegates to lb-central-mimo")
-
-    def build(offset, size):
-        t_end = size - 1
-        steps, d = _f_block(min(rl, max(0, t_end - 1)), t_end, lambda i: i + offset)
-        return steps, (), d
-
-    return _lb_chain_blocks(params, tl + rl + 1, build, "sym-lb-left-chain")
+    return _lb_chain_blocks(params, tl + rl + 1, _chains(params, tl + rl), "sym-lb-left-chain")
 
 
 def _right_chain_plan(params: NetworkParams) -> TransmissionPlan:
-    return _mirror_plan(_left_chain_plan(params.mirrored()), params, "sym-lb-right-chain")
+    tr, rr = params.t_right, params.r_right
+    if tr + rr <= 1:
+        raise NotApplicableError("t_right+r_right <= 1: nothing to prove (bound <= 0)")
+    if tr == 0:
+        raise NotApplicableError("t_right = 0: delegates to lb-central-mimo")
+    return _lb_chain_blocks(params, tr + rr + 1, _chains(params, 1), "sym-lb-right-chain",
+                            from_right=True)
 
 
 def _combined_plan(params: NetworkParams) -> TransmissionPlan:
@@ -528,19 +530,8 @@ def _combined_plan(params: NetworkParams) -> TransmissionPlan:
         raise NotApplicableError("t_right+r_right = 0: delegates to lb-left-chain")
     if params.side_sum <= 2:
         raise NotApplicableError("side-information sum <= 2: nothing to prove")
-
-    def build(offset, size):
-        # left and right chains back to back; two central antennas unused
-        ltot = min(tl + rl, size - 1)
-        rtot = size - ltot
-        lsteps, deps = _f_block(min(rl, max(0, ltot - 1)), ltot, lambda i: i + offset)
-        rsteps, rdeps = _f_block(min(rr, max(0, rtot - 1)), rtot,
-                                 lambda i: offset + size + 1 - i,
-                                 StrategyTag.MIRRORED_DOUBLE_PAIR)
-        deps.update(rdeps)
-        return lsteps + rsteps, (), deps
-
-    return _lb_chain_blocks(params, params.side_sum, build, "sym-lb-combined")
+    # left and right chains back to back; two central antennas unused
+    return _lb_chain_blocks(params, params.side_sum, _chains(params, tl + rl), "sym-lb-combined")
 
 
 def _central_mimo_plan(params: NetworkParams) -> TransmissionPlan:
@@ -590,20 +581,6 @@ def sym_general_plan(params: NetworkParams, bound_label: str) -> TransmissionPla
     if build is None:
         raise NotApplicableError(f"unknown bound label {bound_label!r}")
     return build(params)
-
-
-def _mirror_plan(plan: TransmissionPlan, params: NetworkParams, family: str) -> TransmissionPlan:
-    ref = lambda i: params.K + 1 - i
-    subnets = [Subnet(
-        active_tx=tuple(sorted(map(ref, sn.active_tx))),
-        rx_antennas=tuple(sorted(map(ref, sn.rx_antennas))),
-        kind=sn.kind,
-        scalar_steps=tuple(ScalarStep(ref(s.message), ref(s.tx), ref(s.antenna), ref(s.decoder),
-                                      StrategyTag.MIRRORED_DOUBLE_PAIR) for s in sn.scalar_steps),
-        mimo_blocks=tuple(_remap_block(b, ref) for b in sn.mimo_blocks),
-    ) for sn in reversed(plan.subnets)]
-    return _finalize(params, SYMMETRIC, family, map(ref, plan.silenced_tx),
-                     map(ref, plan.silenced_rx), subnets, _remap_deps(plan.deps_map(), ref))
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,9 @@ def offset_experiment(L: int, alpha_star: AlphaLike, K: int,
         rate_ub = (K - q) * 0.5 * math.log(p_top) + \
             0.5 * math.log1p(p_top * a * a * v_top * v_top / v_norm_sq)
         proxy = 0.5 * eta * math.log(p_top) - rate_ub
+        if not math.isfinite(proxy):
+            raise ValueError(f"arithmetic overflows at alpha={a!r}: "
+                             f"the offset proxy is not finite")
         samples.append((a, proxy))
     xs = np.array([-math.log(abs(a - astar)) for a, _ in samples])
     ys = np.array([v for _, v in samples])

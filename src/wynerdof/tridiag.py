@@ -29,10 +29,8 @@ of the same roots lives in the test suite (tests/exact_roots.py) as the
 oracle for both.
 
 Also provided: the normalized sequence v_p = u_p / (-alpha)^p with its own
-recursion and row identity, and the upper-banded matrices M_p(alpha)
-(alpha / 1 / alpha on the diagonal and first two super-diagonals) whose
-inverse rows supply noise-combination coefficients for the converse
-constructions.
+recursion, and the explicit inverse of the upper-banded M_p(alpha), whose
+rows supply noise-combination coefficients for the converse constructions.
 """
 
 from __future__ import annotations
@@ -62,8 +60,6 @@ __all__ = [
     "RootSet",
     "VSequence",
     "v_sequence",
-    "v_row_identity_check",
-    "m_matrix",
     "m_inverse",
 ]
 
@@ -365,13 +361,6 @@ class VSequence:
             raise IndexError(f"v_{p} outside computed range [-1, {self.pmax}]")
         return self.values[p + 1]
 
-    def definitional_residual(self) -> float:
-        """max_p |v_p * (-alpha)^p - u_p| over the computed range."""
-        a, worst = self.alpha, 0.0
-        for p in range(0, self.pmax + 1):
-            worst = max(worst, abs(self[p] * (-a) ** p - _u_recursion(p, a * a)))
-        return worst
-
 
 def v_sequence(pmax: int, alpha: AlphaLike) -> VSequence:
     a = alpha_float(alpha)
@@ -385,60 +374,13 @@ def v_sequence(pmax: int, alpha: AlphaLike) -> VSequence:
     return VSequence(alpha=a, pmax=pmax, values=tuple(vals))
 
 
-def v_row_identity_check(p: int, l: int, alpha: AlphaLike) -> float:
-    """Residual of (v_l .. v_{l+p-1}) H_p(alpha) = (-a v_{l-1}, 0, .., 0, -a v_{l+p}).
-
-    Evaluated in exact rational arithmetic (every float gain is a rational),
-    since the normalized sequence grows like |1/alpha|^p and a floating
-    residual would be meaningless for small gains.  Restricted to p >= 2:
-    at p = 1 the two boundary entries of the right-hand side collapse into
-    one slot and the display is ambiguous.
-    """
-    if p < 2:
-        raise ValueError("row identity is stated for p >= 2")
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    a = Fraction(alpha_float(alpha))
-    if a == 0:
-        raise ValueError("requires a nonzero cross-gain")
-    vs = [Fraction(0), Fraction(1)]  # v_{-1}, v_0
-    for _ in range(l + p + 1):
-        vs.append(-vs[-1] / a - vs[-2])
-    v = lambda i: vs[i + 1]
-    row = [v(l + i) for i in range(p)]
-    worst = Fraction(0)
-    for j in range(p):
-        acc = row[j]  # unit diagonal
-        if j >= 1:
-            acc += a * row[j - 1]
-        if j + 1 < p:
-            acc += a * row[j + 1]
-        want = -a * v(l - 1) if j == 0 else (-a * v(l + p) if j == p - 1 else Fraction(0))
-        worst = max(worst, abs(acc - want))
-    return float(worst)
-
-
 # ---------------------------------------------------------------------------
-# upper-banded M_p(alpha) and its inverse
+# inverse of the upper-banded M_p(alpha)
 # ---------------------------------------------------------------------------
-
-def m_matrix(p: int, alpha: AlphaLike) -> np.ndarray:
-    """M_p(alpha): alpha on the diagonal, 1 and alpha on the first and second
-    super-diagonals.  det M_p = alpha^p, so the inverse exists iff alpha != 0."""
-    import numpy as np
-    a = alpha_float(alpha)
-    m = np.zeros((p, p))
-    idx = np.arange(p)
-    m[idx, idx] = a
-    if p >= 2:
-        m[idx[:-1], idx[:-1] + 1] = 1.0
-    if p >= 3:
-        m[idx[:-2], idx[:-2] + 2] = a
-    return m
-
 
 def m_inverse(p: int, alpha: AlphaLike) -> np.ndarray:
-    """The explicit inverse of M_p(alpha).
+    """The explicit inverse of M_p(alpha): alpha on the diagonal, 1 and alpha
+    on the first and second super-diagonals, so det M_p = alpha^p.
 
     The inverse of the upper-banded Toeplitz M_p is upper-triangular
     Toeplitz: its k-th super-diagonal is c_k, from back substitution's

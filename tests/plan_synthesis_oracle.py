@@ -6,7 +6,9 @@ sides, groups, weights, tag, kind) once per block size and places it at
 each offset, and the asymmetric and chain builders make their steps at
 their offset.  This module keeps the versions that replaced, verbatim:
 every MIMO subnet is derived from scratch, and the chain blocks are built
-in local coordinates and then shifted by ``_remap_steps``/``_remap_block``.
+in local coordinates and then shifted by ``_remap_steps``/``_remap_block``;
+the right chain is the left chain of the mirrored instance, reflected by
+``_mirror_plan``, and its NotApplicable reasons name the right side.
 It shares no code with them but the plan types and the unchanged helpers
 ``_reduce_asym`` and ``_pair_tx_silencing``; ``_finalize`` is kept too, as
 it was before it sorted each shared deps set once.
@@ -337,7 +339,10 @@ def sym_general_plan(params: NetworkParams, bound_label: str) -> TransmissionPla
         return _lb_chain_blocks(params, beta, build, "sym-lb-left-chain")
 
     if bound_label == "lb-right-chain":
-        mirrored = sym_general_plan(params.mirrored(), "lb-left-chain")
+        try:
+            mirrored = sym_general_plan(params.mirrored(), "lb-left-chain")
+        except NotApplicableError as exc:  # the left chain's reason, for the right side
+            raise NotApplicableError(str(exc).replace("left", "right")) from None
         return _mirror_plan(mirrored, params, "sym-lb-right-chain")
 
     if bound_label == "lb-combined":

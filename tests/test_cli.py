@@ -276,6 +276,22 @@ class TestPlanCertifyRoundTrip:
         code, out, _ = run(capsys, "certify", *argv, "--plan", "-")
         assert code == 0 and json.loads(out)["certified_dof"] == 6
 
+    @pytest.mark.parametrize("label", ["lb-combined", "lb-left-chain", "lb-right-chain",
+                                       "lb-central-mimo"])
+    def test_each_lower_bounds_plan_certifies_its_value(self, capsys, monkeypatch, label):
+        # every chain plan here ends in a reduced tail segment; lb-right-chain
+        # lays its segments out from antenna K, so its tail sits at the left end
+        argv = ["--topology", "symmetric", "--K", "31", "--tl", "2", "--tr", "1",
+                "--rl", "0", "--rr", "2", "--alpha", "0.3"]
+        _, out, _ = run(capsys, "bounds", *argv)
+        value, = [b["value"] for b in json.loads(out)["bounds"] if b["label"] == label]
+        code, plan, _ = run(capsys, "plan", *argv, "--bound-label", label)
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(plan))
+        code, out, _ = run(capsys, "certify", *argv, "--plan", "-")
+        blob = json.loads(out)
+        assert code == 0 and blob["ok"] is True and blob["certified_dof"] == value
+
     def test_instance_file_with_a_power_key_certifies_a_plan_file(self, capsys, tmp_path):
         argv = ["--topology", "symmetric", "--K", "7", "--tl", "1", "--tr", "1",
                 "--rl", "1", "--rr", "1", "--alpha", "0.3"]
@@ -602,6 +618,18 @@ class TestSimulateAndOffset:
                              "root:3:1", "--gap-min-exp", lo, "--gap-max-exp", hi)
         assert code == 2 and out == ""
         assert err == f"error: the alpha grid needs at least two gaps, got {n}\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lo, msg", [
+        ("-1100", "--gap-min-exp -1100 makes a gap 2^1100, which overflows a float"),
+        ("-1000", "arithmetic overflows at alpha=1.0715086071862673e+301: "
+                  "the offset proxy is not finite"),
+    ], ids=["gap-overflows", "proxy-overflows"])
+    def test_a_gap_too_large_for_a_float_is_usage_error(self, capsys, lo, msg):
+        code, out, err = run(capsys, "offset", "--L", "2", "--K", "7", "--alpha-star",
+                             "root:3:1", "--gap-min-exp", lo)
+        assert code == 2 and out == ""
+        assert err == f"error: {msg}\n"
 
 
 class TestRandomCheck:

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 from itertools import product
 
@@ -195,24 +194,3 @@ class TestGeneralBounds:
         with pytest.raises(ValueError, match="^sym_dof_interval needs the cross-gain: an alpha "
                                              "or a CrossGainAssignment$"):
             dc.sym_dof_interval(P(K=6, t_left=1, t_right=1, r_left=1, r_right=1), None)
-
-
-class TestPowerOffsetPrediction:
-    def test_formula(self):
-        v = dc.power_offset_prediction(2, ROOT3.value + 0.1, ROOT3, 1)
-        assert v == pytest.approx(-math.log(0.1), rel=1e-12)
-
-    def test_halving_adds_log_two(self):
-        a, s = 0.9, ROOT3
-        d1 = dc.power_offset_prediction(2, s.value + 0.2, s, 1)
-        d2 = dc.power_offset_prediction(2, s.value + 0.1, s, 1)
-        assert d2 - d1 == pytest.approx(math.log(2), rel=1e-12)
-
-    def test_multiplicity_scales(self):
-        one = dc.power_offset_prediction(2, 0.8, ROOT3, 1)
-        two = dc.power_offset_prediction(2, 0.8, ROOT3, 2)
-        assert two == pytest.approx(2 * one, rel=1e-12)
-
-    def test_exact_critical_rejected(self):
-        with pytest.raises(ValueError):
-            dc.power_offset_prediction(2, ROOT3, ROOT3, 1)

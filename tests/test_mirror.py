@@ -6,6 +6,9 @@ range), never the rational critical gain |a| = 1; root gains are the signed
 critical gains root:p:k of orders 2..7.
 """
 
+import re
+from itertools import product
+
 from hypothesis import given, settings, strategies as st
 
 from wynerdof import converse as cv
@@ -17,6 +20,7 @@ from wynerdof.tridiag import RootAlpha
 LABELS = ("lb-combined", "lb-left-chain", "lb-right-chain", "lb-central-mimo")
 SWAP = {"lb-left-chain": "lb-right-chain", "lb-right-chain": "lb-left-chain",
         "ub-singular-left": "ub-singular-right", "ub-singular-right": "ub-singular-left"}
+SWAP_SIDE = {"left": "right", "right": "left"}
 
 side = st.integers(min_value=0, max_value=2)
 params = st.builds(nm.NetworkParams, st.integers(min_value=1, max_value=24), side, side, side, side)
@@ -61,6 +65,26 @@ def test_bounds_swap_under_mirroring(p, alpha):
 def test_general_plans_certify_alike_under_mirroring(p, alpha):
     for label in LABELS:
         assert certified(p, label, alpha) == certified(p.mirrored(), SWAP.get(label, label), alpha)
+
+
+def not_applicable_reason(p, label):
+    try:
+        sc.sym_general_plan(p, label)
+    except sc.NotApplicableError as exc:
+        return str(exc)
+    return None
+
+
+def test_not_applicable_reasons_swap_sides_under_mirroring():
+    swap = lambda text: re.sub("left|right", lambda m: SWAP_SIDE[m.group()], text)
+    for K, side in product((1, 7, 12), product(range(4), repeat=4)):
+        p = nm.NetworkParams(K, *side)
+        for label in LABELS:
+            if label == "lb-combined" and p.side_sum == 0:
+                continue  # with no side information at all, both name the left side first
+            here = not_applicable_reason(p, label)
+            there = not_applicable_reason(p.mirrored(), SWAP.get(label, label))
+            assert (here and swap(here)) == there, (p, label)
 
 
 @given(params, gains)

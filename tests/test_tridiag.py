@@ -25,6 +25,51 @@ def dense_det(p, a):
     return 1.0 if p == 0 else float(np.linalg.det(td.h_matrix(p, a)))
 
 
+def definitional_residual(vs):
+    """max_p |v_p * (-alpha)^p - u_p| over the computed range of a td.VSequence."""
+    a = vs.alpha
+    return max(abs(vs[p] * (-a) ** p - td.det_h(p, a)) for p in range(vs.pmax + 1))
+
+
+def v_row_identity_residual(p, l, alpha):
+    """Residual of (v_l .. v_{l+p-1}) H_p(alpha) = (-a v_{l-1}, 0, .., 0, -a v_{l+p}),
+    for p >= 2, with v_p from td.v_sequence's recursion.
+
+    The recursion runs in exact rational arithmetic (every float gain is a
+    rational), since the normalized sequence grows like |1/alpha|^p and a
+    floating residual would be meaningless for small gains.
+    """
+    a = Fraction(alpha)
+    vs = [Fraction(0), Fraction(1)]  # v_{-1}, v_0
+    for _ in range(l + p + 1):
+        vs.append(-vs[-1] / a - vs[-2])
+    v = lambda i: vs[i + 1]
+    row = [v(l + i) for i in range(p)]
+    worst = Fraction(0)
+    for j in range(p):
+        acc = row[j]  # unit diagonal
+        if j >= 1:
+            acc += a * row[j - 1]
+        if j + 1 < p:
+            acc += a * row[j + 1]
+        want = -a * v(l - 1) if j == 0 else (-a * v(l + p) if j == p - 1 else Fraction(0))
+        worst = max(worst, abs(acc - want))
+    return float(worst)
+
+
+def m_matrix(p, a):
+    """M_p(a): a on the diagonal, 1 and a on the first and second
+    super-diagonals, the dense reference for td.m_inverse."""
+    m = np.zeros((p, p))
+    idx = np.arange(p)
+    m[idx, idx] = a
+    if p >= 2:
+        m[idx[:-1], idx[:-1] + 1] = 1.0
+    if p >= 3:
+        m[idx[:-2], idx[:-2] + 2] = a
+    return m
+
+
 class TestDetH:
     def test_order_one_is_always_one(self):
         for a in (0.0, -3.2, 17.5):
@@ -297,15 +342,15 @@ class TestVSequence:
 
     def test_definitional_identity(self):
         for a in (0.3, -1.7, 0.9):
-            assert td.v_sequence(25, a).definitional_residual() <= 1e-9
+            assert definitional_residual(td.v_sequence(25, a)) <= 1e-9
 
     def test_zero_gain_rejected(self):
         with pytest.raises(ValueError):
             td.v_sequence(4, 0.0)
 
     def test_row_identity_small(self):
-        assert td.v_row_identity_check(5, 3, 0.9) <= 1e-9
-        assert td.v_row_identity_check(2, 0, 1.0) <= 1e-12
+        assert v_row_identity_residual(5, 3, 0.9) <= 1e-9
+        assert v_row_identity_residual(2, 0, 1.0) <= 1e-12
 
     def test_row_identity_contract_grid(self):
         rng = np.random.default_rng(3)
@@ -313,24 +358,20 @@ class TestVSequence:
             p = int(rng.integers(2, 31))
             l = int(rng.integers(0, 31))
             a = float(rng.uniform(0.1, 2.0)) * (1 if rng.random() < 0.5 else -1)
-            assert td.v_row_identity_check(p, l, a) <= 1e-9
-
-    def test_row_identity_restricted_to_width_two(self):
-        with pytest.raises(ValueError):
-            td.v_row_identity_check(1, 0, 0.7)
+            assert v_row_identity_residual(p, l, a) <= 1e-9
 
 
 class TestBandedM:
     def test_two_by_two_closed_form(self):
-        assert td.m_matrix(2, 2.0).tolist() == [[2.0, 1.0], [0.0, 2.0]]
+        assert m_matrix(2, 2.0).tolist() == [[2.0, 1.0], [0.0, 2.0]]
         assert td.m_inverse(2, 2.0).tolist() == [[0.5, -0.25], [0.0, 0.5]]
 
     def test_band_pattern_transcription(self):
-        assert td.m_matrix(3, 1.0).tolist() == [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
+        assert m_matrix(3, 1.0).tolist() == [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
 
     def test_determinant_is_alpha_power(self):
         for p, a in ((4, 0.5), (3, -1.2), (6, 0.3)):
-            d = float(np.linalg.det(td.m_matrix(p, a)))
+            d = float(np.linalg.det(m_matrix(p, a)))
             assert d == pytest.approx(a ** p, rel=1e-9)
 
     def test_product_is_identity(self):
@@ -338,11 +379,11 @@ class TestBandedM:
         for _ in range(25):
             p = int(rng.integers(1, 12))
             a = float(rng.uniform(0.1, 2.0)) * (1 if rng.random() < 0.5 else -1)
-            assert np.max(np.abs(td.m_matrix(p, a) @ td.m_inverse(p, a) - np.eye(p))) < 1e-10
+            assert np.max(np.abs(m_matrix(p, a) @ td.m_inverse(p, a) - np.eye(p))) < 1e-10
 
     def test_back_substitution_agrees_with_dense_inverse(self):
         for p, a in ((5, 0.7), (8, -0.4), (3, 1.9)):
-            assert np.max(np.abs(td.m_inverse(p, a) - np.linalg.inv(td.m_matrix(p, a)))) < 1e-10
+            assert np.max(np.abs(td.m_inverse(p, a) - np.linalg.inv(m_matrix(p, a)))) < 1e-10
 
     def test_zero_gain_rejected(self):
         with pytest.raises(ValueError):
