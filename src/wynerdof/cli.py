@@ -9,7 +9,6 @@ root:p:k (k-th positive root of the order-p determinant).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from itertools import product
@@ -146,7 +145,7 @@ def _cmd_bounds(args) -> int:
         raise ValueError("bounds lists the symmetric topology's bounds; "
                          "use mg for the asymmetric one")
     bounds = [b.to_json() for b in dofcalc.sym_lower_bounds(params)]
-    out = {"instance": dataclasses.asdict(params), "bounds": bounds}
+    out = {"instance": params._asdict(), "bounds": bounds}
     if gains is not None:
         alpha = gains.alpha if gains.kind == "equal" else None
         bounds += [b.to_json() for b in dofcalc.sym_upper_bounds(params, alpha)]
@@ -226,11 +225,17 @@ def _cmd_simulate(args) -> int:
 def _cmd_offset(args) -> int:
     from . import simulator
     alpha_star = parse_alpha_token(args.alpha_star)
+    exps = range(args.gap_min_exp, args.gap_max_exp + 1)
     try:
-        gaps = tuple(2.0 ** (-e) for e in range(args.gap_min_exp, args.gap_max_exp + 1))
+        gaps = tuple(2.0 ** (-e) for e in exps)
     except OverflowError:
         raise ValueError(f"--gap-min-exp {args.gap_min_exp} makes a gap 2^{-args.gap_min_exp}, "
                          f"which overflows a float") from None
+    astar = float(alpha_star)
+    gone = next((e for e, gap in zip(exps, gaps) if astar + gap == astar), None)
+    if gone is not None:
+        raise ValueError(f"--gap-max-exp {args.gap_max_exp} reaches the gap 2^-{gone}, "
+                         f"which vanishes next to alpha*={astar!r} in floats")
     curve = simulator.offset_experiment(args.L, alpha_star, args.K, alpha_gaps=gaps)
     _emit(curve.to_csv())
     _diag(f"fitted_nu={curve.fitted_nu:.6f}")

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -57,8 +56,7 @@ __all__ = [
 Terms = Tuple[Tuple[int, float], ...]
 
 
-@dataclass(frozen=True)
-class GenieSignal:
+class GenieSignal(NamedTuple):
     """One revealed linear combination of noises (and, for the power-offset
     construction only, of inputs)."""
 
@@ -67,8 +65,7 @@ class GenieSignal:
     input_coeff: Terms = ()
 
 
-@dataclass(frozen=True)
-class ReconstructionStep:
+class ReconstructionStep(NamedTuple):
     round_no: int
     target: int
     y_terms: Terms
@@ -76,8 +73,7 @@ class ReconstructionStep:
     v_terms: Terms
 
 
-@dataclass(frozen=True)
-class GeniePartition:
+class _PartitionFields(NamedTuple):
     params: NetworkParams
     topology: str
     family: str
@@ -86,6 +82,10 @@ class GeniePartition:
     groups_b: Tuple[Tuple[int, ...], ...]
     genies: Tuple[GenieSignal, ...]
     steps: Tuple[ReconstructionStep, ...]
+
+
+class GeniePartition(_PartitionFields):
+    """Instances keep a __dict__, which caches `r_a`."""
 
     @functools.cached_property
     def r_a(self) -> Tuple[int, ...]:
@@ -496,8 +496,7 @@ def build_offset_genie(params: NetworkParams, alpha: AlphaLike) -> GeniePartitio
 # verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ReconstructionReport:
+class ReconstructionReport(NamedTuple):
     ok: bool
     max_abs_error: float
     trials: int
@@ -619,8 +618,7 @@ def verify_reconstruction(partition: GeniePartition, model: ChannelModel,
     return ReconstructionReport(worst <= tol, worst, trials, targets, partition.bound)
 
 
-@dataclass
-class EntropyReport:
+class EntropyReport(NamedTuple):
     ok: bool
     min_eigenvalue: float
     p_free: bool

@@ -20,7 +20,6 @@ Conventions baked in here (see the module tests for the worked numbers):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Union
@@ -49,19 +48,23 @@ def _ceil_pos(num: int, den: int) -> int:
     return -((-num) // den)
 
 
-@dataclass(frozen=True)
-class DofInterval:
-    """Integer multiplexing-gain bracket with provenance per endpoint."""
-
+class _IntervalFields(NamedTuple):
     lower: int
     upper: int
     lower_by: str
     upper_by: str
-    note: Optional[str] = None
+    note: Optional[str]
 
-    def __post_init__(self):
-        if not 0 <= self.lower <= self.upper:
-            raise ValueError(f"invalid interval [{self.lower}, {self.upper}]")
+
+class DofInterval(_IntervalFields):
+    """Integer multiplexing-gain bracket with provenance per endpoint."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+    def __new__(cls, lower, upper, lower_by, upper_by, note=None):
+        if not 0 <= lower <= upper:
+            raise ValueError(f"invalid interval [{lower}, {upper}]")
+        return tuple.__new__(cls, (lower, upper, lower_by, upper_by, note))
 
     @property
     def exact(self) -> bool:
@@ -80,16 +83,20 @@ class DofInterval:
         return out
 
 
-@dataclass(frozen=True)
-class PerUserAsymptote:
-    """Large-network multiplexing gain per user, as exact rationals."""
-
+class _AsymptoteFields(NamedTuple):
     value_lower: Fraction
     value_upper: Fraction
 
-    def __post_init__(self):
-        if not Fraction(1, 2) <= self.value_lower <= self.value_upper <= 1:
+
+class PerUserAsymptote(_AsymptoteFields):
+    """Large-network multiplexing gain per user, as exact rationals."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+    def __new__(cls, value_lower, value_upper):
+        if not Fraction(1, 2) <= value_lower <= value_upper <= 1:
             raise ValueError("per-user asymptote must sit inside [1/2, 1]")
+        return tuple.__new__(cls, (value_lower, value_upper))
 
     @property
     def exact(self) -> bool:
@@ -103,8 +110,7 @@ class PerUserAsymptote:
         }
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(NamedTuple):
     """One evaluated bound: label, value (clipped to [0, K]), applicability."""
 
     label: str
@@ -311,8 +317,8 @@ def sym_mg_symmetric_si(params: NetworkParams, alpha: AlphaLike) -> DofInterval:
         raise ValueError("nonzero cross-gain required")
     L = _require_symmetric_si(params)
     if params.K == L + 2:
-        return replace(sym_dof_interval(params, alpha), note="K == t_left+r_left+2 is outside "
-                       "the case split; general bounds returned")
+        return sym_dof_interval(params, alpha)._replace(
+            note="K == t_left+r_left+2 is outside the case split; general bounds returned")
     return _interval(*_evaluate(_SPLIT, *_sums(params), _zero_tests(alpha)))
 
 

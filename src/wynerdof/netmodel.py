@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .tridiag import AlphaLike, RootAlpha, alpha_float
 
@@ -46,22 +45,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NetworkParams:
+class _NetworkFields(NamedTuple):
+    K: int
+    t_left: int
+    t_right: int
+    r_left: int
+    r_right: int
+
+
+class NetworkParams(_NetworkFields):
     """Problem instance descriptor: K pairs and side-information reach."""
 
-    K: int
-    t_left: int = 0
-    t_right: int = 0
-    r_left: int = 0
-    r_right: int = 0
-
-    def __post_init__(self):
-        if self.K < 1:
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+    def __new__(cls, K, t_left=0, t_right=0, r_left=0, r_right=0):
+        if K < 1:
             raise ValueError("K must be >= 1")
-        for name in ("t_left", "t_right", "r_left", "r_right"):
-            if getattr(self, name) < 0:
+        for name, reach in zip(cls._fields[1:], (t_left, t_right, r_left, r_right)):
+            if reach < 0:
                 raise ValueError(f"{name} must be >= 0")
+        return tuple.__new__(cls, (K, t_left, t_right, r_left, r_right))
 
     @property
     def side_sum(self) -> int:
@@ -80,8 +83,7 @@ class NetworkParams:
         return NetworkParams(self.K, self.t_right, self.t_left, self.r_right, self.r_left)
 
 
-@dataclass(frozen=True)
-class CrossGainAssignment:
+class CrossGainAssignment(NamedTuple):
     """How the nonzero cross-gains are chosen.
 
     kind "equal": one alpha everywhere (alpha may be an exact RootAlpha).
@@ -170,15 +172,17 @@ def sample_generic_gains(K: int, topology: str, seed: int) -> CrossGainAssignmen
                                sup=None if sup is None else tuple(sup.tolist()))
 
 
-@dataclass(frozen=True)
-class ChannelModel:
-    """Immutable network instance: parameters, topology, gains, and the
-    channel's three diagonals as a band of three K-tuples (`channel_band`)."""
-
+class _ChannelFields(NamedTuple):
     params: NetworkParams
     topology: str
     gains: CrossGainAssignment
-    band: Tuple[tuple, tuple, tuple] = field(compare=False)
+    band: Tuple[tuple, tuple, tuple]
+
+
+class ChannelModel(_ChannelFields):
+    """Immutable network instance: parameters, topology, gains, and the
+    channel's three diagonals as a band of three K-tuples (`channel_band`).
+    Instances keep a __dict__, which caches `matrix`."""
 
     @property
     def K(self) -> int:

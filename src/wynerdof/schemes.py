@@ -23,17 +23,15 @@ Dirty-paper steps are modeled as removable known interference: the sender
 must be able to compute the interfering signal from messages it knows,
 which is tracked through a per-transmitter dependency map.
 
-Bulk immutable plan records are NamedTuples: ScalarStep, MimoBlock, Subnet
-and TransmissionPlan are built per step and per subnet, about three times
-faster than frozen dataclasses, are hashable and are edited with
-``._replace``.  Records with a __post_init__, a field(compare=False) or a
-cached_property, and per-call reports such as Certification, stay dataclasses.
+Plan records, like every record of the package, are NamedTuples:
+ScalarStep, MimoBlock, Subnet and TransmissionPlan are built per step and
+per subnet, about three times faster than frozen dataclasses, are hashable
+and are edited with ``._replace``; so is the Certification report.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
@@ -587,8 +585,7 @@ def sym_general_plan(params: NetworkParams, bound_label: str) -> TransmissionPla
 # certification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Certification:
+class Certification(NamedTuple):
     ok: bool
     certified_dof: int
     claimed_dof: int

@@ -14,9 +14,8 @@ rank rather than the message count at a singular gain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
 
 from .netmodel import RANK_REL_TOL, SYMMETRIC, TOPOLOGIES, ChannelModel, \
     CrossGainAssignment, _generic_draws, submatrix
@@ -38,9 +37,10 @@ __all__ = [
     "RankTrialReport",
 ]
 
+_P_TOP = 1e14  # the default grid's top power, which np.geomspace returns exactly
 
-@dataclass(frozen=True)
-class RateCurve:
+
+class RateCurve(NamedTuple):
     points: Tuple[Tuple[float, float], ...]  # (P, sum rate in nats)
     slope_estimate: float
     claimed_dof: int
@@ -52,8 +52,7 @@ class RateCurve:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class OffsetCurve:
+class OffsetCurve(NamedTuple):
     alpha_star: float
     samples: Tuple[Tuple[float, float], ...]  # (alpha, offset proxy in nats)
     fitted_nu: float
@@ -107,11 +106,17 @@ def plan_sum_rate(plan: TransmissionPlan, model: ChannelModel, P: float) -> floa
     return _subnet_rate(plan, model, P)
 
 
-def default_power_grid(lo: float = 1e3, hi: float = 1e14, points: int = 12):
+def default_power_grid(lo: float = 1e3, hi: float = _P_TOP, points: int = 12):
     import numpy as np
     if not (0 < lo < math.inf and 0 < hi < math.inf):
         raise ValueError(f"powers must be positive and finite, got {lo:g} and {hi:g}")
     return tuple(float(p) for p in np.geomspace(lo, hi, points))
+
+
+def _ls_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """The least-squares slope of ys against xs, cov/var in Python floats."""
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
 def slope_estimate(plan: TransmissionPlan, model: ChannelModel,
@@ -122,8 +127,6 @@ def slope_estimate(plan: TransmissionPlan, model: ChannelModel,
     constant bias.  The grid must be increasing, span at least six decades,
     and hold at least twelve points.
     """
-    import numpy as np
-
     from .schemes import certify_plan
     grid = tuple(p_grid) if p_grid is not None else default_power_grid()
     if len(grid) < 12:
@@ -137,9 +140,9 @@ def slope_estimate(plan: TransmissionPlan, model: ChannelModel,
         raise ValueError(f"plan does not certify: {cert.failure}")
     points = tuple((float(p), float(_subnet_rate(plan, model, p))) for p in grid)
     top = points[len(points) // 2:]
-    xs = np.array([0.5 * math.log(p) for p, _ in top])
-    ys = np.array([r for _, r in top])
-    slope = 0.0 if np.allclose(ys, 0.0) else float(np.polyfit(xs, ys, 1)[0])
+    xs = [0.5 * math.log(p) for p, _ in top]
+    ys = [r for _, r in top]
+    slope = 0.0 if all(abs(y) <= 1e-8 for y in ys) else _ls_slope(xs, ys)
     return RateCurve(points=points, slope_estimate=slope, claimed_dof=plan.claimed_dof)
 
 
@@ -158,9 +161,8 @@ def offset_experiment(L: int, alpha_star: AlphaLike, K: int,
     the true offset is unknown and excluded: only the slope against
     -ln|alpha - alpha*| is meaningful, and it estimates the root's
     multiplicity.  alpha* must be a root of u_{L+1}, and the fit needs at
-    least two gaps.
+    least two gaps, each of which moves alpha* up in floats.  Runs without numpy.
     """
-    import numpy as np
     if L < 0:
         raise ValueError(f"L must be >= 0, got {L}")
     if (K + 1) % (L + 2) != 0:
@@ -173,10 +175,11 @@ def offset_experiment(L: int, alpha_star: AlphaLike, K: int,
         2.0 ** (-e) for e in range(3, 13))
     if len(gaps) < 2:
         raise ValueError(f"the alpha grid needs at least two gaps, got {len(gaps)}")
-    if any(g <= 0 for g in gaps):
-        raise ValueError("the alpha grid must not touch the critical value")
-    grid = tuple(p_grid) if p_grid is not None else default_power_grid()
-    p_top = max(grid)
+    bad = next((g for g in gaps if not astar + g > astar), None)  # nan included
+    if bad is not None:
+        raise ValueError(f"the alpha grid must not touch the critical value: the gap {bad!r} "
+                         f"does not move alpha*={astar!r} up in floats")
+    p_top = max(p_grid) if p_grid is not None else _P_TOP
     eta = K - K // (L + 2)
     samples = []
     for gap in gaps:
@@ -191,9 +194,10 @@ def offset_experiment(L: int, alpha_star: AlphaLike, K: int,
             raise ValueError(f"arithmetic overflows at alpha={a!r}: "
                              f"the offset proxy is not finite")
         samples.append((a, proxy))
-    xs = np.array([-math.log(abs(a - astar)) for a, _ in samples])
-    ys = np.array([v for _, v in samples])
-    nu = float(np.polyfit(xs, ys, 1)[0])
+    xs = [-math.log(abs(a - astar)) for a, _ in samples]
+    if len(set(xs)) < 2:
+        raise ValueError("the alpha grid needs two gaps that give distinct gains")
+    nu = _ls_slope(xs, [v for _, v in samples])
     return OffsetCurve(alpha_star=astar, samples=tuple(samples), fitted_nu=nu)
 
 
@@ -202,8 +206,7 @@ _WINDOW_CAP = 4096  # most windows in one batched SVD call
 _CERTIFIED = 100 * RANK_REL_TOL  # proven sigma_min / sigma_max that spares the SVD
 
 
-@dataclass(frozen=True)
-class RankTrialReport:
+class RankTrialReport(NamedTuple):
     trials: int
     failures: int
     max_window: int

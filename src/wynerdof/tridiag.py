@@ -37,10 +37,9 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 if TYPE_CHECKING:  # numpy is imported where arrays are built
     import numpy as np
@@ -262,26 +261,30 @@ def _u_positive(p: int, m: int, e: int) -> bool:
     return cur > 0
 
 
-@dataclass(frozen=True)
-class RootAlpha:
+class _RootFields(NamedTuple):
+    p: int
+    k: int
+    sign: int
+
+
+class RootAlpha(_RootFields):
     """Exact algebraic cross-gain: the k-th positive root of u_p (times sign).
 
     alpha_{p,k} = sign / (2 cos(k pi/(p+1))), 1 <= k <= p//2.  Zero tests of
     any u_q at this value are exact integer tests even though the value
-    itself is irrational.
+    itself is irrational.  A tuple, so arithmetic goes through float().
     """
 
-    p: int
-    k: int
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.p < 2:
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+    def __new__(cls, p, k, sign=1):
+        if p < 2:
             raise ValueError("u_p has roots only for p >= 2")
-        if self.sign not in (-1, 1):
+        if sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
-        if not 1 <= self.k <= self.p // 2:
-            raise ValueError(f"u_{self.p} has {self.p // 2} positive roots; got k={self.k}")
+        if not 1 <= k <= p // 2:
+            raise ValueError(f"u_{p} has {p // 2} positive roots; got k={k}")
+        return tuple.__new__(cls, (p, k, sign))
 
     @property
     def multiplicity(self) -> int:
@@ -306,13 +309,12 @@ class RootAlpha:
         return f"RootAlpha({self.token()}={self.value:.12g})"
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(NamedTuple):
     """All real roots of u_p, with multiplicities, sorted ascending."""
 
     p: int
     roots: tuple  # of (alpha: float, multiplicity: int)
-    root_alphas: tuple = field(default=(), compare=False)
+    root_alphas: tuple = ()
 
     def alphas(self):
         return [a for a, _ in self.roots]
@@ -345,11 +347,11 @@ def critical_roots(p: int) -> RootSet:
 # normalized sequence v_p
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VSequence:
+class VSequence(NamedTuple):
     """v_p(alpha) = u_p(alpha) / (-alpha)^p for p = -1 .. pmax.
 
     Satisfies v_{p+2} = -(1/alpha) v_{p+1} - v_p with v_{-1} = 0, v_0 = 1.
+    `seq[p]` is v_p, not the tuple's p-th field.
     """
 
     alpha: float

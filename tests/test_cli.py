@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -207,8 +206,8 @@ class TestConverse:
 
         def missing_genie(params, alpha):  # step 0 names genie 7, which ub1 does not have
             g = ub1(params, alpha)
-            step = dataclasses.replace(g.steps[0], v_terms=((7, -1.0),))
-            return dataclasses.replace(g, steps=(step,) + g.steps[1:])
+            step = g.steps[0]._replace(v_terms=((7, -1.0),))
+            return g._replace(steps=(step,) + g.steps[1:])
 
         monkeypatch.setattr(converse, "build_sym_genie_ub1", missing_genie)
         code, out, err = run(capsys, "converse", "--family", "ub1", "--topology", "symmetric",
@@ -630,6 +629,25 @@ class TestSimulateAndOffset:
                              "root:3:1", "--gap-min-exp", lo)
         assert code == 2 and out == ""
         assert err == f"error: {msg}\n"
+
+    # 2^-1070 underflows to no gap at all, and 2^-55 is below half a float
+    # step of alpha* = 0.7071..., so alpha* + 2^-55 == alpha*
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lo, hi, gone", [("1070", "1080", 1070), ("50", "60", 55)],
+                             ids=["underflows", "absorbed"])
+    def test_a_gap_too_small_to_move_alpha_star_is_usage_error(self, capsys, lo, hi, gone):
+        code, out, err = run(capsys, "offset", "--L", "2", "--K", "7", "--alpha-star",
+                             "root:3:1", "--gap-min-exp", lo, "--gap-max-exp", hi)
+        assert code == 2 and out == ""
+        assert err == (f"error: --gap-max-exp {hi} reaches the gap 2^-{gone}, which vanishes "
+                       f"next to alpha*=0.7071067811865476 in floats\n")
+
+    def test_gaps_that_round_to_one_gain_are_usage_error(self, capsys):
+        # alpha* + 2^-54 rounds to alpha* + 2^-53, one float step
+        code, out, err = run(capsys, "offset", "--L", "2", "--K", "7", "--alpha-star",
+                             "root:3:1", "--gap-min-exp", "53", "--gap-max-exp", "54")
+        assert code == 2 and out == ""
+        assert err == "error: the alpha grid needs two gaps that give distinct gains\n"
 
 
 class TestRandomCheck:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from itertools import product
 
@@ -64,8 +63,8 @@ class TestAsymGenie:
         noise = dict(g.genies[0].noise_coeff)
         k = sorted(noise)[1]
         noise[k] += 1e-3
-        bad0 = dataclasses.replace(g.genies[0], noise_coeff=tuple(sorted(noise.items())))
-        bad = dataclasses.replace(g, genies=(bad0,) + g.genies[1:])
+        bad0 = g.genies[0]._replace(noise_coeff=tuple(sorted(noise.items())))
+        bad = g._replace(genies=(bad0,) + g.genies[1:])
         rep = cv.verify_reconstruction(bad, model(p, nm.ASYMMETRIC, 0.7), trials=100)
         assert not rep.ok and rep.max_abs_error >= 1e-4
 
@@ -241,8 +240,8 @@ class TestStructuralChecks:
         p = P(K=7, t_left=1, t_right=1, r_left=1, r_right=1)
         g = cv.build_sym_genie_ub2(p, ROOT3)
         # move every step into round 1: later-round dependencies break
-        steps = tuple(dataclasses.replace(s, round_no=1) for s in g.steps)
-        bad = dataclasses.replace(g, steps=steps)
+        steps = tuple(s._replace(round_no=1) for s in g.steps)
+        bad = g._replace(steps=steps)
         rep = cv.verify_reconstruction(bad, model(p, nm.SYMMETRIC, ROOT3), trials=5)
         assert not rep.ok
         assert rep.trials == 0  # failed before sampling
@@ -258,9 +257,8 @@ class TestStructuralChecks:
         p = P(K=9, t_left=0, t_right=1, r_left=2, r_right=1)
         g = cv.build_sym_genie_ub2(p, ROOT3)
         assert {s.round_no for s in g.steps} == {1, 2}
-        moved = tuple(dataclasses.replace(s, round_no=3) if s.round_no == 2 else s
-                      for s in g.steps)
-        staged = dataclasses.replace(g, groups_b=((),) + g.groups_b, steps=moved)
+        moved = tuple(s._replace(round_no=3) if s.round_no == 2 else s for s in g.steps)
+        staged = g._replace(groups_b=((),) + g.groups_b, steps=moved)
         rep = cv.verify_reconstruction(staged, model(p, nm.SYMMETRIC, ROOT3), trials=20)
         assert rep.failure is None and rep.ok
 
@@ -272,8 +270,7 @@ class TestStructuralChecks:
         g = cv.build_sym_genie_ub1(p, 0.9)
         assert [s.target for s in g.steps] == [1, 8, 9]
         assert g.groups_b == ((1, 2, 7, 8, 9, 10),)
-        rep = cv.verify_reconstruction(dataclasses.replace(g, steps=g.steps[1:]),
-                                       model(p, nm.SYMMETRIC, 0.9))
+        rep = cv.verify_reconstruction(g._replace(steps=g.steps[1:]), model(p, nm.SYMMETRIC, 0.9))
         assert (rep.ok, rep.trials) == (False, 0)
         assert rep.failure == ("round 1: receiver 1 decodes before antennas [1] "
                                "are observed or reconstructed")
@@ -285,8 +282,7 @@ class TestStructuralChecks:
         p = P(K=12, t_left=1, t_right=1, r_left=1, r_right=1)
         g = cv.build_sym_genie_ub1(p, 0.9)
         assert g.group_a == (3, 4, 5, 6, 11, 12)
-        rep = cv.verify_reconstruction(dataclasses.replace(g, groups_b=()),
-                                       model(p, nm.SYMMETRIC, 0.9))
+        rep = cv.verify_reconstruction(g._replace(groups_b=()), model(p, nm.SYMMETRIC, 0.9))
         assert (rep.ok, rep.trials) == (False, 0)
         assert rep.failure == "receiver 1 is in neither A nor any B group"
 
@@ -294,8 +290,7 @@ class TestStructuralChecks:
         p = P(K=12, t_left=1, t_right=1, r_left=1, r_right=1)
         g = cv.build_sym_genie_ub1(p, 0.9)
         assert 7 not in {gen.index for gen in g.genies}
-        g = dataclasses.replace(g, steps=(dataclasses.replace(g.steps[0], v_terms=((7, -1.0),)),)
-                                + g.steps[1:])
+        g = g._replace(steps=(g.steps[0]._replace(v_terms=((7, -1.0),)),) + g.steps[1:])
         with pytest.raises(ValueError, match=r"^the step for output 1 uses genie 7, "
                                              r"which the partition does not have$"):
             cv.verify_reconstruction(g, model(p, nm.SYMMETRIC, 0.9))
@@ -305,15 +300,14 @@ def _with_index(g, kind, bad):
     """g with one index of the given kind set to `bad`."""
     step, genie = g.steps[0], g.genies[0]
     if kind == "target":
-        return dataclasses.replace(g, steps=(dataclasses.replace(step, target=bad),)
-                                   + g.steps[1:])
+        return g._replace(steps=(step._replace(target=bad),) + g.steps[1:])
     if kind in ("y", "x"):
         field = kind + "_terms"
-        step = dataclasses.replace(step, **{field: getattr(step, field) + ((bad, 0.5),)})
-        return dataclasses.replace(g, steps=(step,) + g.steps[1:])
+        step = step._replace(**{field: getattr(step, field) + ((bad, 0.5),)})
+        return g._replace(steps=(step,) + g.steps[1:])
     field = kind + "_coeff"
-    genie = dataclasses.replace(genie, **{field: getattr(genie, field) + ((bad, 0.5),)})
-    return dataclasses.replace(g, genies=(genie,) + g.genies[1:])
+    genie = genie._replace(**{field: getattr(genie, field) + ((bad, 0.5),)})
+    return g._replace(genies=(genie,) + g.genies[1:])
 
 
 class TestIndexOutsideTheNetwork:
@@ -487,7 +481,7 @@ class TestEntropyCondition:
     def test_duplicated_genie_is_harmless(self):
         p = P(K=7, t_left=2, t_right=1, r_left=2, r_right=1)
         g = cv.build_asym_genie(p, 0.7)
-        dup = dataclasses.replace(g, genies=g.genies + g.genies)
+        dup = g._replace(genies=g.genies + g.genies)
         rep = cv.genie_entropy_check(dup, model(p, nm.ASYMMETRIC, 0.7))
         assert rep.ok
 
@@ -496,7 +490,7 @@ class TestEntropyCondition:
         g = cv.build_asym_genie(p, 0.7)
         k = g.r_a[0]
         evil = cv.GenieSignal(index=99, noise_coeff=((k, 1.0),))
-        bad = dataclasses.replace(g, genies=g.genies + (evil,))
+        bad = g._replace(genies=g.genies + (evil,))
         rep = cv.genie_entropy_check(bad, model(p, nm.ASYMMETRIC, 0.7))
         assert not rep.ok
 

@@ -6,9 +6,11 @@ bounds, roots) and plan synthesis never need numpy, from flags or from an
 --instance file.  Neither does certify at equal or explicit gains when every
 block is a window (its rank is the zero test's), from flags, from a --plan
 file or from an --instance file, nor random-check at a fixed --alpha on
-either topology, which loads neither schemes nor dofcalc.  Only mg, bounds
-and a sweep's mg check load dofcalc.  Certify, converse, entropy and
-simulate skip the modules they do not call.
+either topology, which loads neither schemes nor dofcalc, nor offset,
+whose fit is a closed-form slope.  Only mg, bounds and a sweep's mg check
+load dofcalc.  Certify, converse, entropy and simulate skip the modules they
+do not call.  Every record is a NamedTuple, so no command loads
+`dataclasses`, and a command without numpy loads no `inspect` either.
 """
 
 import json
@@ -33,6 +35,8 @@ SYM = ["--topology", "symmetric", "--K", "12", *SI]
 ASYM = ["--topology", "asymmetric", "--K", "12", *SI]
 NUMPY_AND_CHECKS = {"numpy", "wynerdof.schemes", "wynerdof.converse", "wynerdof.simulator"}
 DOFCALC = "wynerdof.dofcalc"
+RECORDS = {"dataclasses"}
+REFLECTION = RECORDS | {"inspect"}
 
 CASES = {
     "mg-asym": (["mg", *ASYM], NUMPY_AND_CHECKS),
@@ -56,7 +60,7 @@ CASES = {
     "simulate": (["simulate", *SYM, "--alpha", "0.3"], {"wynerdof.converse", DOFCALC}),
     "offset": (["offset", "--L", "2", "--K", "11", "--alpha-star", "root:3:1",
                 "--gap-min-exp", "3", "--gap-max-exp", "5"],
-               {"wynerdof.schemes", "wynerdof.converse", DOFCALC}),
+               {"numpy", "wynerdof.schemes", "wynerdof.converse", DOFCALC}),
     "random-check-sym-root": (["random-check", "--K", "20", "--topology", "symmetric",
                                "--alpha", "root:3:1"],
                               {"numpy", "wynerdof.schemes", "wynerdof.converse", DOFCALC}),
@@ -91,11 +95,18 @@ def loaded_modules(argv, want_code=0):
     return loaded
 
 
+def forbidden(must_not_load):
+    """must_not_load, plus the reflection modules no command needs: all of
+    them where numpy is forbidden too, else `dataclasses` (numpy imports
+    inspect itself)."""
+    return must_not_load | (REFLECTION if "numpy" in must_not_load else RECORDS)
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_a_command_loads_only_what_it_runs(name):
     argv, must_not_load = CASES[name]
     loaded = loaded_modules(argv, EXIT_CODES.get(name, 0))
-    assert sorted(must_not_load.intersection(loaded)) == []
+    assert sorted(forbidden(must_not_load).intersection(loaded)) == []
 
 
 def test_certify_reads_a_plan_file_without_numpy(tmp_path):
@@ -104,7 +115,7 @@ def test_certify_reads_a_plan_file_without_numpy(tmp_path):
     f = tmp_path / "plan.json"
     f.write_text(json.dumps(schemes.plan_to_json(schemes.sym_symmetric_si_plan(params, 0.3))))
     loaded = loaded_modules(["certify", *SYM, "--alpha", "0.3", "--plan", str(f)])
-    assert sorted(NUMPY_AND_CHECKS.intersection(loaded)) == ["wynerdof.schemes"]
+    assert sorted(forbidden(NUMPY_AND_CHECKS).intersection(loaded)) == ["wynerdof.schemes"]
 
 
 @pytest.mark.parametrize("kind", GAINS)
@@ -116,7 +127,7 @@ def test_an_instance_file_is_read_without_numpy(tmp_path, command, must_not_load
     f = tmp_path / "instance.json"
     f.write_text(json.dumps(dict(INSTANCE, gains=GAINS[kind])))
     loaded = loaded_modules([*command, "--instance", str(f)])
-    assert sorted(must_not_load.intersection(loaded)) == []
+    assert sorted(forbidden(must_not_load).intersection(loaded)) == []
 
 
 # equal gains certify the sym-si plan, whose blocks are windows; explicit
@@ -127,4 +138,4 @@ def test_certify_reads_an_instance_file_without_numpy(tmp_path, kind, plan):
     f = tmp_path / "instance.json"
     f.write_text(json.dumps(dict(INSTANCE, gains=GAINS[kind])))
     loaded = loaded_modules(["certify", *plan, "--instance", str(f)])
-    assert sorted(NUMPY_AND_CHECKS.intersection(loaded)) == ["wynerdof.schemes"]
+    assert sorted(forbidden(NUMPY_AND_CHECKS).intersection(loaded)) == ["wynerdof.schemes"]

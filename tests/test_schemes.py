@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -9,9 +10,12 @@ import certify_oracle as oracle
 import plan_synthesis_oracle as synth_oracle
 import dense_certify as dense
 import mimo_subnet_branches as branches
+from wynerdof import converse as cv
 from wynerdof import dofcalc as dc
 from wynerdof import netmodel as nm
 from wynerdof import schemes as sc
+from wynerdof import simulator as sim
+from wynerdof import tridiag as td
 from wynerdof.tridiag import RootAlpha, critical_roots
 
 P = nm.NetworkParams
@@ -668,8 +672,40 @@ class TestPlanJson:
         assert tags[plan.silenced_tx[0]] == "Silenced"
 
 
+def one_record_each():
+    """One instance of every record of the package, by class name."""
+    p9 = P(9, 1, 1, 1, 1)
+    plan = sc.sym_general_plan(p9, "lb-central-mimo")
+    sn = plan.subnets[0]  # it has scalar steps and a block
+    m = model(p9, nm.SYMMETRIC, 0.9)
+    genie = cv.build_sym_genie_ub1(p9, 0.9)
+    return {
+        "ScalarStep": sn.scalar_steps[0], "MimoBlock": sn.mimo_blocks[0], "Subnet": sn,
+        "TransmissionPlan": plan, "Certification": sc.certify_plan(plan, m),
+        "NetworkParams": p9, "CrossGainAssignment": m.gains, "ChannelModel": m,
+        "RootAlpha": ROOT3, "RootSet": critical_roots(5), "VSequence": td.v_sequence(4, 0.9),
+        "DofInterval": dc.sym_dof_interval(p9, 0.9),
+        "PerUserAsymptote": dc.sym_mg_per_user(p9, ROOT3),
+        "BoundValue": dc.sym_lower_bounds(p9)[0],
+        "RateCurve": sim.slope_estimate(plan, m),
+        "OffsetCurve": sim.offset_experiment(2, ROOT3, 7),
+        "RankTrialReport": sim.random_gain_rank_trials(8, nm.SYMMETRIC, 2, 0),
+        "GenieSignal": genie.genies[0], "ReconstructionStep": genie.steps[0],
+        "GeniePartition": genie, "ReconstructionReport": cv.verify_reconstruction(genie, m, 2),
+        "EntropyReport": cv.genie_entropy_check(genie, m),
+    }
+
+
+RECORD_MODULES = (sc, nm, td, dc, sim, cv)
+RECORD_NAMES = ("ScalarStep", "MimoBlock", "Subnet", "TransmissionPlan", "Certification",
+                "NetworkParams", "CrossGainAssignment", "ChannelModel", "RootAlpha", "RootSet",
+                "VSequence", "DofInterval", "PerUserAsymptote", "BoundValue", "RateCurve",
+                "OffsetCurve", "RankTrialReport", "GenieSignal", "ReconstructionStep",
+                "GeniePartition", "ReconstructionReport", "EntropyReport")
+
+
 class TestPlanRecords:
-    """The four plan records are immutable, hashable NamedTuples edited with
+    """Every record is an immutable, hashable NamedTuple edited with
     `_replace`; synthesis is deterministic, and `plan_to_json` of one plan
     per family prints what `wynerdof plan` printed when the records were
     frozen dataclasses."""
@@ -750,21 +786,53 @@ class TestPlanRecords:
          '"tx": [2, 3, 4]}], "t_left": 1, "t_right": 1, "topology": "symmetric"}',
     ]
 
-    @pytest.mark.parametrize("name", ["ScalarStep", "MimoBlock", "Subnet", "TransmissionPlan"])
-    def test_a_record_is_immutable_hashable_and_replaceable(self, name):
-        # the central-MIMO plan's first subnet has scalar steps and a block
-        plan = sc.sym_general_plan(P(9, 1, 1, 1, 1), "lb-central-mimo")
-        sn = plan.subnets[0]
-        rec = {"ScalarStep": sn.scalar_steps[0], "MimoBlock": sn.mimo_blocks[0],
-               "Subnet": sn, "TransmissionPlan": plan}[name]
-        cls = getattr(sc, name)
+    @pytest.fixture(scope="class")
+    def records(self):
+        return one_record_each()
+
+    def test_every_exported_record_has_a_sample(self, records):
+        named = {name for mod in RECORD_MODULES for name in mod.__all__
+                 if hasattr(getattr(mod, name), "_fields")}
+        assert named == set(records) == set(RECORD_NAMES)
+
+    @pytest.mark.parametrize("name", RECORD_NAMES)
+    def test_a_record_is_immutable_hashable_and_replaceable(self, records, name):
+        rec = records[name]
+        cls, = {getattr(mod, name) for mod in RECORD_MODULES if name in mod.__all__}
         assert type(rec) is cls
         for field in cls._fields:
             with pytest.raises(AttributeError):
                 setattr(rec, field, getattr(rec, field))
-        assert hash(rec) == hash(cls(*rec))
+        assert hash(rec) == hash(cls(*rec)) and cls(*rec) == rec
+        assert cls(**rec._asdict()) == rec
         again = rec._replace(**{cls._fields[0]: getattr(rec, cls._fields[0])})
-        assert type(again) is cls and again == rec
+        assert type(again) is cls and again == rec and hash(again) == hash(rec)
+        assert repr(rec).startswith(f"{name}(")
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: P(0), "K must be >= 1"),
+        (lambda: P(K=5, t_left=-1), "t_left must be >= 0"),
+        (lambda: P(5, 0, 0, 0, -1), "r_right must be >= 0"),
+        (lambda: RootAlpha(1, 1), "u_p has roots only for p >= 2"),
+        (lambda: RootAlpha(p=3, k=1, sign=0), "sign must be +1 or -1"),
+        (lambda: RootAlpha(3, 2), "u_3 has 1 positive roots; got k=2"),
+        (lambda: dc.DofInterval(3, 2, "a", "b"), "invalid interval [3, 2]"),
+        (lambda: dc.DofInterval(lower=-1, upper=2, lower_by="a", upper_by="b"),
+         "invalid interval [-1, 2]"),
+        (lambda: dc.PerUserAsymptote(Fraction(1, 3), Fraction(1)),
+         "per-user asymptote must sit inside [1/2, 1]"),
+        (lambda: dc.PerUserAsymptote(value_lower=Fraction(1), value_upper=Fraction(3, 2)),
+         "per-user asymptote must sit inside [1/2, 1]"),
+        (lambda: P(5)._replace(K=0), "K must be >= 1"),
+        (lambda: ROOT3._replace(k=2), "u_3 has 1 positive roots; got k=2"),
+        (lambda: dc.DofInterval(1, 2, "a", "b")._replace(lower=3), "invalid interval [3, 2]"),
+        (lambda: dc.PerUserAsymptote(Fraction(1, 2), Fraction(1))._replace(value_upper=2),
+         "per-user asymptote must sit inside [1/2, 1]"),
+    ])
+    def test_a_checked_record_keeps_its_error_text(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
 
     def test_a_resynthesized_plan_equals_the_first(self):
         for p in (self.P5, P(12, 1, 1, 1, 1), P(12, 2, 0, 1, 1), P(12, 0, 1, 2, 1)):

@@ -121,6 +121,14 @@ class TestSlopeEstimate:
         curve = sim.slope_estimate(plan, m)
         assert curve.slope_estimate == 0.0
 
+    def test_the_slope_is_the_least_squares_line_of_the_top_half(self):
+        p = P(K=7, t_left=1, t_right=1, r_left=1, r_right=1)
+        for a in (0.3, ROOT3):
+            curve = sim.slope_estimate(sc.sym_symmetric_si_plan(p, a), model(p, nm.SYMMETRIC, a))
+            top = curve.points[len(curve.points) // 2:]
+            want = np.polyfit([0.5 * math.log(pw) for pw, _ in top], [r for _, r in top], 1)[0]
+            assert curve.slope_estimate == pytest.approx(want, rel=1e-12)
+
     def test_grid_validation(self):
         p = P(K=3)
         plan = sc.asym_plan(p)
@@ -171,6 +179,24 @@ class TestOffsetExperiment:
     def test_touching_the_critical_value_rejected(self):
         with pytest.raises(ValueError):
             sim.offset_experiment(2, ROOT3, 7, alpha_gaps=[0.1, 0.0])
+
+    def test_a_gap_that_leaves_alpha_star_unchanged_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^the alpha grid must not touch the critical "
+                                             r"value: the gap 8\.673617379884035e-19 does not "
+                                             r"move alpha\*=0\.7071067811865476 up in floats$"):
+            sim.offset_experiment(2, ROOT3, 7, alpha_gaps=[0.1, 2.0 ** -60])
+
+    def test_gaps_that_round_to_one_gain_are_rejected(self):
+        # 1 and 1.25 float steps of alpha* both round to alpha* + 1 step
+        with pytest.raises(ValueError, match="^the alpha grid needs two gaps that give distinct"):
+            sim.offset_experiment(2, ROOT3, 7, alpha_gaps=[2.0 ** -53, 1.25 * 2.0 ** -53])
+
+    def test_the_fit_is_the_least_squares_line(self):
+        for gaps in (None, [0.05, 0.03, 0.011, 0.004]):
+            curve = sim.offset_experiment(2, ROOT3, 7, alpha_gaps=gaps)
+            xs = [-math.log(a - curve.alpha_star) for a, _ in curve.samples]
+            ys = [v for _, v in curve.samples]
+            assert curve.fitted_nu == pytest.approx(np.polyfit(xs, ys, 1)[0], rel=1e-12)
 
     @pytest.mark.parametrize("alpha_star", [0.3, RootAlpha(2, 1), 0.7071])
     def test_alpha_star_must_be_a_root_of_the_next_order(self, alpha_star):
