@@ -34,7 +34,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .netmodel import ASYMMETRIC, SYMMETRIC, ChannelModel, NetworkParams
+from .netmodel import ASYMMETRIC, SYMMETRIC, ChannelModel, NetworkParams, _read_only
 from .tridiag import (AlphaLike, alpha_float, alpha_token, h_matrix, m_inverse,
                       u_is_zero, v_sequence)
 
@@ -85,7 +85,9 @@ class _PartitionFields(NamedTuple):
 
 
 class GeniePartition(_PartitionFields):
-    """Instances keep a __dict__, which caches `r_a`."""
+    """Instances keep a __dict__, which caches `r_a`; attribute writes raise."""
+
+    __setattr__ = __delattr__ = _read_only
 
     @functools.cached_property
     def r_a(self) -> Tuple[int, ...]:

@@ -172,6 +172,11 @@ def sample_generic_gains(K: int, topology: str, seed: int) -> CrossGainAssignmen
                                sup=None if sup is None else tuple(sup.tolist()))
 
 
+def _read_only(self, name, *value):
+    """__setattr__/__delattr__ of a record that caches into its __dict__."""
+    raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+
 class _ChannelFields(NamedTuple):
     params: NetworkParams
     topology: str
@@ -182,7 +187,9 @@ class _ChannelFields(NamedTuple):
 class ChannelModel(_ChannelFields):
     """Immutable network instance: parameters, topology, gains, and the
     channel's three diagonals as a band of three K-tuples (`channel_band`).
-    Instances keep a __dict__, which caches `matrix`."""
+    Instances keep a __dict__, which caches `matrix`; attribute writes raise."""
+
+    __setattr__ = __delattr__ = _read_only
 
     @property
     def K(self) -> int:

@@ -10,7 +10,8 @@ facts the degrees-of-freedom claims rest on:
 
 * subnets do not couple through the channel;
 * every encoder uses only messages inside its cognition window and every
-  decoder only antennas inside its cluster;
+  decoder only antennas inside its cluster: receiver m decodes message m,
+  whose encoders are the transmitters whose `signal_deps` name it;
 * scalar chains are triangular with nonzero pivots once interference is
   removed either by earlier decoding or by sender-side precancellation;
 * MIMO blocks have submatrix rank at least the degrees of freedom claimed
@@ -81,12 +82,11 @@ class NotApplicableError(ValueError):
 
 
 class ScalarStep(NamedTuple):
-    """One message decoded from one antenna (successive cancellation / DPC)."""
+    """Message m decoded by receiver m from one antenna (successive cancellation / DPC)."""
 
     message: int
     tx: int
     antenna: int
-    decoder: int
     tag: StrategyTag
 
 
@@ -95,14 +95,14 @@ class MimoBlock(NamedTuple):
 
     `coupled` lists messages whose prelog is claimed by scalar steps but
     which the block's joint decoder must also carry (the central-decoder
-    scheme); they are included in the rank requirement.
+    scheme); they are included in the rank requirement.  A message's
+    encoders are the transmitters whose `signal_deps` name it.
     """
 
     tag: StrategyTag
     tx: Tuple[int, ...]
     antennas: Tuple[int, ...]
     prelog: Tuple[Tuple[int, int], ...]           # (message, prelog)
-    tx_of: Tuple[Tuple[int, Tuple[int, ...]], ...]  # (message, encoders)
     decoders: Tuple[Tuple[int, Tuple[int, ...]], ...]  # (receiver, antennas used)
     coupled: Tuple[int, ...] = ()
 
@@ -220,10 +220,10 @@ def _asym_block(offset: int, red: Tuple[int, int, int, int]):
 
     for k in range(offset + 1, g1_end + 1):  # single-user, cancel from the left
         deps[k] = {k}
-        steps.append(ScalarStep(k, k, k, k, StrategyTag.SINGLE_USER_SIC_LEFT))
+        steps.append(ScalarStep(k, k, k, StrategyTag.SINGLE_USER_SIC_LEFT))
     for k in range(g1_end + 1, g2_end + 1):  # precancel the left neighbor
         deps[k] = {k} | deps.get(k - 1, set())
-        steps.append(ScalarStep(k, k, k, k, StrategyTag.DPC_LEFT))
+        steps.append(ScalarStep(k, k, k, StrategyTag.DPC_LEFT))
 
     if rr > 0:
         for k in range(g3_end + 1, S + 1):  # single-user, cancel from the right
@@ -231,15 +231,15 @@ def _asym_block(offset: int, red: Tuple[int, int, int, int]):
         for k in range(g3_end, g2_end, -1):  # precancel the right neighbor
             deps[k] = {k} | deps.get(k + 1, set())
         for k in range(S, g3_end, -1):
-            steps.append(ScalarStep(k, k, k + 1, k, StrategyTag.SINGLE_USER_SIC_RIGHT))
+            steps.append(ScalarStep(k, k, k + 1, StrategyTag.SINGLE_USER_SIC_RIGHT))
         for k in range(g2_end + 1, g3_end + 1):
-            steps.append(ScalarStep(k, k, k + 1, k, StrategyTag.DPC_RIGHT_SCALED))
+            steps.append(ScalarStep(k, k, k + 1, StrategyTag.DPC_RIGHT_SCALED))
     elif tr >= 1:
         # no right clustering: transmitter k carries its right neighbor's message
         for k in range(g3_end, g2_end, -1):
             deps[k] = {k + 1} | deps.get(k + 1, set())
         for k in range(g2_end + 1, g3_end + 1):
-            steps.append(ScalarStep(k + 1, k, k + 1, k + 1, StrategyTag.DPC_RIGHT_SCALED))
+            steps.append(ScalarStep(k + 1, k, k + 1, StrategyTag.DPC_RIGHT_SCALED))
     return tuple(steps), deps
 
 
@@ -306,7 +306,7 @@ def fair_time_sharing_plan(params: NetworkParams) -> List[TransmissionPlan]:
 def _mimo_shape(params: NetworkParams, kappa: int, alpha: AlphaLike):
     """The offset-free shape of a kappa-sized pair-silencing subnet, handled
     as one joint MIMO block: its tag, kind and the positions in the block of
-    its prelogs, encoder groups and decoder windows.
+    its prelogs, sender spans (of transmitters, of messages) and decoders.
 
     Its messages (positions lo..hi, the min and max of the reduced r_l',
     t_r') cut the block into one group each, and each carries one prelog per
@@ -327,33 +327,29 @@ def _mimo_shape(params: NetworkParams, kappa: int, alpha: AlphaLike):
     groups = list(enumerate(spans, lo))
     if rl_ <= tr_:
         tag = StrategyTag.MIMO_P2P if rl_ == tr_ else StrategyTag.MIMO_BC
-        tx_of, decoders = [(j, (0, kappa)) for j, _ in prelog], groups
+        senders, decoders = [((0, kappa), (lo, hi + 1))], groups
     else:
         # receiver j sees positions j - r_l .. j + r_r: its window within the block
         tag = StrategyTag.MIMO_MAC
-        tx_of = groups
+        senders = [(span, (j, j + 1)) for j, span in groups]
         decoders = [(j, (max(0, j - params.r_left), j + params.r_right + 1))
                     for j in range(lo, hi + 1)]
     kind = "generic" if kappa == params.t_left + params.r_left + 1 else "reduced"
-    return tag, kind, kappa, lo, hi, prelog, tx_of, decoders
+    return tag, kind, kappa, prelog, senders, decoders
 
 
 def _mimo_subnet(shape, offset: int) -> Tuple[Subnet, Dict[int, set]]:
     """The subnet of `shape` on transmitters and antennas offset+1 ..
-    offset+kappa, and its transmitters' message deps."""
-    tag, kind, kappa, lo, hi, prelog, tx_of, decoders = shape
+    offset+kappa, and its transmitters' message deps, one set per span."""
+    tag, kind, kappa, prelog, senders, decoders = shape
     txs = tuple(range(offset + 1, offset + kappa + 1))
     # positional: binding keywords took about 8% of this function's time (CPython 3.11)
     block = MimoBlock(tag, txs, txs, tuple([(txs[j], w) for j, w in prelog]),
-                      tuple([(txs[j], txs[a:b]) for j, (a, b) in tx_of]),
                       tuple([(txs[j], txs[a:b]) for j, (a, b) in decoders]))
-    # one set per message group, shared by its transmitters: nothing mutates deps
-    if tag is StrategyTag.MIMO_MAC:
-        deps = {}
-        for m, group in block.tx_of:
-            deps.update(dict.fromkeys(group, {m}))
-    else:
-        deps = dict.fromkeys(txs, set(txs[lo:hi + 1]))
+    # each set shared by its span's transmitters: nothing mutates deps
+    deps = {}
+    for (a, b), (ma, mb) in senders:
+        deps.update(dict.fromkeys(txs[a:b], set(txs[ma:mb])))
     return Subnet(txs, txs, kind, (), (block,)), deps
 
 
@@ -430,14 +426,14 @@ def _f_block(rl: int, t_end: int, f, tag: Optional[StrategyTag] = None):
         f1_end = min(rl + 1, t_end)
         for k in range(2, f1_end + 1):
             deps[k] = {k}
-            steps.append(ScalarStep(f(k), f(k), f(k - 1), f(k), sic))
+            steps.append(ScalarStep(f(k), f(k), f(k - 1), sic))
         for k in range(f1_end + 1, t_end + 1):
             deps[k] = {k} | deps.get(k - 1, set()) | deps.get(k - 2, set())
-            steps.append(ScalarStep(f(k), f(k), f(k - 1), f(k), dpc))
+            steps.append(ScalarStep(f(k), f(k), f(k - 1), dpc))
     else:
         for k in range(2, t_end + 1):
             deps[k] = {k - 1} | deps.get(k - 1, set()) | deps.get(k - 2, set())
-            steps.append(ScalarStep(f(k - 1), f(k), f(k - 1), f(k - 1), dpc))
+            steps.append(ScalarStep(f(k - 1), f(k), f(k - 1), dpc))
     return tuple(steps), {f(t): {f(m) for m in d} for t, d in deps.items()}
 
 
@@ -522,12 +518,12 @@ def _right_chain_plan(params: NetworkParams) -> TransmissionPlan:
 
 def _combined_plan(params: NetworkParams) -> TransmissionPlan:
     tl, tr, rl, rr = params.t_left, params.t_right, params.r_left, params.r_right
+    if params.side_sum <= 2:  # first: the chain delegated to would not apply either
+        raise NotApplicableError("side-information sum <= 2: nothing to prove")
     if tl + rl == 0:
         raise NotApplicableError("t_left+r_left = 0: delegates to lb-right-chain")
     if tr + rr == 0:
         raise NotApplicableError("t_right+r_right = 0: delegates to lb-left-chain")
-    if params.side_sum <= 2:
-        raise NotApplicableError("side-information sum <= 2: nothing to prove")
     # left and right chains back to back; two central antennas unused
     return _lb_chain_blocks(params, params.side_sum, _chains(params, tl + rl), "sym-lb-combined")
 
@@ -547,17 +543,16 @@ def _central_mimo_plan(params: NetworkParams) -> TransmissionPlan:
         right_msgs = tuple(range(center + 1, center + 1 + rr_e))
         for k in left_msgs:
             deps[k] = {k}
-            steps.append(ScalarStep(k, k, k - 1, k, StrategyTag.SINGLE_USER_SIC_LEFT))
+            steps.append(ScalarStep(k, k, k - 1, StrategyTag.SINGLE_USER_SIC_LEFT))
         for k in reversed(right_msgs):
             deps[k] = {k}
-            steps.append(ScalarStep(k, k, k + 1, k, StrategyTag.SINGLE_USER_SIC_RIGHT))
+            steps.append(ScalarStep(k, k, k + 1, StrategyTag.SINGLE_USER_SIC_RIGHT))
         inner = tuple(range(offset + 2, offset + size))
         block = MimoBlock(
             tag=StrategyTag.CENTRAL_MIMO_DECODE,
             tx=inner,
             antennas=inner,
             prelog=((center, 1),),
-            tx_of=((center, (center,)),),
             decoders=((center, inner),),
             coupled=left_msgs + right_msgs,
         )
@@ -602,9 +597,7 @@ def _numeric_rank(a: np.ndarray) -> int:
     import numpy as np
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
+    s = np.linalg.svd(a, compute_uv=False)  # an all-zero block counts none above 0
     return int(np.count_nonzero(s > RANK_REL_TOL * s[0]))
 
 
@@ -688,9 +681,9 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
         decoded: set = set()
         needed: Dict[int, set] = {}
         for st in sn.scalar_steps:
-            m, t, a, dec = st.message, st.tx, st.antenna, st.decoder
-            if not (1 <= m <= K and 1 <= dec <= K):
-                _check_range((m, dec), K)
+            m, t, a = st.message, st.tx, st.antenna
+            if not 1 <= m <= K:
+                _check_range((m,), K)
             if a in silenced_rx:
                 return fail(f"step for message {m} uses a silenced antenna")
             if not (1 <= a <= K and 1 <= t <= K):
@@ -710,9 +703,9 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
                                 f"{t2} is not removable")
                 for m2 in d2:
                     need.update(needed.get(m2, ()))
-            lo, hi = max(1, dec - rl), min(K, dec + rr)
+            lo, hi = max(1, m - rl), min(K, m + rr)  # receiver m decodes message m
             if min(need) < lo or max(need) > hi:
-                return fail(f"decoder {dec} needs antennas {_outside(need, lo, hi)} "
+                return fail(f"decoder {m} needs antennas {_outside(need, lo, hi)} "
                             f"outside its cluster")
             needed[m] = need
             decoded.add(m)
@@ -729,10 +722,6 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
                 covered.update(ants)
             if not covered.issuperset(blk.antennas):
                 return fail("joint decoder does not cover the block antennas")
-            for m, group in blk.tx_of:
-                if group and not (1 <= m <= K and max(group) - tl <= m <= min(group) + tr):
-                    t = next(t for t in group if not (1 <= m <= K and t - tl <= m <= t + tr))
-                    return fail(f"transmitter {t} does not know message {m}")
             own = 0
             for m, w in blk.prelog:
                 if not 1 <= m <= K:

@@ -147,15 +147,14 @@ def slope_estimate(plan: TransmissionPlan, model: ChannelModel,
 
 
 def offset_experiment(L: int, alpha_star: AlphaLike, K: int,
-                      alpha_gaps: Optional[Sequence[float]] = None,
-                      p_grid: Optional[Sequence[float]] = None) -> OffsetCurve:
+                      alpha_gaps: Optional[Sequence[float]] = None) -> OffsetCurve:
     """Growth of the converse-side power-offset proxy toward a critical gain.
 
     For each alpha on a geometric approach to alpha*, the proxy is
 
         0.5*eta*ln(P) - [ (K-q)*0.5*ln(P) + 0.5*ln(1 + P a^2 v_top^2 / |v|^2) ]
 
-    at the largest grid power, where eta = K - floor(K/(L+2)) is the exact
+    at the top power _P_TOP, where eta = K - floor(K/(L+2)) is the exact
     multiplexing gain near (but not at) the critical value and v_top is the
     normalized determinant that vanishes there.  The bounded remainder of
     the true offset is unknown and excluded: only the slope against
@@ -179,7 +178,6 @@ def offset_experiment(L: int, alpha_star: AlphaLike, K: int,
     if bad is not None:
         raise ValueError(f"the alpha grid must not touch the critical value: the gap {bad!r} "
                          f"does not move alpha*={astar!r} up in floats")
-    p_top = max(p_grid) if p_grid is not None else _P_TOP
     eta = K - K // (L + 2)
     samples = []
     for gap in gaps:
@@ -187,9 +185,9 @@ def offset_experiment(L: int, alpha_star: AlphaLike, K: int,
         vs = v_sequence(L + 1, a)
         v_top = vs[L + 1]
         v_norm_sq = sum(vs[j] ** 2 for j in range(0, L + 1))
-        rate_ub = (K - q) * 0.5 * math.log(p_top) + \
-            0.5 * math.log1p(p_top * a * a * v_top * v_top / v_norm_sq)
-        proxy = 0.5 * eta * math.log(p_top) - rate_ub
+        rate_ub = (K - q) * 0.5 * math.log(_P_TOP) + \
+            0.5 * math.log1p(_P_TOP * a * a * v_top * v_top / v_norm_sq)
+        proxy = 0.5 * eta * math.log(_P_TOP) - rate_ub
         if not math.isfinite(proxy):
             raise ValueError(f"arithmetic overflows at alpha={a!r}: "
                              f"the offset proxy is not finite")

@@ -9,7 +9,9 @@ module keeps the version that replaced, verbatim: ``_first_coupling`` walks
 every antenna through ``ChannelModel.entry``, each scalar step scans every
 active transmitter of its subnet, and window tests build sorted lists.  It
 shares no code with the rewrite but the plan types, ``_numeric_rank`` and
-``netmodel.submatrix``.
+``netmodel.submatrix``.  Like the rewrite, it reads a step's decoder off its
+message and a block's encoders off ``signal_deps``, which plans no longer
+state twice.
 """
 
 from __future__ import annotations
@@ -109,8 +111,8 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
         decoded: set = set()
         needed_antennas: Dict[int, set] = {}
         for st in sn.scalar_steps:
-            if not (1 <= st.message <= K and 1 <= st.decoder <= K):
-                _check_range((st.message, st.decoder), K)
+            if not 1 <= st.message <= K:
+                _check_range((st.message,), K)
             if st.antenna in silenced_rx:
                 return fail(f"step for message {st.message} uses a silenced antenna")
             if H(st.antenna, st.tx) == 0:
@@ -129,9 +131,9 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
                 else:
                     return fail(f"message {st.message}: interference from transmitter "
                                 f"{tx2} is not removable")
-            outside = _outside(need, max(1, st.decoder - rl), min(K, st.decoder + rr))
+            outside = _outside(need, max(1, st.message - rl), min(K, st.message + rr))
             if outside:
-                return fail(f"decoder {st.decoder} needs antennas {outside} "
+                return fail(f"decoder {st.message} needs antennas {outside} "
                             f"outside its cluster")
             needed_antennas[st.message] = need
             decoded.add(st.message)
@@ -149,10 +151,6 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
                 covered |= aset
             if not set(blk.antennas) <= covered:
                 return fail("joint decoder does not cover the block antennas")
-            for m, group in blk.tx_of:
-                for t in group:
-                    if not (1 <= m <= K and t - tl <= m <= t + tr):
-                        return fail(f"transmitter {t} does not know message {m}")
             own = 0
             for m, w in blk.prelog:
                 if not 1 <= m <= K:

@@ -9,7 +9,9 @@ the dense K x K matrix throughout: coupling from ``np.nonzero`` of the matrix,
 pivots by dense indexing, window checks through ``tx_window``/``rx_window``
 sets and block ranks keyed on each dense submatrix's bytes.  It shares no
 code with the banded version but ``ChannelModel.matrix`` (built from the
-band), the ``Certification`` type and ``_numeric_rank``.
+band), the ``Certification`` type and ``_numeric_rank``.  A step's decoder
+is its message, and a block's encoders are the transmitters whose
+``signal_deps`` name a message.
 """
 
 from __future__ import annotations
@@ -136,9 +138,9 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
                 else:
                     return fail(f"message {st.message}: interference from transmitter "
                                 f"{tx2} is not removable")
-            reach = set(params.rx_window(st.decoder))
+            reach = set(params.rx_window(st.message))
             if not need <= reach:
-                return fail(f"decoder {st.decoder} needs antennas {sorted(need - reach)} "
+                return fail(f"decoder {st.message} needs antennas {sorted(need - reach)} "
                             f"outside its cluster")
             needed_antennas[st.message] = need
             decoded.add(st.message)
@@ -155,10 +157,6 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
                 covered |= aset
             if not set(blk.antennas) <= covered:
                 return fail("joint decoder does not cover the block antennas")
-            for m, group in blk.tx_of:
-                for t in group:
-                    if m not in params.tx_window(t):
-                        return fail(f"transmitter {t} does not know message {m}")
             want = sum(w for _, w in blk.prelog) + sum(prelog.get(m, 0) for m in blk.coupled)
             sub = submatrix(model, blk.antennas, blk.tx)
             key = (sub.shape, sub.tobytes())

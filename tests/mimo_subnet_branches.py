@@ -37,7 +37,6 @@ def _mimo_subnet(params: NetworkParams, offset: int, size: int,
         tag = StrategyTag.MIMO_P2P
         msg = offset + tr_ + 1
         prelog = [(msg, claimed)]
-        tx_of = [(msg, txs)]
         decoders = [(msg, ants)]
         for t in txs:
             deps[t] = {msg}
@@ -51,7 +50,6 @@ def _mimo_subnet(params: NetworkParams, offset: int, size: int,
             big = max(msgs, key=lambda m: weights[m])
             weights[big] -= 1
         prelog = [(m, w) for m, w in weights.items() if w > 0]
-        tx_of = [(m, txs) for m, _ in prelog]
         decoders = [(msgs[0], tuple(range(offset + 1, offset + rl_ + 2)))]
         for m in msgs[1:-1]:
             decoders.append((m, (m,)))
@@ -69,7 +67,6 @@ def _mimo_subnet(params: NetworkParams, offset: int, size: int,
             big = max(msgs, key=lambda m: weights[m])
             weights[big] -= 1
         prelog = [(m, w) for m, w in weights.items() if w > 0]
-        tx_of = []
         for m in msgs:
             if m == msgs[0]:
                 group = tuple(range(offset + 1, offset + tr_ + 2))
@@ -77,14 +74,13 @@ def _mimo_subnet(params: NetworkParams, offset: int, size: int,
                 group = tuple(range(offset + rl_ + 1, offset + kappa + 1))
             else:
                 group = (m,)
-            tx_of.append((m, group))
             for t in group:
                 deps.setdefault(t, set()).add(m)
         decoders = [(r, tuple(a for a in params.rx_window(r) if offset + 1 <= a <= offset + kappa))
                     for r in msgs]
 
     block = MimoBlock(tag=tag, tx=txs, antennas=ants,
-                      prelog=tuple(prelog), tx_of=tuple(tx_of), decoders=tuple(decoders))
+                      prelog=tuple(prelog), decoders=tuple(decoders))
     sn = Subnet(active_tx=txs, rx_antennas=ants,
                 kind="generic" if kappa == params.t_left + params.r_left + 1 else "reduced",
                 scalar_steps=(), mimo_blocks=(block,))

@@ -11,7 +11,10 @@ the right chain is the left chain of the mirrored instance, reflected by
 ``_mirror_plan``, and its NotApplicable reasons name the right side.
 It shares no code with them but the plan types and the unchanged helpers
 ``_reduce_asym`` and ``_pair_tx_silencing``; ``_finalize`` is kept too, as
-it was before it sorted each shared deps set once.
+it was before it sorted each shared deps set once.  Its records carry no
+step decoder and no block ``tx_of``, as the plan types no longer do, and
+lb-combined says "nothing to prove" before it delegates, as the package
+does.
 """
 
 from __future__ import annotations
@@ -63,10 +66,10 @@ def _asym_block(offset: int, red: Tuple[int, int, int, int]):
 
     for k in range(1, g1_end + 1):  # single-user, cancel from the left
         deps[k] = {k}
-        steps.append(ScalarStep(k, k, k, k, StrategyTag.SINGLE_USER_SIC_LEFT))
+        steps.append(ScalarStep(k, k, k, StrategyTag.SINGLE_USER_SIC_LEFT))
     for k in range(g1_end + 1, g2_end + 1):  # precancel the left neighbor
         deps[k] = {k} | deps.get(k - 1, set())
-        steps.append(ScalarStep(k, k, k, k, StrategyTag.DPC_LEFT))
+        steps.append(ScalarStep(k, k, k, StrategyTag.DPC_LEFT))
 
     if rr > 0:
         for k in range(g3_end + 1, S + 1):  # single-user, cancel from the right
@@ -74,15 +77,15 @@ def _asym_block(offset: int, red: Tuple[int, int, int, int]):
         for k in range(g3_end, g2_end, -1):  # precancel the right neighbor
             deps[k] = {k} | deps.get(k + 1, set())
         for k in range(S, g3_end, -1):
-            steps.append(ScalarStep(k, k, k + 1, k, StrategyTag.SINGLE_USER_SIC_RIGHT))
+            steps.append(ScalarStep(k, k, k + 1, StrategyTag.SINGLE_USER_SIC_RIGHT))
         for k in range(g2_end + 1, g3_end + 1):
-            steps.append(ScalarStep(k, k, k + 1, k, StrategyTag.DPC_RIGHT_SCALED))
+            steps.append(ScalarStep(k, k, k + 1, StrategyTag.DPC_RIGHT_SCALED))
     elif tr >= 1:
         # no right clustering: transmitter k carries its right neighbor's message
         for k in range(g3_end, g2_end, -1):
             deps[k] = {k + 1} | deps.get(k + 1, set())
         for k in range(g2_end + 1, g3_end + 1):
-            steps.append(ScalarStep(k + 1, k, k + 1, k + 1, StrategyTag.DPC_RIGHT_SCALED))
+            steps.append(ScalarStep(k + 1, k, k + 1, StrategyTag.DPC_RIGHT_SCALED))
 
     shift = lambda i: i + offset
     return _remap_steps(steps, shift), _remap_deps(deps, shift)
@@ -169,19 +172,17 @@ def _mimo_subnet(params: NetworkParams, offset: int, size: int,
 
     if rl_ <= tr_:
         tag = StrategyTag.MIMO_P2P if rl_ == tr_ else StrategyTag.MIMO_BC
-        tx_of = [(m, txs) for m, _ in prelog]
         decoders = list(zip(msgs, groups))
         deps = {t: set(msgs) for t in txs}
     else:
         tag = StrategyTag.MIMO_MAC
-        tx_of = list(zip(msgs, groups))
         # receiver txs[j] sees txs[j - r_l .. j + r_r]: its window within the block
         decoders = [(m, txs[max(0, j - params.r_left):j + params.r_right + 1])
                     for j, m in enumerate(msgs, lo)]
-        deps = {t: {m} for m, group in tx_of for t in group}
+        deps = {t: {m} for m, group in zip(msgs, groups) for t in group}
 
     # positional: binding keywords took about 8% of this function's time (CPython 3.11)
-    block = MimoBlock(tag, txs, txs, tuple(prelog), tuple(tx_of), tuple(decoders))
+    block = MimoBlock(tag, txs, txs, tuple(prelog), tuple(decoders))
     sn = Subnet(txs, txs, "generic" if kappa == params.t_left + params.r_left + 1 else "reduced",
                 (), (block,))
     return sn, deps
@@ -252,20 +253,20 @@ def _f_block(rl_: int, t_end: int):
         f1_end = min(rl_ + 1, t_end)
         for k in range(2, f1_end + 1):
             deps[k] = {k}
-            steps.append(ScalarStep(k, k, k - 1, k, StrategyTag.DOUBLE_PAIR_SIC_LEFT))
+            steps.append(ScalarStep(k, k, k - 1, StrategyTag.DOUBLE_PAIR_SIC_LEFT))
         for k in range(f1_end + 1, t_end + 1):
             deps[k] = {k} | deps.get(k - 1, set()) | deps.get(k - 2, set())
-            steps.append(ScalarStep(k, k, k - 1, k, StrategyTag.DOUBLE_PAIR_DPC))
+            steps.append(ScalarStep(k, k, k - 1, StrategyTag.DOUBLE_PAIR_DPC))
     else:
         for k in range(2, t_end + 1):
             deps[k] = {k - 1} | deps.get(k - 1, set()) | deps.get(k - 2, set())
-            steps.append(ScalarStep(k - 1, k, k - 1, k - 1, StrategyTag.DOUBLE_PAIR_DPC))
+            steps.append(ScalarStep(k - 1, k, k - 1, StrategyTag.DOUBLE_PAIR_DPC))
     return tuple(steps), deps
 
 
 def _remap_steps(steps, f, tag: Optional[StrategyTag] = None):
     """Steps with every index i moved to f(i); `tag` replaces their tags."""
-    return tuple(ScalarStep(f(s.message), f(s.tx), f(s.antenna), f(s.decoder), tag or s.tag)
+    return tuple(ScalarStep(f(s.message), f(s.tx), f(s.antenna), tag or s.tag)
                  for s in steps)
 
 
@@ -281,7 +282,6 @@ def _remap_block(b: MimoBlock, f) -> MimoBlock:
         tx=ids(b.tx),
         antennas=ids(b.antennas),
         prelog=tuple((f(m), w) for m, w in b.prelog),
-        tx_of=tuple((f(m), ids(g)) for m, g in b.tx_of),
         decoders=tuple((f(r), ids(ants)) for r, ants in b.decoders),
         coupled=ids(b.coupled),
     )
@@ -346,12 +346,12 @@ def sym_general_plan(params: NetworkParams, bound_label: str) -> TransmissionPla
         return _mirror_plan(mirrored, params, "sym-lb-right-chain")
 
     if bound_label == "lb-combined":
+        if params.side_sum <= 2:
+            raise NotApplicableError("side-information sum <= 2: nothing to prove")
         if tl + rl == 0:
             raise NotApplicableError("t_left+r_left = 0: delegates to lb-right-chain")
         if tr + rr == 0:
             raise NotApplicableError("t_right+r_right = 0: delegates to lb-left-chain")
-        if params.side_sum <= 2:
-            raise NotApplicableError("side-information sum <= 2: nothing to prove")
         beta = params.side_sum
 
         def build(size):
@@ -384,16 +384,15 @@ def sym_general_plan(params: NetworkParams, bound_label: str) -> TransmissionPla
             right_msgs = tuple(range(center + 1, center + 1 + rr_e))
             for k in left_msgs:
                 deps[k] = {k}
-                steps.append(ScalarStep(k, k, k - 1, k, StrategyTag.SINGLE_USER_SIC_LEFT))
+                steps.append(ScalarStep(k, k, k - 1, StrategyTag.SINGLE_USER_SIC_LEFT))
             for k in reversed(right_msgs):
                 deps[k] = {k}
-                steps.append(ScalarStep(k, k, k + 1, k, StrategyTag.SINGLE_USER_SIC_RIGHT))
+                steps.append(ScalarStep(k, k, k + 1, StrategyTag.SINGLE_USER_SIC_RIGHT))
             block = MimoBlock(
                 tag=StrategyTag.CENTRAL_MIMO_DECODE,
                 tx=tuple(range(2, size)),
                 antennas=tuple(range(2, size)),
                 prelog=((center, 1),),
-                tx_of=((center, (center,)),),
                 decoders=((center, tuple(range(2, size))),),
                 coupled=left_msgs + right_msgs,
             )

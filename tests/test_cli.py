@@ -291,6 +291,14 @@ class TestPlanCertifyRoundTrip:
         blob = json.loads(out)
         assert code == 0 and blob["ok"] is True and blob["certified_dof"] == value
 
+    def test_lb_combined_names_no_plan_that_does_not_apply(self, capsys):
+        # it once delegated to lb-right-chain here, which does not apply either
+        argv = ["plan", "--topology", "symmetric", "--K", "6", "--rr", "1", "--bound-label"]
+        for label, reason in [("lb-combined", "side-information sum <= 2: nothing to prove"),
+                              ("lb-right-chain",
+                               "t_right+r_right <= 1: nothing to prove (bound <= 0)")]:
+            assert run(capsys, *argv, label) == (2, "", f"error: {reason}\n")
+
     def test_instance_file_with_a_power_key_certifies_a_plan_file(self, capsys, tmp_path):
         argv = ["--topology", "symmetric", "--K", "7", "--tl", "1", "--tr", "1",
                 "--rl", "1", "--rr", "1", "--alpha", "0.3"]

@@ -401,6 +401,16 @@ class TestPartitionInvariants:
                         built[name] += 1
         assert min(built.values()) > 100, built
 
+    def test_a_partition_refuses_attribute_writes(self):
+        # r_a = (1,) once turned this ub1 bound of 9 into 1
+        g = cv.build_sym_genie_ub1(P(12, 1, 1, 1, 1), 0.9)
+        assert g.bound == 9
+        for write in (lambda: setattr(g, "r_a", (1,)), lambda: setattr(g, "extra", 1),
+                      lambda: delattr(g, "r_a")):
+            with pytest.raises(AttributeError, match="^GeniePartition is read-only"):
+                write()
+        assert g.r_a is g.r_a and g.bound == 9
+
 
 class TestGenieNoiseIsTheRebuildResidue:
     """A symmetric recipe rebuilds Y_target from outputs y_i Y_i and known

@@ -61,6 +61,15 @@ class TestBuildChannel:
             m = nm.build_channel(nm.NetworkParams(K=K), nm.SYMMETRIC, equal(a))
             assert np.allclose(m.matrix, h_matrix(K, a))
 
+    def test_a_channel_refuses_attribute_writes(self):
+        m = nm.build_channel(nm.NetworkParams(K=3), nm.SYMMETRIC, equal(0.37))
+        for write in (lambda: setattr(m, "matrix", "x"), lambda: setattr(m, "extra", 1),
+                      lambda: setattr(m, "band", ()), lambda: delattr(m, "matrix")):
+            with pytest.raises(AttributeError, match="^ChannelModel is read-only"):
+                write()
+        assert m.matrix is m.matrix  # cached_property fills __dict__ itself
+        assert m.matrix.tolist() == [[1, 0.37, 0], [0.37, 1, 0.37], [0, 0.37, 1]]
+
     def test_root_alpha_accepted(self):
         ra = RootAlpha(3, 1)
         m = nm.build_channel(nm.NetworkParams(K=3), nm.SYMMETRIC, equal(ra))

@@ -268,20 +268,49 @@ class TestCertification:
         with pytest.raises(ValueError):
             sc.certify_plan(plan, model(P(K=5), nm.ASYMMETRIC, 0.5))
 
+    def test_a_plan_states_each_fact_once(self):
+        # receiver m decodes message m, and a block's encoders are signal_deps
+        assert sc.ScalarStep._fields == ("message", "tx", "antenna", "tag")
+        assert "tx_of" not in sc.MimoBlock._fields
+
     def test_tampered_decoder_fails_feasibility(self):
         p = P(K=7, t_left=2, t_right=1, r_left=2, r_right=1)
         plan = sc.asym_plan(p)
         sn = plan.subnets[0]
         bad_step = sn.scalar_steps[0]._replace(
-            antenna=sn.scalar_steps[0].decoder + p.r_right + 1)
+            antenna=sn.scalar_steps[0].message + p.r_right + 1)
         bad_sn = sn._replace(scalar_steps=(bad_step,) + sn.scalar_steps[1:])
         bad = plan._replace(subnets=(bad_sn,) + plan.subnets[1:])
         cert = sc.certify_plan(bad, model(p, nm.ASYMMETRIC, 0.5))
         assert not cert.ok
         assert "cluster" in cert.failure or "antenna" in cert.failure
 
+    def test_a_step_is_decoded_in_its_message_cluster(self):
+        # receiver 1 has no side information, so it sees antenna 1 alone; a
+        # step for message 1 at antenna 2 once certified when it named
+        # receiver 2 as its decoder
+        p = P(K=3)
+        plan = sc.asym_plan(p)
+        steps = plan.subnets[0].scalar_steps
+        assert steps[0][:3] == (1, 1, 1)
+        bad = _with_subnet(plan, 0, scalar_steps=(steps[0]._replace(antenna=2),) + steps[1:])
+        cert = sc.certify_plan(bad, model(p, nm.ASYMMETRIC, 0.3))
+        assert not cert.ok
+        assert cert.failure == "decoder 1 needs antennas [2] outside its cluster"
+
+    @pytest.mark.parametrize("tx, antennas", [((1,), (3,)), ((), ())],
+                             ids=["deaf", "empty"])
+    def test_a_block_of_rank_zero_fails(self, tx, antennas):
+        # antenna 3 hears transmitters 2..4 only; the empty block has no entries
+        p = P(K=9, t_left=1, t_right=1, r_left=1, r_right=1)
+        plan = sc.sym_symmetric_si_plan(p, 0.3)
+        bad = _with_block(plan, 0, tx=tx, antennas=antennas, prelog=((2, 1),))
+        cert = sc.certify_plan(bad, model(p, nm.SYMMETRIC, 0.3))
+        assert cert.failure == "rank 0 < required 1 in subnet 0"
+        assert sc._numeric_rank(np.zeros((2, 0))) == sc._numeric_rank(np.zeros((2, 2))) == 0
+
     @pytest.mark.parametrize("edit, K, bad", [
-        ("subnet tx", 3, 7), ("step message", 8, 12), ("step decoder", 8, 0),
+        ("subnet tx", 3, 7), ("step message", 8, 12),
         ("block prelog", 9, 0), ("block decoder", 9, 10), ("block coupled", 9, 99),
     ])
     def test_an_index_outside_the_channel_raises(self, edit, K, bad):
@@ -292,14 +321,12 @@ class TestCertification:
             assert len(plan.subnets) == 1
             plan = _with_subnet(plan, 0, active_tx=plan.subnets[0].active_tx + (bad,))
             topology = nm.SYMMETRIC
-        elif edit.startswith("step"):
-            # receiver 1's cluster is antennas 1..2, so decoder 0's is 1..1
+        elif edit == "step message":
             p = P(K=K, r_right=1)
             plan = sc.asym_plan(p)
             step = plan.subnets[0].scalar_steps[0]
-            field = "message" if edit == "step message" else "decoder"
             plan = _with_subnet(plan, 0, scalar_steps=(
-                step._replace(**{field: bad}),) + plan.subnets[0].scalar_steps[1:])
+                step._replace(message=bad),) + plan.subnets[0].scalar_steps[1:])
             topology = nm.ASYMMETRIC
         else:
             p = P(K=K, t_left=1, t_right=1, r_left=1, r_right=1)
@@ -860,10 +887,12 @@ class TestEveryPlanUnchanged:
     for field, against a digest recorded before the subnets' own `claimed`
     counts and the chain blocks' unread transmit-reach argument were
     deleted, and re-recorded when lb-right-chain's NotApplicable reasons
-    began to name the right side.  A plan that changes on purpose must
-    re-record it."""
+    began to name the right side, and again when steps dropped `decoder`
+    and blocks `tx_of` (the earlier plans hash alike over the fields left)
+    and lb-combined began to say "nothing to prove" before delegating.  A
+    plan that changes on purpose must re-record it."""
 
-    DIGEST = "e62b7e4c62da43833fcbb957094725031e24a26a49a326b6306cd3b38b106d8b"
+    DIGEST = "59a700da2c5b6f7450a78de0f4c1cdce854bfd2fe06d3d122fa4f3a3e1da7439"
 
     @staticmethod
     def every_family(p):
@@ -1007,18 +1036,16 @@ def mutations(plan):
         yield _with_subnet(plan, i, scalar_steps=sn.scalar_steps[::-1])
         for j, st in enumerate(sn.scalar_steps[:2]):
             for field, value in [("antenna", st.antenna + 1), ("antenna", st.antenna - 1),
-                                 ("tx", st.tx + 1), ("tx", st.tx - 1), ("decoder", st.decoder + 2),
-                                 ("decoder", st.decoder - 2), ("message", K + 1), ("antenna", 0)]:
+                                 ("tx", st.tx + 1), ("tx", st.tx - 1), ("message", K + 1),
+                                 ("antenna", 0)]:
                 steps = list(sn.scalar_steps)
                 steps[j] = st._replace(**{field: value})
                 yield _with_subnet(plan, i, scalar_steps=tuple(steps))
         for blk in sn.mimo_blocks[:1]:
-            (r, ants), (m, group), (pm, w) = blk.decoders[0], blk.tx_of[0], blk.prelog[0]
+            (r, ants), (pm, w) = blk.decoders[0], blk.prelog[0]
             for fields in [dict(decoders=((r, ants + (max(ants) + 2,)),) + blk.decoders[1:]),
                            dict(decoders=blk.decoders[1:]),
                            dict(decoders=blk.decoders + ((K + 1, ()),)),
-                           dict(tx_of=((m, group + (max(group) + 3,)),) + blk.tx_of[1:]),
-                           dict(tx_of=((m + 5, group),) + blk.tx_of[1:]),
                            dict(prelog=((pm, w + 1),) + blk.prelog[1:]),
                            dict(prelog=((0, w),) + blk.prelog[1:]),
                            dict(coupled=(1,)), dict(coupled=(K + 1,)),
@@ -1100,7 +1127,7 @@ class TestCertifyMatchesTheOracle:
         plan = sc.sym_general_plan(p, "lb-central-mimo")
         plan = plan._replace(signal_deps=tuple(
             (t, deps.get(t, (t,))) for t in range(1, 10)))
-        step = plan.subnets[0].scalar_steps[0]._replace(message=3, tx=3, antenna=3, decoder=3)
+        step = plan.subnets[0].scalar_steps[0]._replace(message=3, tx=3, antenna=3)
         bad = _with_subnet(plan, 0, active_tx=order, scalar_steps=(step,))
         assert self.same(bad, model(p, nm.SYMMETRIC, 0.3)) == (
             f"message 3: interference from transmitter {named} is not removable")
