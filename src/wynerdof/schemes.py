@@ -12,8 +12,9 @@ facts the degrees-of-freedom claims rest on:
 * every encoder uses only messages inside its cognition window and every
   decoder only antennas inside its cluster: receiver m decodes message m,
   whose encoders are the transmitters whose `signal_deps` name it;
-* scalar chains are triangular with nonzero pivots once interference is
-  removed either by earlier decoding or by sender-side precancellation;
+* each scalar step is sent by an encoder of its message, and scalar chains
+  are triangular with nonzero pivots once interference is removed either
+  by earlier decoding or by sender-side precancellation;
 * MIMO blocks have submatrix rank at least the degrees of freedom claimed
   through them.  A principal window at equal gains is H_n(alpha) on the
   symmetric band, so its rank is tridiag.rank_h's n - [u_n(alpha) = 0], by
@@ -691,8 +692,11 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
                 _check_range((t,), K)
             if H(a, t) == 0:
                 return fail(f"zero pivot: message {m} at antenna {a}")
+            sent = deps.get(t, ())
+            if m not in sent:
+                return fail(f"transmitter {t} does not encode message {m}")
             need = {a}
-            rest = set(deps.get(t, ())) - {m}
+            rest = set(sent) - {m}
             near = [x for x in (a - 1, a, a + 1) if x != t and si in owners.get(x, ())]
             for t2 in sorted(near, key=sn.active_tx.index):  # in active_tx order
                 d2 = deps.get(t2, ())

@@ -19,14 +19,13 @@ a critical gain is an integer test.  That matters because the
 multiplexing-gain case split is discontinuous in alpha.
 
 The float value of a critical gain is sqrt of the correctly rounded beta-root,
-not the correctly rounded alpha; it is found from the closed form by trying
-the floats next to it until the exact signs of u_p at the two rounding
-midpoints differ, in integer arithmetic only.  A float gain a is critical
-for u_p iff it snaps to a root: with k = round((p+1) acos(1/(2|a|)) / pi)
-in 1..p//2, |a| lies within 4 float steps of that rounded root.  The test is
-O(1) in p and never runs the recursion.  An independent Sturm/gcd isolation
-of the same roots lives in the test suite (tests/exact_roots.py) as the
-oracle for both.
+not the correctly rounded alpha; it is rounded from the closed form, enclosed
+in fixed-point integer arithmetic, with O(1) big-integer work per root.  A
+float gain a is critical for u_p iff it snaps to a root: with
+k = round((p+1) acos(1/(2|a|)) / pi) in 1..p//2, |a| lies within 4 float
+steps of that rounded root.  The test is O(1) in p and never runs the
+recursion.  An independent Sturm/gcd isolation of the same roots lives in
+the test suite (tests/exact_roots.py) as the oracle for both.
 
 Also provided: the normalized sequence v_p = u_p / (-alpha)^p with its own
 recursion, and the explicit inverse of the upper-banded M_p(alpha), whose
@@ -201,64 +200,50 @@ def neighbor_nonzero_check(p: int, alpha: AlphaLike) -> dict:
 def _root_magnitude(p: int, k: int) -> float:
     """alpha_{p,k} as sqrt of the correctly rounded beta-root of u_p.
 
-    The guess 1/(4 s^2), with s = cos(k pi/(p+1)) written as a sine of a
-    small argument for relative accuracy, is within a few ulps; the float b
-    that rounds the root is the one whose two rounding midpoints give u_p
-    exact rational values of opposite sign.  Candidates are tried outward
-    from the guess (0, -1, +1, -2, ... steps), in integers only: the guess
-    is split once into m / 2^e, and every midpoint's sign is evaluated once
-    and shared by the two candidates beside it.  The root depends on
-    k/(p+1) only, so it is rounded at the lowest order that has it.
+    The root is beta* = 1/(4 s^2), s = cos(k pi/(p+1)), where s is the sine
+    of t = (p+1-2k) pi/(2(p+1)) or, when that exceeds pi/4, the cosine of
+    t = k pi/(p+1), so t <= pi/4.  Its Taylor series in B-bit fixed point
+    gives integers lo <= 2^B s <= hi: each term is under 2 units low, so is
+    the tail past the last nonzero one, and s moves no further than t, whose
+    fixed-point value from the 256-bit _PI is under 1.25 + 2^(B-258) units
+    low.  int/int true division rounds correctly, so when 2^(2B-2)/hi^2 and
+    2^(2B-2)/lo^2 are one float, that float is beta* rounded; otherwise B
+    doubles.  By Niven's theorem beta* is 1, 1/2, 1/3 or irrational, never a
+    rounding midpoint, so some B settles it unless beta* lies nearer a
+    midpoint than the 256-bit pi can tell (about 2^-256, relative): then
+    ArithmeticError.  B starts at _START_BITS + log2 p, so each root costs
+    O(1) big-integer work.  The root depends on k/(p+1) only, so it is
+    rounded at the lowest order that has it.
     """
     g = math.gcd(k, p + 1)
     if g > 1:
         return _root_magnitude((p + 1) // g - 1, k // g)
-    s = math.sin((p + 1 - 2 * k) * math.pi / (2 * (p + 1)))
-    frac, exp = math.frexp(1 / (4 * s * s))
-    m, e = int(math.ldexp(frac, 53)), 53 - exp  # guess = m / 2^e, 2^52 <= m < 2^53
-
-    def node(j):
-        """Numerator over 2^(e+2) of the float j steps above the guess."""
-        n = m + j
-        if n < _BINADE:  # the binade below has steps half as wide
-            return 2 * (n + _BINADE)
-        if n > 2 * _BINADE:  # the binade above has steps twice as wide
-            return 8 * n - 8 * _BINADE
-        return 4 * n
-
-    def positive(j):
-        """Sign of u_p at the midpoint of the floats j and j+1 steps up."""
-        return _u_positive(p, node(j) + node(j + 1), e + 3)
-
-    lo = hi = positive(-1)  # signs at the lowest and highest midpoints so far
-    for i in range(64):
-        nxt = positive(i)
-        if nxt != hi:
-            return math.sqrt(math.ldexp(node(i), -(e + 2)))
-        hi, nxt = nxt, positive(-2 - i)
-        if nxt != lo:
-            return math.sqrt(math.ldexp(node(-1 - i), -(e + 2)))
-        lo = nxt
-    raise ArithmeticError(f"no float within 64 ulps rounds root {k} of u_{p}")
+    cos = 4 * k < p + 1
+    n = 2 * k if cos else p + 1 - 2 * k  # t = n pi / (2(p+1))
+    bits = _START_BITS + p.bit_length()
+    while bits <= 512:  # past that, the 256-bit pi narrows nothing more
+        x = (_PI << bits >> 256) * n // (2 * p + 2)
+        x2 = x * x >> bits
+        term, j = (1 << bits, 0) if cos else (x, 1)
+        total = 0
+        while term:  # two terms of opposite sign per round
+            nxt = (term * x2 >> bits) // ((j + 1) * (j + 2))
+            total += term - nxt
+            term = (nxt * x2 >> bits) // ((j + 3) * (j + 4))
+            j += 4
+        slack = j + 5 + (1 << bits >> 258)  # series under j + 2, x under 2.25 + that
+        lo, hi = total - slack, total + slack
+        if lo > 0:
+            one = 1 << (2 * bits - 2)
+            beta = one / (lo * lo)
+            if beta == one / (hi * hi):
+                return math.sqrt(beta)
+        bits *= 2
+    raise ArithmeticError(f"a 256-bit pi cannot round root {k} of u_{p}")
 
 
-_BINADE = 1 << 52  # smallest 53-bit float mantissa
-
-
-def _u_positive(p: int, m: int, e: int) -> bool:
-    """Whether u_p(beta) > 0 (p >= 1) at a dyadic beta = m/2^e, in integers only.
-
-    W_j = 2^(e*(j//2)) u_j has the sign of u_j and obeys
-    W_{j+2} = (W_{j+1} << e) - m W_j for even j and W_{j+1} - m W_j for odd
-    j, so no rational gcds are taken.
-    """
-    prev, cur = 1, 1  # W_0, W_1
-    for _ in range((p - 1) // 2):
-        even = (cur << e) - m * prev
-        prev, cur = even, even - m * cur
-    if p % 2 == 0:
-        cur = (cur << e) - m * prev
-    return cur > 0
+_PI = 0x3243F6A8885A308D313198A2E03707344A4093822299F31D0082EFA98EC4E6C89  # floor(pi 2^256)
+_START_BITS = 64  # fixed-point bits beyond log2 p: one pass settles almost every root
 
 
 class _RootFields(NamedTuple):

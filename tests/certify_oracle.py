@@ -11,7 +11,8 @@ active transmitter of its subnet, and window tests build sorted lists.  It
 shares no code with the rewrite but the plan types, ``_numeric_rank`` and
 ``netmodel.submatrix``.  Like the rewrite, it reads a step's decoder off its
 message and a block's encoders off ``signal_deps``, which plans no longer
-state twice.
+state twice, and fails a step whose transmitter's deps do not name its
+message.
 """
 
 from __future__ import annotations
@@ -117,8 +118,10 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
                 return fail(f"step for message {st.message} uses a silenced antenna")
             if H(st.antenna, st.tx) == 0:
                 return fail(f"zero pivot: message {st.message} at antenna {st.antenna}")
-            need = {st.antenna}
             own_deps = deps.get(st.tx, frozenset())
+            if st.message not in own_deps:
+                return fail(f"transmitter {st.tx} does not encode message {st.message}")
+            need = {st.antenna}
             for tx2 in sn.active_tx:
                 if tx2 == st.tx or H(st.antenna, tx2) == 0:
                     continue

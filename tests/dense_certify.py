@@ -10,8 +10,9 @@ pivots by dense indexing, window checks through ``tx_window``/``rx_window``
 sets and block ranks keyed on each dense submatrix's bytes.  It shares no
 code with the banded version but ``ChannelModel.matrix`` (built from the
 band), the ``Certification`` type and ``_numeric_rank``.  A step's decoder
-is its message, and a block's encoders are the transmitters whose
-``signal_deps`` name a message.
+is its message, a block's encoders are the transmitters whose
+``signal_deps`` name a message, and a step's transmitter must be one of its
+message's encoders.
 """
 
 from __future__ import annotations
@@ -124,8 +125,10 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
             pivot = H[st.antenna - 1, st.tx - 1]
             if pivot == 0:
                 return fail(f"zero pivot: message {st.message} at antenna {st.antenna}")
-            need = {st.antenna}
             own_deps = deps.get(st.tx, frozenset())
+            if st.message not in own_deps:
+                return fail(f"transmitter {st.tx} does not encode message {st.message}")
+            need = {st.antenna}
             for tx2 in sn.active_tx:
                 if tx2 == st.tx or H[st.antenna - 1, tx2 - 1] == 0:
                     continue

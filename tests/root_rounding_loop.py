@@ -1,11 +1,13 @@
 """Reference rounding of the critical gains, kept in the tests as an oracle.
 
-``wynerdof.tridiag._root_magnitude`` splits the closed-form guess once into
-an integer mantissa and exponent and runs the sign test on the integer
-numerators of the rounding midpoints, each midpoint evaluated once.  This
-module keeps the loop that replaced: step one ulp at a time with
-``math.nextafter`` and build both rounding midpoints of every candidate as
-``Fraction`` objects.  It shares no code with the package.
+``wynerdof.tridiag._root_magnitude`` encloses the closed form
+1/(4 cos^2(k pi/(p+1))) between two integer bounds from a fixed-point Taylor
+series and keeps the float both bounds round to.  This module rounds the
+same root by its defining polynomial instead: starting from a float guess,
+it steps one ulp at a time with ``math.nextafter`` and keeps the float whose
+two rounding midpoints, built as ``Fraction`` objects, give u_p exact values
+of opposite sign.  It shares no code or formula with the package beyond the
+guess, and costs O(p^2) big-integer work per root.
 """
 
 from __future__ import annotations

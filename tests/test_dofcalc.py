@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -188,6 +189,22 @@ class TestGeneralBounds:
         q = P(K=10, t_left=2, t_right=0, r_left=0, r_right=1)
         iv2 = dc.sym_dof_interval(q, nm.CrossGainAssignment.random(3))
         assert iv2.lower <= iv2.upper
+
+    def test_the_interval_depends_on_a_root_gain_only_through_its_zero_period(self):
+        # u_q vanishes at root:p:k iff n = (p+1)/gcd(k, p+1) divides q+1, so
+        # gains of one zero period n pass every zero test alike
+        classes = {}
+        for p_ in range(2, 12):
+            for k in range(1, p_ // 2 + 1):
+                classes.setdefault((p_ + 1) // gcd(k, p_ + 1), []).append(RootAlpha(p_, k))
+        assert {RootAlpha(4, 1), RootAlpha(4, 2)} <= set(classes[5])
+        for K in range(1, 19):
+            for side in product(range(3), repeat=4):
+                p = P(K, *side)
+                for n, gains in classes.items():
+                    first = dc.sym_dof_interval(p, gains[0])
+                    for a in gains[1:]:
+                        assert dc.sym_dof_interval(p, a) == first, (p, n, a)
 
 
     def test_a_missing_gain_is_a_value_error(self):

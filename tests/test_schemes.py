@@ -298,6 +298,22 @@ class TestCertification:
         assert not cert.ok
         assert cert.failure == "decoder 1 needs antennas [2] outside its cluster"
 
+    @pytest.mark.parametrize("p, deps", [
+        (P(K=3), ((1, ()), (3, (3,)))),
+        (P(K=3, t_right=1), ((1, (2,)), (2, (3,)))),
+    ], ids=["deps-empty", "deps-other-message"])
+    def test_a_step_is_sent_by_an_encoder_of_its_message(self, p, deps):
+        # the step for message 1 is sent by transmitter 1, whose deps no
+        # longer name message 1; both edits once certified ok at 2
+        plan = sc.asym_plan(p)
+        assert plan.subnets[0].scalar_steps[0][:2] == (1, 1)
+        bad = plan._replace(signal_deps=deps)
+        m = model(p, nm.ASYMMETRIC, 0.3)
+        for certify in (sc.certify_plan, oracle.certify_plan, dense.certify_plan):
+            cert = certify(bad, m)
+            assert not cert.ok
+            assert cert.failure == "transmitter 1 does not encode message 1"
+
     @pytest.mark.parametrize("tx, antennas", [((1,), (3,)), ((), ())],
                              ids=["deaf", "empty"])
     def test_a_block_of_rank_zero_fails(self, tx, antennas):

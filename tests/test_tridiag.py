@@ -284,6 +284,37 @@ class TestFloatZeroTest:
                 assert new(p, k) == root_rounding_loop._root_magnitude(p, k), (p, k)
         assert new(5, 2) == 1.0
 
+    @pytest.mark.parametrize("p", [401, 1000, 2000])
+    def test_high_order_rounding_matches_the_ulp_loop(self, p):
+        new = td._root_magnitude.__wrapped__
+        ks = {1, 2, p // 3, p // 2 - 1, p // 2, *range(97, p // 2, p // 5)}
+        for k in sorted(ks):
+            assert new(p, k) == root_rounding_loop._root_magnitude(p, k), (p, k)
+
+    def test_precision_doubling_gives_the_same_roots(self, monkeypatch):
+        # 2 + log2 p fixed-point bits cannot settle a rounding to 53 bits, so
+        # every root below doubles its precision until it does
+        new = td._root_magnitude.__wrapped__
+        want = {(p, k): new(p, k) for p in range(2, 61) for k in range(1, p // 2 + 1)}
+        monkeypatch.setattr(td, "_START_BITS", 2)
+        assert {pk: new(*pk) for pk in want} == want
+
+    def test_pi_constant_is_machin_pi_rounded_down(self):
+        def arctan_inv(x, bits):  # 2^bits atan(1/x), within a few units
+            term = total = (1 << bits) // x
+            n, sign = 1, 1
+            while term:
+                term //= x * x
+                n, sign = n + 2, -sign
+                total += sign * (term // n)
+            return total
+
+        guard = 32
+        bits = 256 + guard
+        pi = 16 * arctan_inv(5, bits) - 4 * arctan_inv(239, bits)
+        assert 64 < pi % (1 << guard) < (1 << guard) - 64  # no carry from the guard bits
+        assert pi >> guard == td._PI
+
 
 class TestRankDichotomy:
     def test_examples(self):
