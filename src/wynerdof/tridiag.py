@@ -20,7 +20,7 @@ multiplexing-gain case split is discontinuous in alpha.
 
 The float value of a critical gain is sqrt of the correctly rounded beta-root,
 not the correctly rounded alpha; it is rounded from the closed form, enclosed
-in fixed-point integer arithmetic, with O(1) big-integer work per root.  A
+in fixed-point integer arithmetic on about 64 + log2 p bits per root.  A
 float gain a is critical for u_p iff it snaps to a root: with
 k = round((p+1) acos(1/(2|a|)) / pi) in 1..p//2, |a| lies within 4 float
 steps of that rounded root.  The test is O(1) in p and never runs the
@@ -211,9 +211,9 @@ def _root_magnitude(p: int, k: int) -> float:
     doubles.  By Niven's theorem beta* is 1, 1/2, 1/3 or irrational, never a
     rounding midpoint, so some B settles it unless beta* lies nearer a
     midpoint than the 256-bit pi can tell (about 2^-256, relative): then
-    ArithmeticError.  B starts at _START_BITS + log2 p, so each root costs
-    O(1) big-integer work.  The root depends on k/(p+1) only, so it is
-    rounded at the lowest order that has it.
+    ArithmeticError.  B starts at _START_BITS + log2 p, so a root's cost
+    grows with log p, not with p.  The root depends on k/(p+1) only, so it
+    is rounded at the lowest order that has it.
     """
     g = math.gcd(k, p + 1)
     if g > 1:
