@@ -25,11 +25,6 @@ ASYMMETRIC = "asymmetric"
 SYMMETRIC = "symmetric"
 TOPOLOGIES = (ASYMMETRIC, SYMMETRIC)
 
-# A channel block has full numeric rank when its smallest singular value
-# exceeds RANK_REL_TOL times its largest (SVD'd plan blocks in schemes,
-# random-gain windows in simulator).
-RANK_REL_TOL = 1e-8
-
 __all__ = [
     "ASYMMETRIC",
     "SYMMETRIC",

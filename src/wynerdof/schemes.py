@@ -15,11 +15,13 @@ facts the degrees-of-freedom claims rest on:
 * each scalar step is sent by an encoder of its message, and scalar chains
   are triangular with nonzero pivots once interference is removed either
   by earlier decoding or by sender-side precancellation;
-* MIMO blocks have submatrix rank at least the degrees of freedom claimed
-  through them.  A principal window at equal gains is H_n(alpha) on the
-  symmetric band, so its rank is tridiag.rank_h's n - [u_n(alpha) = 0], by
-  the zero test the closed form uses; on the asymmetric band it is unit
-  lower-triangular, rank n.  The SVD decides every other block.
+* each MIMO block is jointly decoded (every claimed message's receiver
+  sees all its antennas) or jointly precoded (every block transmitter
+  encodes every claimed message), and its submatrix has rank at least the
+  degrees of freedom claimed through it.  Every rank is exact:
+  tridiag.band_rank, whose runs of diagonal pairs are singular at equal
+  gains by the zero test the closed form uses, and at any other gains when
+  their continuant is exactly 0.
 
 Dirty-paper steps are modeled as removable known interference: the sender
 must be able to compute the interfering signal from messages it knows,
@@ -35,14 +37,10 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
-from .netmodel import (ASYMMETRIC, RANK_REL_TOL, SYMMETRIC, ChannelModel, NetworkParams,
-                       submatrix)
-from .tridiag import AlphaLike, alpha_float, alpha_token, rank_h, u_is_zero
-
-if TYPE_CHECKING:  # numpy is imported where arrays are built
-    import numpy as np
+from .netmodel import ASYMMETRIC, SYMMETRIC, ChannelModel, NetworkParams
+from .tridiag import AlphaLike, alpha_float, alpha_token, band_rank, u_is_zero
 
 __all__ = [
     "StrategyTag",
@@ -594,14 +592,6 @@ class Certification(NamedTuple):
                 "checks": list(self.checks)}
 
 
-def _numeric_rank(a: np.ndarray) -> int:
-    import numpy as np
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)  # an all-zero block counts none above 0
-    return int(np.count_nonzero(s > RANK_REL_TOL * s[0]))
-
-
 def _outside(idx, lo: int, hi: int) -> List[int]:
     """The indices in `idx` outside lo..hi, sorted: for failure texts."""
     return sorted(x for x in idx if not lo <= x <= hi)
@@ -673,9 +663,8 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
             return fail(f"transmitter {t} uses messages {outside} outside its window")
     checks.append("encoder-feasibility")
 
-    # A principal window o..o+n-1 at equal gains is H_n(alpha), and on the
-    # asymmetric band unit lower-triangular at any gains (u_n(0) = 1).  The
-    # SVD decides every other block.
+    # runs of diagonal pairs are H_l(alpha) at equal gains, and on the
+    # asymmetric band unit lower-triangular at any gains (u_l(0) = 1)
     alpha = model.equal_alpha if plan.topology == SYMMETRIC else 0.0
     certified = 0
     for si, sn in enumerate(plan.subnets):
@@ -726,23 +715,34 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
                 covered.update(ants)
             if not covered.issuperset(blk.antennas):
                 return fail("joint decoder does not cover the block antennas")
-            own = 0
+            ants = blk.antennas
+            # receiver m sees every antenna iff max(ants) - rr <= m <= min(ants) + rl
+            seen_lo, seen_hi = (max(ants) - rr, min(ants) + rl) if ants else (1, K)
+            own, blind = 0, None
             for m, w in blk.prelog:
                 if not 1 <= m <= K:
                     _check_range((m,), K)
                 own += w
+                if w and not seen_lo <= m <= seen_hi and blind is None:
+                    blind = m  # the first claimed message whose receiver misses an antenna
             want = own
             if blk.coupled:
                 _check_range(blk.coupled, K)
                 want += sum(prelog.get(m, 0) for m in blk.coupled)
-            ants, n = blk.antennas, len(blk.antennas)
-            o = ants[0] if ants else 1
-            if (n and alpha is not None and ants == blk.tx and o >= 1
-                    and o + n <= K + 1 and ants == tuple(range(o, o + n))):
-                rank = rank_h(n, alpha)
-            else:
-                _check_range((*ants, *blk.tx), K)
-                rank = _numeric_rank(submatrix(model, ants, blk.tx))
+            if blk.tx != ants:  # the decoders put the antennas in 1..K
+                _check_range(blk.tx, K)
+            if blind is not None:  # not jointly decoded: is it jointly precoded?
+                claimed, last = {m for m, w in blk.prelog if w}, None
+                for t in blk.tx:
+                    d = deps.get(t, ())
+                    if d is not last:  # a broadcast block's transmitters share one deps tuple
+                        last, unknown = d, claimed.difference(d)
+                    if unknown:
+                        m = next(m for m, w in blk.prelog if w and m in unknown)
+                        return fail(f"block in subnet {si}: receiver {blind} does not see "
+                                    f"antennas {_outside(ants, blind - rl, blind + rr)}, and "
+                                    f"transmitter {t} does not encode message {m}")
+            rank = band_rank(ants, blk.tx, model.band, alpha)
             if rank < want:
                 return fail(f"rank {rank} < required {want} in subnet {si}")
             certified += own

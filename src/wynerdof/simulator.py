@@ -17,10 +17,10 @@ import math
 from itertools import islice
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
 
-from .netmodel import RANK_REL_TOL, SYMMETRIC, TOPOLOGIES, ChannelModel, \
-    CrossGainAssignment, _generic_draws, submatrix
-from .tridiag import AlphaLike, alpha_float, alpha_token, rank_h, u_is_zero, \
-    v_sequence
+from .netmodel import SYMMETRIC, TOPOLOGIES, ChannelModel, CrossGainAssignment, \
+    _generic_draws, submatrix
+from .tridiag import AlphaLike, alpha_float, alpha_token, continuant_is_zero, rank_h, \
+    u_is_zero, v_sequence
 
 if TYPE_CHECKING:  # numpy and schemes are imported where they are called
     import numpy as np
@@ -200,8 +200,7 @@ def offset_experiment(L: int, alpha_star: AlphaLike, K: int,
 
 
 _MAX_WINDOW = 12    # largest window size the rank trials check
-_WINDOW_CAP = 4096  # most windows in one batched SVD call
-_CERTIFIED = 100 * RANK_REL_TOL  # proven sigma_min / sigma_max that spares the SVD
+_WINDOW_CAP = 4096  # most window starts of one size in one float pass
 
 
 class RankTrialReport(NamedTuple):
@@ -220,150 +219,81 @@ class RankTrialReport(NamedTuple):
                 "failed_cases": [list(c) for c in self.failed_cases[:20]]}
 
 
-def _window_stack(bands: np.ndarray, s: int, rows: np.ndarray,
-                  starts: np.ndarray) -> np.ndarray:
-    """The s x s principal windows at 0-based `starts` of the channels whose
-    diagonal, sub- and super-diagonal are `bands[rows]`."""
-    import numpy as np
-    r = np.arange(s)
-    cols = starts[:, None] + r
-    stack = np.zeros((rows.size, s, s))
-    stack[:, r, r] = bands[rows[:, None], 0, cols]
-    stack[:, r[1:], r[:-1]] = bands[rows[:, None], 1, cols[:, :-1]]
-    stack[:, r[:-1], r[1:]] = bands[rows[:, None], 2, cols[:, :-1]]
-    return stack
+def _proven_nonzero(sub: np.ndarray, sup: np.ndarray, wmax: int) -> np.ndarray:
+    """Which windows a float pass proves nonsingular: entry [t, s-1, j] is
+    for the s x s principal window at 0-based start j of channel t, whose
+    sub- and super-diagonal gains are sub[t] and sup[t] (unit diagonal;
+    entries with j > K - s are meaningless).
 
-
-def _ratio_lower_bounds(bands: np.ndarray, wmax: int) -> np.ndarray:
-    """Proven lower bounds on sigma_min / sigma_max of every window: entry
-    [t, s-1, j] is for the s x s window at 0-based start j of channel t
-    (entries with j > K - s are meaningless).
-
-    |det W| = prod sigma_i is sigma_min times the top s-1 singular values.
-    With N = |W|_1 |W|_inf and F = |W|_F, every sigma_i <= sigma_max <=
-    min(sqrt(N), F), and AM-GM on sigma_i^2, whose sum is F^2, bounds the
-    top s-1 of them: their product is at most min(N, F^2/(s-1))^((s-1)/2).
-    So sigma_min / sigma_max >= |det W| /
-    (min(N, F^2/(s-1))^((s-1)/2) min(sqrt(N), F)), never less than the
-    bound |det W| / N^(s/2) that N alone gives.  det W is the continuant
-    theta_s = d theta_{s-1} - l u theta_{s-2}, run for every start and all
-    sizes at once; its rounding error is at most (4s+2) eps tbar_s, where
-    tbar is the same recursion on absolute values, and that much is taken
-    off |theta_s|.  The row and column sums are running maxima and F^2 a
-    running sum of squared entries.  Each of those squares is rounded at
-    most s+2 <= 2s times (its own rounding, two in its size step's sum, the
-    rest in the running sum), each by a factor of at least 1 - eps/2, so the
-    true F^2 is below the computed one times (1 - eps/2)^(-2s) < 1 + 2s eps:
-    F^2 is inflated by that factor.  The few roundings of the quotient itself
-    move it by a few eps relative, which the factor 100 of _CERTIFIED dwarfs.
-    Overflow gives nan or 0, which never certifies.
+    det W is the continuant theta_s = theta_{s-1} - l u theta_{s-2}, run for
+    every start and all sizes at once.  Its rounding error is at most
+    (4s+2) eps tbar_s, where tbar is the same recursion on absolute values,
+    so |theta_s| above that proves det W != 0.  nan and inf never prove.
     """
     import numpy as np
-    n, _, K = bands.shape
-    ext = np.zeros((3, n, K + wmax))
-    ext[:, :, :K] = bands.transpose(1, 0, 2)
-    dm, lm, um = np.abs(ext)
-    sq = ext * ext
-    lu = ext[1] * ext[2]
-
-    def prev(a):  # entry x holds entry x-1 of a
-        return np.concatenate((np.zeros(a.shape[:-1] + (1,)), a[..., :-1]), axis=-1)
-
-    # [theta, tbar] as one recursion (tbar's link term is -|l u|), at sizes s-1 and s-2
-    diag, link = np.stack((ext[0], dm)), np.stack((lu, -np.abs(lu)))
-    theta, theta0 = diag[:, :, :K], np.ones((2, n, K))
-    # what index x brings to a window it ends: its squared entries and its
-    # [row, column] sums, and those sums once x + 1 joins too
-    sq_new = (sq[0] + prev(sq[1])) + prev(sq[2])
-    across = np.stack((um, lm))
-    last = np.stack((prev(lm), prev(um))) + dm
-    first, full = dm + across, last + across  # x starts the window, or not
-    fsq = sq[0, :, :K]
+    n, K = sub.shape[0], sub.shape[1] + 1
+    links = np.zeros((n, K + wmax))
+    links[:, :K - 1] = sub * sup
+    link = np.stack((links, -np.abs(links)))  # theta's links, then tbar's
+    theta = theta0 = np.ones((2, n, K))  # [theta, tbar] at sizes s-1 and s-2
     eps = np.finfo(float).eps
-    out = np.empty((n, wmax, K))
+    proven = np.ones((n, wmax, K), dtype=bool)
     with np.errstate(all="ignore"):
-        np.divide(np.abs(theta[0]) - 6 * eps * theta[1], theta[1], out=out[:, 0])
         for s in range(2, wmax + 1):
-            i, k = slice(s - 1, s - 1 + K), slice(s - 2, s - 2 + K)  # new index, its link
-            theta, theta0 = diag[:, :, i] * theta - link[:, :, k] * theta0, theta
-            closed = first[:, :, k] if s == 2 else np.maximum(closed, full[:, :, k])
-            row, col = np.maximum(closed, last[:, :, i])
-            norms = row * col
-            fsq = fsq + sq_new[:, i]
-            f2 = fsq * (1 + 2 * s * eps)
-            top = np.sqrt(np.minimum(norms, f2 / (s - 1))) ** (s - 1)
-            np.divide(np.abs(theta[0]) - (4 * s + 2) * eps * theta[1],
-                      top * np.sqrt(np.minimum(norms, f2)), out=out[:, s - 1])
-    return out
+            theta, theta0 = theta - link[:, :, s - 2:s - 2 + K] * theta0, theta
+            np.greater(np.abs(theta[0]), (4 * s + 2) * eps * theta[1], out=proven[:, s - 1])
+    return proven
 
 
 def random_gain_rank_trials(K: int, topology: str, trials: int, seed: int,
                             gains: Optional[CrossGainAssignment] = None
                             ) -> RankTrialReport:
     """Check every contiguous principal submatrix of size up to 12 for full
-    rank.
+    rank, exactly.
 
     With continuous random gains no window ever loses rank (probability-1
-    statement, finite sampling); passing an equal critical gain instead is
-    the negative control that must fail.  Fixed gains must be of kind
-    "equal" and take one trial, no band and no SVD: a window of size s is
-    H_s(alpha) on the symmetric topology, of rank tridiag.rank_h(s, alpha)
-    (the zero test of mg and certify), and unit lower-triangular on the
-    asymmetric one.  A random trial's window has full rank when its smallest
-    singular value is above RANK_REL_TOL times its largest.  Each trial's
-    channel is held as its three diagonals, a chunk of trials at a time,
-    written straight from its seed's draws.  A determinant certificate
-    (_ratio_lower_bounds) first proves a lower bound on sigma_min / sigma_max
-    from |det W|, |W|_1 |W|_inf and |W|_F for every window in one vectorised
-    pass.  A window whose proven bound is at least _CERTIFIED = 100 *
-    RANK_REL_TOL is full rank: LAPACK's O(eps * sigma_max) error could not
-    bring its ratio down to RANK_REL_TOL.  The SVD decides every other
-    window: for each window size, those of a chunk go to LAPACK in one
-    batched SVD call of at most _WINDOW_CAP matrices.  A chunk holds
-    max(1, _WINDOW_CAP // K) trials and the certificate 12 floats per window
-    start of each, so memory is O(12 * max(K, _WINDOW_CAP)) floats plus a
-    tuple per failure; a fixed gain counts its failures in O(1).  Failures
-    are (trial, start, size), ordered by trial, size and start.
+    statement, finite sampling); an equal critical gain is the negative
+    control that must fail.  Fixed gains must be of kind "equal" and take
+    one trial and no band: a symmetric window of size s is H_s(alpha), of
+    rank tridiag.rank_h(s, alpha), the zero test of mg and certify.
+    Asymmetric windows are unit lower-triangular, so of full rank at any
+    gains, and their random trials draw nothing.  A symmetric random
+    window fails iff its continuant is exactly 0: a float pass
+    (_proven_nonzero) over a chunk of max(1, _WINDOW_CAP // K) trials'
+    draws proves most nonzero, and tridiag.continuant_is_zero decides the
+    rest.  Memory is O(12 * max(K, _WINDOW_CAP)) plus a tuple per failure.
+    Failures are (trial, start, size), ordered by trial, size and start.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if K < 1:
         raise ValueError("K must be >= 1")
+    if topology not in TOPOLOGIES:
+        raise ValueError(f"unknown topology {topology!r}")
     wmax = min(K, _MAX_WINDOW)
     if gains is not None:
         if gains.kind != "equal":
             raise ValueError(f"fixed gains must be of kind 'equal', got {gains.kind!r}")
-        if topology not in TOPOLOGIES:
-            raise ValueError(f"unknown topology {topology!r}")
         alpha = gains.alpha if topology == SYMMETRIC else 0.0
         bad = [s for s in range(1, wmax + 1) if rank_h(s, alpha) < s]
         cases = islice(((0, j, s) for s in bad for j in range(1, K - s + 2)), 50)
         return RankTrialReport(1, sum(K - s + 1 for s in bad), wmax, tuple(cases))
-    import numpy as np
-    per_chunk = max(1, _WINDOW_CAP // K)
-    sizes = np.arange(1, wmax + 1)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     failures = []
-    for t0 in range(0, trials, per_chunk):
-        bands = np.zeros((min(trials - t0, per_chunk), 3, K))
-        bands[:, 0] = 1.0
-        for t, band in enumerate(bands, t0):
-            sub, sup = _generic_draws(K, topology, seed + t)
-            band[1, :K - 1] = sub
-            if sup is not None:
-                band[2, :K - 1] = sup
-        unproven = ~(_ratio_lower_bounds(bands, wmax) >= _CERTIFIED) & \
-            (np.arange(K) <= K - sizes[:, None])  # windows that exist
-        for size in sizes[unproven.any(axis=(0, 2))].tolist():
-            n_start = K - size + 1
-            windows = np.flatnonzero(unproven[:, size - 1, :n_start])
-            for lo in range(0, windows.size, _WINDOW_CAP):
-                idx = windows[lo:lo + _WINDOW_CAP]
-                rows, starts = np.divmod(idx, n_start)
-                sv = np.linalg.svd(_window_stack(bands, size, rows, starts),
-                                   compute_uv=False)
-                bad = sv[:, -1] <= RANK_REL_TOL * sv[:, 0]
-                failures += [(t0 + t, start + 1, size) for t, start in
-                             zip(rows[bad].tolist(), starts[bad].tolist())]
-    failures.sort(key=lambda c: (c[0], c[2], c[1]))
+    if topology == SYMMETRIC:
+        import numpy as np
+        per_chunk = max(1, _WINDOW_CAP // K)
+        starts = np.arange(K)
+        for t0 in range(0, trials, per_chunk):
+            n = min(trials - t0, per_chunk)
+            sub, sup = np.empty((n, K - 1)), np.empty((n, K - 1))
+            for t in range(n):
+                sub[t], sup[t] = _generic_draws(K, topology, seed + t0 + t)
+            unproven = ~_proven_nonzero(sub, sup, wmax) & \
+                (starts <= K - np.arange(1, wmax + 1)[:, None])  # windows that exist
+            for t, s, j in zip(*np.nonzero(unproven)):  # in (trial, size, start) order
+                if continuant_is_zero(sub[t, j:j + s].tolist(), sup[t, j:j + s].tolist()):
+                    failures.append((t0 + int(t), int(j) + 1, int(s) + 1))
     return RankTrialReport(trials=trials, failures=len(failures),
                            max_window=wmax, failed_cases=tuple(failures[:50]))

@@ -52,6 +52,8 @@ __all__ = [
     "alpha_float",
     "alpha_token",
     "rank_h",
+    "band_rank",
+    "continuant_is_zero",
     "neighbor_nonzero_check",
     "critical_roots",
     "RootAlpha",
@@ -172,11 +174,83 @@ def _float_rank(x: float) -> int:
 
 def rank_h(p: int, alpha: AlphaLike) -> int:
     """rank H_p(alpha): p when u_p(alpha) != 0, else p-1 (the only two cases).
-    schemes.certify_plan takes each principal window's rank at equal gains
-    from here, so it and the closed form share one zero test."""
+    It is band_rank's principal window at equal gains, so certify and the
+    closed form share one zero test."""
     if p < 1:
         raise ValueError("order p must be positive")
     return p - 1 if u_is_zero(p, alpha) else p
+
+
+def band_rank(rows, cols, band, alpha: Optional[AlphaLike] = None) -> int:
+    """Exact rank of H[rows, cols], for 1-based rows and columns of the
+    matrix whose unit diagonal, sub- and super-diagonal are `band` (three
+    K-sequences of floats, as netmodel.channel_band builds).
+
+    A square minor of a tridiagonal matrix, rows and columns sorted and
+    paired in order, is 0 unless every pair has |r - c| <= 1, and is then
+    the product of its off-diagonal pairs' entries and the principal minors
+    (continuants) of its maximal runs of consecutive diagonal pairs.  So the
+    rank is the most pairs of such a matching with nonzero off-diagonal
+    entries and nonsingular runs.  At equal gains (`alpha`, 0.0 on the
+    asymmetric band) a run of length l is singular iff u_is_zero(l, alpha),
+    the zero test of mg; at any other gains iff its continuant is exactly 0.
+    A principal window (rows == cols, ascending and consecutive) is one run;
+    any other block takes a left-to-right DP whose state is the index
+    waiting for its off-diagonal partner (none, a row or a column) and the
+    start of the open run.
+    """
+    n = len(rows)
+    if n and rows == cols and tuple(rows) == tuple(range(rows[0], rows[0] + n)):
+        if alpha is not None:  # one call: certify takes every block's rank here
+            return n - u_is_zero(n, alpha)
+        return n - _run_singular(rows[0], rows[0] + n - 1, band, None)
+    _, sub, sup = band
+    rows, cols = set(rows), set(cols)
+    if not rows or not cols:
+        return 0
+    states = {(0, None): 0}  # (waiting: 0 none, 1 a row, 2 a column; run start) -> pairs
+    for x in range(min(rows | cols), max(rows | cols) + 2):
+        r, c, after = x in rows, x in cols, {}
+        for (wait, start), v in states.items():
+            moves = []
+            if wait == 1 and c and sup[x - 2] != 0:  # row x-1 pairs with column x
+                moves = [(0, None, v + 1)] + [(1, None, v + 1)] * r
+            elif wait == 2 and r and sub[x - 2] != 0:  # column x-1 pairs with row x
+                moves = [(0, None, v + 1)] + [(2, None, v + 1)] * c
+            elif wait == 0:
+                if r and c:  # a diagonal pair opens or extends the run
+                    moves.append((0, x if start is None else start, v + 1))
+                if start is None or not _run_singular(start, x - 1, band, alpha):
+                    moves += [(0, None, v)] + [(1, None, v)] * r + [(2, None, v)] * c
+            for key in moves:
+                after[key[:2]] = max(after.get(key[:2], 0), key[2])
+        states = after
+    return states.get((0, None), 0)
+
+
+def _run_singular(lo: int, hi: int, band, alpha: Optional[AlphaLike]) -> bool:
+    """Whether band_rank's run of diagonal pairs lo..hi is singular."""
+    if alpha is not None:
+        return u_is_zero(hi - lo + 1, alpha)
+    return continuant_is_zero(band[1][lo - 1:hi - 1], band[2][lo - 1:hi - 1])
+
+
+def continuant_is_zero(subs, sups) -> bool:
+    """Whether theta_s = 0 exactly: the determinant of the s x s matrix with
+    unit diagonal and the floats subs[i], sups[i] below and above it at link
+    i, i+1, so theta_s = theta_{s-1} - subs[s-2] sups[s-2] theta_{s-2} and
+    theta_0 = theta_1 = 1.  Each link product is a dyadic N / 2^k; with E
+    the largest k, 2^(E floor(s/2)) theta_s is an integer recursion.
+    """
+    links = []
+    for a, b in zip(subs, sups):
+        (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+        links.append((na * nb, (da * db).bit_length() - 1))
+    e = max((k for _, k in links), default=0)
+    prev = cur = 1
+    for s, (n, k) in enumerate(links, 2):
+        prev, cur = cur, (cur << e if s % 2 == 0 else cur) - (n << e - k) * prev
+    return cur == 0
 
 
 def neighbor_nonzero_check(p: int, alpha: AlphaLike) -> dict:

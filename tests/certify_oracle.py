@@ -7,12 +7,14 @@ steps' interference scan visits only the active transmitters next to the
 step's antenna, and window tests are inline min/max comparisons.  This
 module keeps the version that replaced, verbatim: ``_first_coupling`` walks
 every antenna through ``ChannelModel.entry``, each scalar step scans every
-active transmitter of its subnet, and window tests build sorted lists.  It
-shares no code with the rewrite but the plan types, ``_numeric_rank`` and
+active transmitter of its subnet, window tests build sorted lists, and a
+block's rank is the SVD's (``dense_certify.svd_rank``) where the rewrite's is
+exact.  It shares no code with the rewrite but the plan types and
 ``netmodel.submatrix``.  Like the rewrite, it reads a step's decoder off its
 message and a block's encoders off ``signal_deps``, which plans no longer
-state twice, and fails a step whose transmitter's deps do not name its
-message.
+state twice, fails a step whose transmitter's deps do not name its
+message, and fails a block that is neither jointly decoded nor jointly
+precoded.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from dense_certify import svd_rank
 from wynerdof.netmodel import ChannelModel, submatrix
-from wynerdof.schemes import Certification, TransmissionPlan, _numeric_rank
+from wynerdof.schemes import Certification, TransmissionPlan
 
 
 def _first_coupling(subnets, model: ChannelModel) -> Optional[Tuple[int, int]]:
@@ -165,10 +168,20 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
             o, hi = min(idx, default=1), max(idx, default=0)
             if o < 1 or hi > K:
                 _check_range(idx, K)
+            claimed = [m for m, w in blk.prelog if w]
+            blind = [m for m in claimed
+                     if _outside(blk.antennas, max(1, m - rl), min(K, m + rr))]
+            unaware = [(t, m) for t in blk.tx for m in claimed
+                       if m not in deps.get(t, frozenset())]
+            if blind and unaware:
+                unseen = _outside(blk.antennas, max(1, blind[0] - rl), min(K, blind[0] + rr))
+                return fail(f"block in subnet {si}: receiver {blind[0]} does not see antennas "
+                            f"{unseen}, and transmitter {unaware[0][0]} does not encode "
+                            f"message {unaware[0][1]}")
             key = (tuple(a - o for a in blk.antennas), tuple(t - o for t in blk.tx),
                    band[:, o - 1:hi].tobytes())
             if key not in ranks:
-                ranks[key] = _numeric_rank(submatrix(model, blk.antennas, blk.tx))
+                ranks[key] = svd_rank(submatrix(model, blk.antennas, blk.tx))
             r = ranks[key]
             if r < want:
                 return fail(f"rank {r} < required {want} in subnet {si}")

@@ -7,12 +7,15 @@ block's submatrix can read (``certify_oracle`` keeps the first banded
 version).  This module keeps the dense version both replaced, which reads
 the dense K x K matrix throughout: coupling from ``np.nonzero`` of the matrix,
 pivots by dense indexing, window checks through ``tx_window``/``rx_window``
-sets and block ranks keyed on each dense submatrix's bytes.  It shares no
-code with the banded version but ``ChannelModel.matrix`` (built from the
-band), the ``Certification`` type and ``_numeric_rank``.  A step's decoder
-is its message, a block's encoders are the transmitters whose
-``signal_deps`` name a message, and a step's transmitter must be one of its
-message's encoders.
+sets and block ranks keyed on each dense submatrix's bytes, each the
+numeric rank of its SVD (``svd_rank``), where the package's ranks are exact.
+It shares no code with the banded version but ``ChannelModel.matrix`` (built
+from the band) and the ``Certification`` type.  A step's decoder is its
+message, a block's encoders are the transmitters whose ``signal_deps`` name
+a message, and a step's transmitter must be one of its message's encoders.
+A block must be jointly decoded (each claimed message's receiver sees all
+its antennas) or jointly precoded (each of its transmitters encodes every
+claimed message).
 """
 
 from __future__ import annotations
@@ -22,7 +25,15 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from wynerdof.netmodel import ChannelModel
-from wynerdof.schemes import Certification, TransmissionPlan, _numeric_rank
+from wynerdof.schemes import Certification, TransmissionPlan
+
+
+def svd_rank(a: np.ndarray) -> int:
+    """The singular values of `a` above 1e-8 times its largest."""
+    if a.size == 0:
+        return 0
+    s = np.linalg.svd(a, compute_uv=False)  # an all-zero block counts none above 0
+    return int(np.count_nonzero(s > 1e-8 * s[0]))
 
 
 def submatrix(model: ChannelModel, rx_indices: Iterable[int], tx_indices: Iterable[int]) -> np.ndarray:
@@ -162,9 +173,18 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
                 return fail("joint decoder does not cover the block antennas")
             want = sum(w for _, w in blk.prelog) + sum(prelog.get(m, 0) for m in blk.coupled)
             sub = submatrix(model, blk.antennas, blk.tx)
+            claimed = [m for m, w in blk.prelog if w]
+            blind = [m for m in claimed if not set(blk.antennas) <= set(params.rx_window(m))]
+            unaware = [(t, m) for t in blk.tx for m in claimed
+                       if m not in deps.get(t, frozenset())]
+            if blind and unaware:
+                unseen = sorted(set(blk.antennas) - set(params.rx_window(blind[0])))
+                return fail(f"block in subnet {si}: receiver {blind[0]} does not see antennas "
+                            f"{unseen}, and transmitter {unaware[0][0]} does not encode "
+                            f"message {unaware[0][1]}")
             key = (sub.shape, sub.tobytes())
             if key not in ranks:
-                ranks[key] = _numeric_rank(sub)
+                ranks[key] = svd_rank(sub)
             r = ranks[key]
             if r < want:
                 return fail(f"rank {r} < required {want} in subnet {si}")

@@ -1,11 +1,11 @@
 """Reference rank trials at random gains, kept in the tests as an oracle.
 
 ``wynerdof.simulator.random_gain_rank_trials`` proves most windows of a
-random trial full rank from their determinants and sends the rest of each
-window size to LAPACK as one stacked SVD call.  This module keeps the loop
-that replaced: one SVD per contiguous principal window, taken as a slice of
-the dense channel matrix, in (trial, size, start) order.  It shares no code
-with the batched version but the gain resolution in ``netmodel``,
+random trial nonsingular from a float pass over their continuants and
+decides the rest by the exact continuant.  This module keeps an independent
+loop: one SVD per contiguous principal window, taken as a slice of the dense
+channel matrix, in (trial, size, start) order.  It shares no code with the
+package's version but the gain resolution in ``netmodel``,
 ``sample_generic_gains`` and the report type.  Fixed gains take the zero
 test instead, so they have no oracle here.
 """

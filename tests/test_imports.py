@@ -3,11 +3,12 @@
 Every case starts a fresh interpreter, runs ``cli.main`` on one command line
 and reports which modules are then loaded.  The closed-form commands (mg,
 bounds, roots) and plan synthesis never need numpy, from flags or from an
---instance file.  Neither does certify at equal or explicit gains when every
-block is a window (its rank is the zero test's), from flags, from a --plan
-file or from an --instance file, nor random-check at a fixed --alpha on
-either topology, which loads neither schemes nor dofcalc, nor offset,
-whose fit is a closed-form slope.  Only mg, bounds and a sweep's mg check
+--instance file.  Neither does certify at equal or explicit gains, whose
+block ranks are exact (the zero test's, or an integer continuant's), from
+flags, from a --plan file or from an --instance file, nor random-check at
+a fixed --alpha on either topology or at random gains on the asymmetric
+one, which loads neither schemes nor dofcalc, nor offset, whose fit is a
+closed-form slope.  Only mg, bounds and a sweep's mg check
 load dofcalc.  Certify, converse, entropy and simulate skip the modules they
 do not call.  Every record is a NamedTuple, so no command loads
 `dataclasses`, and a command without numpy loads no `inspect` either.
@@ -69,6 +70,10 @@ CASES = {
                                {"numpy", "wynerdof.schemes", "wynerdof.converse", DOFCALC}),
     "random-check": (["random-check", "--K", "8", "--topology", "symmetric", "--trials", "4"],
                      {"wynerdof.converse", DOFCALC}),
+    # asymmetric windows are unit lower-triangular: the random trials draw nothing
+    "random-check-asym": (["random-check", "--K", "8", "--topology", "asymmetric",
+                           "--trials", "4"],
+                          {"numpy", "wynerdof.schemes", "wynerdof.converse", DOFCALC}),
 }
 # root:3:1 zeroes every symmetric window of size 3, 7 and 11
 EXIT_CODES = {"random-check-sym-root": 1}
@@ -131,9 +136,12 @@ def test_an_instance_file_is_read_without_numpy(tmp_path, command, must_not_load
 
 
 # equal gains certify the sym-si plan, whose blocks are windows; explicit
-# ones have no such plan, and the lb-combined plan has scalar steps only
-@pytest.mark.parametrize("kind, plan", [("equal", []), ("explicit", ["--bound-label", "lb-combined"])],
-                         ids=GAINS)
+# ones have no such plan: the lb-combined plan has scalar steps only, and
+# the lb-central-mimo plan's blocks take their exact continuants
+@pytest.mark.parametrize("kind, plan", [
+    ("equal", []), ("explicit", ["--bound-label", "lb-combined"]),
+    ("explicit", ["--bound-label", "lb-central-mimo"]),
+], ids=["equal", "explicit", "explicit-blocks"])
 def test_certify_reads_an_instance_file_without_numpy(tmp_path, kind, plan):
     f = tmp_path / "instance.json"
     f.write_text(json.dumps(dict(INSTANCE, gains=GAINS[kind])))

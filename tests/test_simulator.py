@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ import rank_window_loop as rw
 from wynerdof import netmodel as nm
 from wynerdof import schemes as sc
 from wynerdof import simulator as sim
-from wynerdof.tridiag import RootAlpha, alpha_float, h_matrix, u_is_zero
+from wynerdof.tridiag import RootAlpha, alpha_float, continuant_is_zero, h_matrix, u_is_zero
 
 P = nm.NetworkParams
 ROOT3 = RootAlpha(3, 1)
@@ -266,11 +265,10 @@ def zero_test_report(K, topology, alpha):
 
 
 # size-2 windows of the equal gain a have sigma_min / sigma_max = |1-a|/(1+a),
-# which is RANK_REL_TOL at this a: the SVD decides them either way
-AT_TOL = (1 - sc.RANK_REL_TOL) / (1 + sc.RANK_REL_TOL)
-# odd windows of 1e5 and 1e6 have ratios between RANK_REL_TOL and 100 times it
+# 1e-8 at this a, 2e-8 below the root 1 of u_2
+NEAR_ONE = (1 - 1e-8) / (1 + 1e-8)
 EXTREME_GAINS = [g * sign for g in (1e-3, 1e3, 1e5, 1e6, 1e8) for sign in (1, -1)] + \
-    float_steps(AT_TOL, 20)
+    float_steps(NEAR_ONE, 20)
 
 
 class TestRankTrialsMatchTheWindowLoop:
@@ -324,47 +322,48 @@ class TestRankTrialsMatchTheWindowLoop:
                 assert got == zero_test_report(14, topo, a), (a, topo)
 
     @pytest.mark.parametrize("K, trials", [(20, 30), (60, 100), (5, 3)])
-    def test_one_svd_call_per_window_size_per_chunk(self, monkeypatch, K, trials):
-        svd, draws, bounds = np.linalg.svd, sim._generic_draws, sim._ratio_lower_bounds
-        events = []  # "b" per trial drawn, "c" per chunk certified, else the windows in one SVD call
-
-        def counting_svd(a, *args, **kwargs):
-            events.append(a.shape[0])
-            return svd(a, *args, **kwargs)
+    def test_one_float_pass_per_chunk_of_trials(self, monkeypatch, K, trials):
+        draws, proof = sim._generic_draws, sim._proven_nonzero
+        events = []  # "b" per trial drawn, "c" per chunk's float pass
 
         def counting_draws(*args):
             events.append("b")
             return draws(*args)
 
-        def counting_bounds(*args):
+        def counting_proof(*args):
             events.append("c")
-            return bounds(*args)
+            return proof(*args)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(sim, "_generic_draws", counting_draws)
-        monkeypatch.setattr(sim, "_ratio_lower_bounds", counting_bounds)
+        monkeypatch.setattr(sim, "_proven_nonzero", counting_proof)
         rep = sim.random_gain_rank_trials(K, nm.SYMMETRIC, trials, seed=4)
         per_chunk = max(1, sim._WINDOW_CAP // K)
-        calls = [e for e in events if e not in ("b", "c")]
-        chunks = "".join(e for e in events if e in ("b", "c")).split("c")[:-1]
-        # every window may be certified, so a chunk may make no SVD call at all
-        assert rep.ok and len(calls) <= rep.max_window * math.ceil(trials / per_chunk)
-        assert max(calls, default=0) <= sim._WINDOW_CAP
-        assert len(chunks) == math.ceil(trials / per_chunk)
+        chunks = "".join(events).split("c")[:-1]
+        assert rep.ok and len(chunks) == math.ceil(trials / per_chunk)
         assert sum(map(len, chunks)) == trials and max(map(len, chunks)) <= per_chunk
+
+    def test_asymmetric_trials_draw_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an asymmetric trial drew gains")
+
+        monkeypatch.setattr(sim, "_generic_draws", refuse)
+        rep = sim.random_gain_rank_trials(30, nm.ASYMMETRIC, 50, seed=2)
+        assert rep == sim.RankTrialReport(50, 0, 12, ())
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            sim.random_gain_rank_trials(30, nm.ASYMMETRIC, 50, seed=-1)
 
 
 class TestFixedGainsTakeTheZeroTest:
     """A fixed equal gain fails exactly the windows whose determinant
     u_s(alpha) vanishes, by the zero test mg and certify use: no band, no
-    determinant certificate and no SVD."""
+    float pass and no continuant."""
 
     def test_near_every_root_and_at_extreme_gains(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a fixed gain reached the SVD or the certificate")
+            raise AssertionError("a fixed gain reached the float pass or the continuant")
 
-        monkeypatch.setattr(np.linalg, "svd", refuse)
-        monkeypatch.setattr(sim, "_ratio_lower_bounds", refuse)
+        monkeypatch.setattr(sim, "_proven_nonzero", refuse)
+        monkeypatch.setattr(sim, "continuant_is_zero", refuse)
         roots = [alpha_float(r) for r in ROOTS if r.p <= 7]
         gains = [r + d * 10.0 ** -k for r in roots for k in range(3, 16) for d in (1, -1)]
         assert len(gains) == 624
@@ -392,18 +391,6 @@ class TestFixedGainsTakeTheZeroTest:
             sim.random_gain_rank_trials(6, topology, 1, 0, gains=explicit)
 
 
-def exact_ratio_at_least(W, b):
-    """Whether sigma_min / sigma_max of the 2 x 2 float matrix W is at least
-    b, decided in rational arithmetic: sigma^2 = (t -+ R) / 2 with t the
-    squared Frobenius norm and R^2 = t^2 - 4 det^2, so the ratio is at least
-    b iff R (1 + b^2) <= t (1 - b^2)."""
-    if b <= 0:
-        return True
-    (w, x), (y, z) = [[Fraction(float(v)) for v in row] for row in W]
-    t, det, B = w * w + x * x + y * y + z * z, w * z - x * y, Fraction(float(b)) ** 2
-    return B <= 1 and (t * t - 4 * det * det) * (1 + B) ** 2 <= (t * (1 - B)) ** 2
-
-
 def edge_gains(K, topology, seed):
     """Random-sign gains whose magnitudes lie within 1e-3 of an end of the
     support [0.1, 2], the end picked at random per link."""
@@ -418,12 +405,14 @@ def edge_gains(K, topology, seed):
     return nm.CrossGainAssignment.explicit(sub, draw() if topology == nm.SYMMETRIC else None)
 
 
-class TestRankCertificate:
-    """The determinant certificate that spares most windows their SVD, on
+class TestContinuantProof:
+    """The float pass that proves most windows' continuants nonzero, on
     random gains (drawn, and at the support's ends), near-root equal gains
-    and extreme equal gains."""
+    and extreme equal gains: every window it proves is nonsingular in exact
+    arithmetic."""
 
-    def cases(self, K):
+    @pytest.mark.parametrize("K", [14, 60])
+    def test_proven_windows_have_nonzero_exact_continuants(self, K):
         gains = [nm.CrossGainAssignment.equal(a) for p in range(2, 14)
                  for a in near_root_gains(p)] if K == 14 else []
         gains += [nm.CrossGainAssignment.equal(a) for a in EXTREME_GAINS]
@@ -432,49 +421,38 @@ class TestRankCertificate:
                   for topo in nm.TOPOLOGIES for seed in range(50)]
         cases += [(topo, edge_gains(K, topo, seed))
                   for topo in nm.TOPOLOGIES for seed in range(30)]
-        channels = np.array([nm.build_channel(P(K=K), topo, g).matrix for topo, g in cases])
         bands = np.array([nm.channel_band(K, topo, g) for topo, g in cases])
-        return channels, sim._ratio_lower_bounds(bands, sim._MAX_WINDOW)
-
-    @pytest.mark.parametrize("K", [14, 60])
-    def test_certified_windows_keep_full_rank(self, K):
-        channels, proven = self.cases(K)
-        certified = 0
+        sub, sup = bands[:, 1, :K - 1], bands[:, 2, :K - 1]
+        proven = sim._proven_nonzero(sub, sup, sim._MAX_WINDOW)
+        seen, unproven = set(), 0
         for s in range(1, sim._MAX_WINDOW + 1):
-            starts = range(K - s + 1)
-            windows = np.stack([channels[:, j:j + s, j:j + s] for j in starts], axis=1)
-            sv = np.linalg.svd(windows, compute_uv=False)
-            ratio = sv[..., -1] / sv[..., 0]
-            cert = proven[:, s - 1, :len(starts)] >= sim._CERTIFIED
-            certified += cert.sum()
-            # the SVD would have passed every certified window ...
-            assert np.all(ratio[cert] > sc.RANK_REL_TOL), s
-            # ... with a margin of 100 that LAPACK's rounding cannot eat
-            assert np.all(ratio[cert] >= 100 * sc.RANK_REL_TOL * (1 - 1e-6)), s
-        assert certified > 0
+            for t, j in zip(*np.nonzero(proven[:, s - 1, :K - s + 1])):
+                links = (tuple(sub[t, j:j + s - 1]), tuple(sup[t, j:j + s - 1]))
+                if links not in seen:
+                    seen.add(links)
+                    assert not continuant_is_zero(*links), (cases[t], j, s)
+            unproven += (~proven[:, s - 1, :K - s + 1]).sum()
+        assert unproven > 0 or K != 14  # the windows whose order has a root at the gain
 
-    @pytest.mark.parametrize("K", [14, 60])
-    def test_size_two_bounds_hold_in_exact_arithmetic(self, K):
-        channels, proven = self.cases(K)
-        seen = set()
-        for H, bounds in zip(channels, proven[:, 1]):
-            for j in range(K - 1):
-                W = H[j:j + 2, j:j + 2]
-                key = (W.tobytes(), bounds[j])
-                if key not in seen:
-                    seen.add(key)
-                    assert exact_ratio_at_least(W, bounds[j]), (W, bounds[j])
+    def test_a_zero_continuant_that_rounds_to_nonzero_still_fails(self, monkeypatch):
+        # l1 u1 = 1 + 2^-29 + 2^-60 rounds to 1 + 2^-29, and l2 u2 cancels
+        # the exact value: theta_3 = 0, computed in floats as 2^-60
+        sub = [1 + 2.0 ** -30, -2.0 ** -29 * (1 + 2.0 ** -31), 0.5, 0.5]
+        sup = [1 + 2.0 ** -30, 1.0, 0.5, 0.5]
+        assert continuant_is_zero(sub[:2], sup[:2])
+        monkeypatch.setattr(sim, "_generic_draws",
+                            lambda K, topology, seed: (np.array(sub), np.array(sup)))
+        rep = sim.random_gain_rank_trials(5, nm.SYMMETRIC, 1, seed=0)
+        assert rep.failed_cases == ((0, 1, 3),)
 
-    def test_generic_gains_mostly_skip_the_svd(self, monkeypatch):
-        svd = np.linalg.svd
+    def test_generic_gains_mostly_skip_the_exact_test(self, monkeypatch):
+        exact = sim.continuant_is_zero
         sent = []
 
-        def counting_svd(a, *args, **kwargs):
-            sent.append(a.shape[0])
-            return svd(a, *args, **kwargs)
+        def counting(*args):
+            sent.append(args)
+            return exact(*args)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        for topo in nm.TOPOLOGIES:
-            sent.clear()
-            assert sim.random_gain_rank_trials(20, topo, 200, seed=0).ok
-            assert sum(sent) <= 0.01 * 200 * sum(20 - s + 1 for s in range(1, 13)), topo
+        monkeypatch.setattr(sim, "continuant_is_zero", counting)
+        assert sim.random_gain_rank_trials(20, nm.SYMMETRIC, 200, seed=0).ok
+        assert len(sent) <= 0.01 * 200 * sum(20 - s + 1 for s in range(1, 13))

@@ -1,4 +1,6 @@
 import math
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import exact_roots as ex
 import root_rounding_loop
+from wynerdof import netmodel as nm
 from wynerdof import tridiag as td
 
 
@@ -338,6 +341,100 @@ class TestRankDichotomy:
         for a in rng.uniform(-2, 2, 50):
             for p in range(1, 12):
                 assert td.rank_h(p, float(a)) in (p, p - 1)
+
+
+def eliminated_rank(M, is_zero):
+    """Rank of the list-of-rows matrix M by Gaussian elimination, a pivot
+    counting as zero when is_zero(pivot)."""
+    M = [list(row) for row in M]
+    rank = 0
+    for j in range(len(M[0]) if M else 0):
+        piv = max(range(rank, len(M)), key=lambda i: abs(M[i][j]), default=None)
+        if piv is None or is_zero(M[piv][j]):
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        for i in range(rank + 1, len(M)):
+            f = M[i][j] / M[rank][j]
+            M[i] = [x - f * y for x, y in zip(M[i], M[rank])]
+        rank += 1
+    return rank
+
+
+def band_entries(band, rows, cols, number):
+    """H[rows, cols] of the unit-diagonal band, each entry as number(entry)."""
+    diag, sub, sup = band
+    return [[number(diag[a - 1] if a == t else sub[t - 1] if a == t + 1
+                    else sup[a - 1] if a == t - 1 else 0.0) for t in cols] for a in rows]
+
+
+def index_sets(rng, K):
+    """Random sorted rows and columns of 1..K, or one principal window."""
+    if rng.random() < 0.3:
+        o = rng.randint(1, K)
+        rows = tuple(range(o, rng.randint(o, K) + 1))
+        return rows, rows
+    return tuple(tuple(sorted(rng.sample(range(1, K + 1), rng.randint(0, K))))
+                 for _ in range(2))
+
+
+class TestBandRank:
+    """tridiag.band_rank, the exact rank of any rows and columns of the band,
+    against elimination in exact or 60-digit arithmetic."""
+
+    @pytest.mark.parametrize("topology", nm.TOPOLOGIES)
+    def test_equals_fraction_elimination(self, topology):
+        # the gains as given are exact rationals; +-1 is a root of u_2, u_5, ...
+        rng = random.Random(topology)
+        for case in range(1500):
+            K = rng.randint(1, 14)
+            kind = case % 3
+            if kind == 0:  # equal gains, decided by the zero test
+                a = rng.choice([1.0, -1.0, 0.5, 3 / 7, 2.5, -0.3])
+                gains, alpha = nm.CrossGainAssignment.equal(a), a
+            elif kind == 1:  # explicit gains whose continuants often vanish
+                draw = lambda: [rng.choice([1.0, -1.0, 0.5, 2.0, -0.25]) for _ in range(K - 1)]
+                gains, alpha = nm.CrossGainAssignment.explicit(draw(), draw()), None
+            else:
+                gains, alpha = nm.sample_generic_gains(K, topology, case), None
+            if alpha is not None and topology == nm.ASYMMETRIC:
+                alpha = 0.0
+            band = nm.channel_band(K, topology, gains)
+            rows, cols = index_sets(rng, K)
+            want = eliminated_rank(band_entries(band, rows, cols, Fraction), lambda x: x == 0)
+            assert td.band_rank(rows, cols, band, alpha) == want, (K, gains, rows, cols)
+
+    def test_equals_60_digit_elimination_at_root_gains(self):
+        # u_l(root:p:k) = 0 iff (p+1)/gcd(k, p+1) divides l+1: the zero test
+        # decides each run, where elimination uses the closed-form root
+        rng = random.Random(2)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            pi = Decimal(td._PI) / 2 ** 256
+            for case in range(1200):
+                p = rng.randint(2, 11)
+                root = td.RootAlpha(p, rng.randint(1, p // 2), rng.choice((1, -1)))
+                x, term, cos, n = pi * root.k / (p + 1), Decimal(1), Decimal(1), 0
+                while abs(term) > Decimal(10) ** -70:
+                    n += 2
+                    term *= -x * x / (n * (n - 1))
+                    cos += term
+                a = root.sign / (2 * cos)
+                K = rng.randint(1, 14)
+                band = nm.channel_band(K, nm.SYMMETRIC, nm.CrossGainAssignment.equal(root))
+                rows, cols = index_sets(rng, K)
+                dec = lambda g: a if g == root.value else Decimal(g)
+                want = eliminated_rank(band_entries(band, rows, cols, dec),
+                                       lambda x: abs(x) < Decimal(10) ** -60)
+                assert td.band_rank(rows, cols, band, root) == want, (root, rows, cols)
+                if rows and rows == cols == tuple(range(rows[0], rows[-1] + 1)):
+                    # a principal window: the u_l rule of mg
+                    assert want == td.rank_h(len(rows), root)
+
+    def test_order_and_repeats_do_not_change_the_rank(self):
+        band = nm.channel_band(6, nm.SYMMETRIC, nm.CrossGainAssignment.equal(1.0))
+        assert td.band_rank((1, 2), (1, 2), band, 1.0) == 1  # u_2(1) = 0
+        assert td.band_rank((2, 1, 2), (2, 1), band, 1.0) == 1
+        assert td.band_rank((), (1, 2), band, 1.0) == 0
 
 
 class TestNeighborNonzero:
