@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .netmodel import ASYMMETRIC, SYMMETRIC, ChannelModel, NetworkParams
 from .tridiag import AlphaLike, alpha_float, alpha_token, band_rank, u_is_zero
@@ -125,12 +125,6 @@ class TransmissionPlan(NamedTuple):
     message_prelog: Tuple[Tuple[int, int], ...]
     claimed_dof: int
     alpha_token: Optional[str] = None
-
-    def prelog_map(self) -> Dict[int, int]:
-        return dict(self.message_prelog)
-
-    def deps_map(self) -> Dict[int, FrozenSet[int]]:
-        return {t: frozenset(d) for t, d in self.signal_deps}
 
     def strategy_map(self) -> Dict[int, str]:
         tags: Dict[int, str] = {}

@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
 
 from .netmodel import SYMMETRIC, TOPOLOGIES, ChannelModel, CrossGainAssignment, \
     _generic_draws, submatrix
-from .tridiag import AlphaLike, alpha_float, alpha_token, continuant_is_zero, rank_h, \
-    u_is_zero, v_sequence
+from .tridiag import AlphaLike, alpha_float, alpha_token, continuant_is_zero, u_is_zero, \
+    v_sequence
 
 if TYPE_CHECKING:  # numpy and schemes are imported where they are called
     import numpy as np
@@ -254,8 +254,8 @@ def random_gain_rank_trials(K: int, topology: str, trials: int, seed: int,
     With continuous random gains no window ever loses rank (probability-1
     statement, finite sampling); an equal critical gain is the negative
     control that must fail.  Fixed gains must be of kind "equal" and take
-    one trial and no band: a symmetric window of size s is H_s(alpha), of
-    rank tridiag.rank_h(s, alpha), the zero test of mg and certify.
+    one trial and no band: a symmetric window of size s is H_s(alpha),
+    singular iff u_is_zero(s, alpha), the zero test of mg and certify.
     Asymmetric windows are unit lower-triangular, so of full rank at any
     gains, and their random trials draw nothing.  A symmetric random
     window fails iff its continuant is exactly 0: a float pass
@@ -275,7 +275,7 @@ def random_gain_rank_trials(K: int, topology: str, trials: int, seed: int,
         if gains.kind != "equal":
             raise ValueError(f"fixed gains must be of kind 'equal', got {gains.kind!r}")
         alpha = gains.alpha if topology == SYMMETRIC else 0.0
-        bad = [s for s in range(1, wmax + 1) if rank_h(s, alpha) < s]
+        bad = [s for s in range(1, wmax + 1) if u_is_zero(s, alpha)]
         cases = islice(((0, j, s) for s in bad for j in range(1, K - s + 2)), 50)
         return RankTrialReport(1, sum(K - s + 1 for s in bad), wmax, tuple(cases))
     if seed < 0:

@@ -51,7 +51,6 @@ __all__ = [
     "u_is_zero",
     "alpha_float",
     "alpha_token",
-    "rank_h",
     "band_rank",
     "continuant_is_zero",
     "neighbor_nonzero_check",
@@ -170,15 +169,6 @@ def _snaps_to_root(p: int, a: float) -> bool:
 def _float_rank(x: float) -> int:
     """Position of a nonnegative float in the ordered float line."""
     return int.from_bytes(_DOUBLE.pack(x), "little")
-
-
-def rank_h(p: int, alpha: AlphaLike) -> int:
-    """rank H_p(alpha): p when u_p(alpha) != 0, else p-1 (the only two cases).
-    It is band_rank's principal window at equal gains, so certify and the
-    closed form share one zero test."""
-    if p < 1:
-        raise ValueError("order p must be positive")
-    return p - 1 if u_is_zero(p, alpha) else p
 
 
 def band_rank(rows, cols, band, alpha: Optional[AlphaLike] = None) -> int:

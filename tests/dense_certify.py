@@ -1,65 +1,105 @@
-"""Reference certification on the dense channel, kept in the tests as an oracle.
+"""The reference certifier of the tests: plan certification on the dense
+channel, with exact ranks.
 
-``wynerdof.schemes.certify_plan`` reads the channel's 3 x K band: it walks
-each antenna against its three possible neighbours for coupling and for a
-scalar step's interference, and keys block ranks on the band entries a
-block's submatrix can read (``certify_oracle`` keeps the first banded
-version).  This module keeps the dense version both replaced, which reads
-the dense K x K matrix throughout: coupling from ``np.nonzero`` of the matrix,
-pivots by dense indexing, window checks through ``tx_window``/``rx_window``
-sets and block ranks keyed on each dense submatrix's bytes, each the
-numeric rank of its SVD (``svd_rank``), where the package's ranks are exact.
-It shares no code with the banded version but ``ChannelModel.matrix`` (built
-from the band) and the ``Certification`` type.  A step's decoder is its
-message, a block's encoders are the transmitters whose ``signal_deps`` name
-a message, and a step's transmitter must be one of its message's encoders.
-A block must be jointly decoded (each claimed message's receiver sees all
-its antennas) or jointly precoded (each of its transmitters encodes every
-claimed message).
+``wynerdof.schemes.certify_plan`` reads the channel's 3 x K band and takes
+block ranks from ``tridiag.band_rank``.  This module checks the same plan
+from the dense K x K matrix and shares nothing with it but the record types:
+coupling from ``np.nonzero`` of ``ChannelModel.matrix``, pivots by dense
+indexing, window checks through ``tx_window``/``rx_window`` sets, and each
+block's rank by Gaussian elimination of its dense submatrix
+(``exact_rank``).  Its rules:
+
+* subnets do not couple through the channel;
+* transmitter t encodes only messages in its window, receiver m decodes
+  message m from antennas in its cluster, and a block's encoders are the
+  transmitters whose ``signal_deps`` name a message;
+* a step's transmitter encodes its message, its pivot is nonzero, and each
+  interferer is absorbed by the sender or made of messages decoded before;
+* a block is jointly decoded (each claimed message's receiver sees all its
+  antennas) or jointly precoded (each of its transmitters encodes every
+  claimed message), and has rank at least the prelog it carries;
+* the steps and blocks certify the claimed total.
+
+An index outside 1..K raises ValueError where it is read, and every subnet
+index is checked before any coupling.
+
+Ranks are exact.  A float gain, equal, explicit or random, is an exact
+rational, so elimination runs in ``Fraction``.  An equal ``RootAlpha`` gain
+is irrational, so elimination runs in 80-digit ``Decimal`` on its closed
+form sign / (2 cos(k pi/(p+1))), a pivot below 1e-60 counting as zero.
+A float gain within 4 float steps of a root, which ``u_is_zero`` treats as
+the root, is taken as the rational it is here; the test grids hold none.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from wynerdof.netmodel import ChannelModel
 from wynerdof.schemes import Certification, TransmissionPlan
+from wynerdof.tridiag import _PI, RootAlpha
 
 
-def svd_rank(a: np.ndarray) -> int:
-    """The singular values of `a` above 1e-8 times its largest."""
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)  # an all-zero block counts none above 0
-    return int(np.count_nonzero(s > 1e-8 * s[0]))
+def eliminated_rank(M, is_zero) -> int:
+    """Rank of the list-of-rows matrix M by Gaussian elimination, a pivot
+    counting as zero when is_zero(pivot)."""
+    M = [list(row) for row in M]
+    rank = 0
+    for j in range(len(M[0]) if M else 0):
+        piv = max(range(rank, len(M)), key=lambda i: abs(M[i][j]), default=None)
+        if piv is None or is_zero(M[piv][j]):
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        for i in range(rank + 1, len(M)):
+            f = M[i][j] / M[rank][j]
+            M[i] = [x - f * y for x, y in zip(M[i], M[rank])]
+        rank += 1
+    return rank
 
 
-def submatrix(model: ChannelModel, rx_indices: Iterable[int], tx_indices: Iterable[int]) -> np.ndarray:
-    """Entries H[j][i] for the given 1-based antenna/transmitter index lists."""
-    rx = list(rx_indices)
-    tx = list(tx_indices)
-    K = model.K
-    for j in rx + tx:
-        if not 1 <= j <= K:
-            raise ValueError(f"index {j} outside 1..{K}")
-    if not rx or not tx:
-        return np.zeros((len(rx), len(tx)))
-    r = np.asarray(rx, dtype=int) - 1
-    t = np.asarray(tx, dtype=int) - 1
-    return model.matrix[np.ix_(r, t)]
+@lru_cache(maxsize=1024)  # the test grids repeat a few blocks many times
+def exact_rank(M: Tuple[Tuple[float, ...], ...], root: Optional[RootAlpha] = None) -> int:
+    """The rank of the float matrix M (a tuple of rows), each entry the
+    rational it is; with `root`, each entry equal to root's float stands for
+    the root itself, from the cosine's Taylor series in 80 digits."""
+    if root is None:
+        return eliminated_rank([[Fraction(g) for g in row] for row in M], lambda x: x == 0)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        x, term, cos, n = Decimal(_PI) / 2 ** 256 * root.k / (root.p + 1), 1, Decimal(1), 0
+        while abs(term) > Decimal(10) ** -70:
+            n += 2
+            term *= -x * x / (n * (n - 1))
+            cos += term
+        a = root.sign / (2 * cos)
+        return eliminated_rank([[a if g == root.value else Decimal(g) for g in row] for row in M],
+                               lambda x: abs(x) < Decimal(10) ** -60)
+
+
+def submatrix(model: ChannelModel, rows, cols) -> Tuple[Tuple[float, ...], ...]:
+    """Entries H[a][t] of the dense channel for 1-based rows a and columns
+    t, as a tuple of rows."""
+    sub = model.matrix[np.ix_(np.asarray(rows, dtype=int) - 1, np.asarray(cols, dtype=int) - 1)]
+    return tuple(map(tuple, sub.tolist()))
+
+
+def _check_range(idx, K: int) -> None:
+    """Raise ValueError naming the smallest index in `idx` outside 1..K."""
+    bad = [x for x in idx if not 1 <= x <= K]
+    if bad:
+        raise ValueError(f"index {min(bad)} outside 1..{K}")
 
 
 def _first_coupling(subnets, model: ChannelModel) -> Optional[Tuple[int, int]]:
     """Lexicographically first (i, j), i != j, with H[a, t] != 0 for an
-    antenna a of subnet i and an active transmitter t of subnet j.
-
-    One scan of the channel's nonzeros against per-index owner lists; the
-    lists keep every subnet naming an index, so shared indices still couple.
-    An index outside 1..K raises ValueError (from `submatrix`) when the
-    first pair naming it is not after the first coupling.
-    """
+    antenna a of subnet i and an active transmitter t of subnet j: one scan
+    of the channel's nonzeros against per-index owner lists, which keep
+    every subnet naming an index, so shared indices still couple."""
     rx_owners: Dict[int, List[int]] = {}
     tx_owners: Dict[int, List[int]] = {}
     for i, sn in enumerate(subnets):
@@ -67,22 +107,10 @@ def _first_coupling(subnets, model: ChannelModel) -> Optional[Tuple[int, int]]:
             rx_owners.setdefault(a, []).append(i)
         for t in sn.active_tx:
             tx_owners.setdefault(t, []).append(i)
-    first = None
     rows, cols = np.nonzero(model.matrix)
-    for a, t in zip(rows.tolist(), cols.tolist()):
-        for i in rx_owners.get(a + 1, ()):
-            for j in tx_owners.get(t + 1, ()):
-                if i != j and (first is None or (i, j) < first):
-                    first = (i, j)
-    if len(subnets) >= 2:
-        bad = lambda idx: any(not 1 <= x <= model.K for x in idx)
-        other = lambda i: 1 if i == 0 else 0
-        raising = [(i, other(i)) for i, sn in enumerate(subnets) if bad(sn.rx_antennas)]
-        raising += [(other(j), j) for j, sn in enumerate(subnets) if bad(sn.active_tx)]
-        if raising and (first is None or min(raising) <= first):
-            i, j = min(raising)
-            submatrix(model, subnets[i].rx_antennas, subnets[j].active_tx)  # raises
-    return first
+    return min(((i, j) for a, t in zip(rows.tolist(), cols.tolist())
+                for i in rx_owners.get(a + 1, ()) for j in tx_owners.get(t + 1, ()) if i != j),
+               default=None)
 
 
 def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
@@ -94,23 +122,23 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
         raise ValueError("plan and model describe different instances")
     H = model.matrix
     K = params.K
-    deps = plan.deps_map()
-    prelog = plan.prelog_map()
+    root = model.equal_alpha if isinstance(model.equal_alpha, RootAlpha) else None
+    deps = {t: set(d) for t, d in plan.signal_deps}
+    prelog = dict(plan.message_prelog)
     checks: List[str] = []
 
     def fail(msg):
         return Certification(ok=False, certified_dof=0, claimed_dof=plan.claimed_dof,
                              failure=msg, checks=tuple(checks))
 
-    silenced = set(plan.silenced_tx)
     silenced_rx = set(plan.silenced_rx)
-    active_all = set()
-    for sn in plan.subnets:
-        active_all.update(sn.active_tx)
-    if active_all & silenced:
+    if {t for sn in plan.subnets for t in sn.active_tx} & set(plan.silenced_tx):
         return fail("silenced transmitter listed as active")
 
     # (a) subnets do not interfere
+    for sn in plan.subnets:
+        _check_range(sn.rx_antennas, K)
+        _check_range(sn.active_tx, K)
     coupling = _first_coupling(plan.subnets, model)
     if coupling is not None:
         return fail("subnets {} and {} couple through the channel".format(*coupling))
@@ -123,27 +151,26 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
             return fail(f"transmitter {t} uses messages {sorted(dset - win)} outside its window")
     checks.append("encoder-feasibility")
 
-    # block ranks for this call only: equal gains make H Toeplitz, so most
-    # blocks repeat one submatrix
-    ranks: Dict[Tuple[Tuple[int, ...], bytes], int] = {}
     certified = 0
     for si, sn in enumerate(plan.subnets):
         decoded: set = set()
         needed_antennas: Dict[int, set] = {}
         for st in sn.scalar_steps:
+            _check_range((st.message,), K)
             if st.antenna in silenced_rx:
                 return fail(f"step for message {st.message} uses a silenced antenna")
-            pivot = H[st.antenna - 1, st.tx - 1]
-            if pivot == 0:
+            _check_range((st.antenna,), K)
+            _check_range((st.tx,), K)
+            if H[st.antenna - 1, st.tx - 1] == 0:
                 return fail(f"zero pivot: message {st.message} at antenna {st.antenna}")
-            own_deps = deps.get(st.tx, frozenset())
+            own_deps = deps.get(st.tx, set())
             if st.message not in own_deps:
                 return fail(f"transmitter {st.tx} does not encode message {st.message}")
             need = {st.antenna}
             for tx2 in sn.active_tx:
                 if tx2 == st.tx or H[st.antenna - 1, tx2 - 1] == 0:
                     continue
-                d2 = deps.get(tx2, frozenset())
+                d2 = deps.get(tx2, set())
                 if d2 and d2 <= own_deps - {st.message}:
                     pass  # the sender's signal already absorbs this interferer
                 elif d2 <= decoded:
@@ -162,30 +189,29 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
         for blk in sn.mimo_blocks:
             covered = set()
             for r, ants in blk.decoders:
-                reach = set(params.rx_window(r))
+                _check_range((r,), K)
                 aset = set(ants)
-                if not aset <= reach:
+                if not aset <= set(params.rx_window(r)):
                     return fail(f"receiver {r} assigned antennas outside its cluster")
                 if aset & silenced_rx:
                     return fail(f"receiver {r} assigned a silenced antenna")
                 covered |= aset
             if not set(blk.antennas) <= covered:
                 return fail("joint decoder does not cover the block antennas")
+            for m, _ in blk.prelog:
+                _check_range((m,), K)
+            _check_range(blk.coupled, K)
+            _check_range(blk.tx, K)
             want = sum(w for _, w in blk.prelog) + sum(prelog.get(m, 0) for m in blk.coupled)
-            sub = submatrix(model, blk.antennas, blk.tx)
             claimed = [m for m, w in blk.prelog if w]
             blind = [m for m in claimed if not set(blk.antennas) <= set(params.rx_window(m))]
-            unaware = [(t, m) for t in blk.tx for m in claimed
-                       if m not in deps.get(t, frozenset())]
+            unaware = [(t, m) for t in blk.tx for m in claimed if m not in deps.get(t, ())]
             if blind and unaware:
-                unseen = sorted(set(blk.antennas) - set(params.rx_window(blind[0])))
+                unseen = sorted(a for a in blk.antennas if a not in params.rx_window(blind[0]))
                 return fail(f"block in subnet {si}: receiver {blind[0]} does not see antennas "
                             f"{unseen}, and transmitter {unaware[0][0]} does not encode "
                             f"message {unaware[0][1]}")
-            key = (sub.shape, sub.tobytes())
-            if key not in ranks:
-                ranks[key] = svd_rank(sub)
-            r = ranks[key]
+            r = exact_rank(submatrix(model, blk.antennas, blk.tx), root)
             if r < want:
                 return fail(f"rank {r} < required {want} in subnet {si}")
             certified += sum(w for _, w in blk.prelog)

@@ -7,10 +7,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-import certify_oracle as oracle
-import plan_synthesis_oracle as synth_oracle
 import dense_certify as dense
-import mimo_subnet_branches as branches
 from wynerdof import converse as cv
 from wynerdof import dofcalc as dc
 from wynerdof import netmodel as nm
@@ -230,7 +227,7 @@ class TestFairTimeSharing:
         assert len(plans) == beta
         count = {k: 0 for k in range(1, 12)}
         for plan in plans:
-            got = plan.prelog_map()
+            got = dict(plan.message_prelog)
             for k in count:
                 count[k] += 1 if got.get(k, 0) >= 1 else 0
         assert all(c >= beta - 1 for c in count.values())
@@ -240,7 +237,7 @@ class TestFairTimeSharing:
         beta2 = p2.side_sum + 2
         count2 = {k: 0 for k in range(1, 12)}
         for plan in plans2:
-            got = plan.prelog_map()
+            got = dict(plan.message_prelog)
             for k in count2:
                 count2[k] += 1 if got.get(k, 0) >= 1 else 0
         assert all(c >= beta2 - 2 for c in count2.values())
@@ -310,7 +307,7 @@ class TestCertification:
         assert plan.subnets[0].scalar_steps[0][:2] == (1, 1)
         bad = plan._replace(signal_deps=deps)
         m = model(p, nm.ASYMMETRIC, 0.3)
-        for certify in (sc.certify_plan, oracle.certify_plan, dense.certify_plan):
+        for certify in (sc.certify_plan, dense.certify_plan):
             cert = certify(bad, m)
             assert not cert.ok
             assert cert.failure == "transmitter 1 does not encode message 1"
@@ -326,14 +323,14 @@ class TestCertification:
                                                             failure):
         # K = 2 with no side information at 0.3 is a two-user interference
         # channel of DoF 1; one MimoP2P block over both pairs claiming 2 once
-        # certified ok here and in both oracles
+        # certified ok here and in the oracles of the tests
         p = P(2, *side)
         block = sc.MimoBlock(sc.StrategyTag.MIMO_P2P, (1, 2), (1, 2), ((1, 1), (2, 1)), decoders)
         plan = sc.TransmissionPlan(p, nm.SYMMETRIC, "sym-si-case1", (), (),
                                    (sc.Subnet((1, 2), (1, 2), "generic", (), (block,)),),
                                    deps, ((1, 1), (2, 1)), 2)
         m = model(p, nm.SYMMETRIC, 0.3)
-        for certify in (sc.certify_plan, oracle.certify_plan, dense.certify_plan):
+        for certify in (sc.certify_plan, dense.certify_plan):
             cert = certify(plan, m)
             assert (cert.ok, cert.failure) == (failure is None, failure), certify
             assert cert.certified_dof == (2 if failure is None else 0)
@@ -415,23 +412,20 @@ def every_family():
 
 
 class TestNonInterferenceOracle:
-    """certify_plan against the certification it replaced
-    (tests/certify_oracle.py) with the dense certifier's scan of the
-    channel's nonzeros (`dense_certify._first_coupling`) in place of its
-    coupling scan."""
+    """certify_plan's coupling scan of the band against the reference
+    certifier's scan of the dense channel's nonzeros
+    (tests/dense_certify.py)."""
 
     @staticmethod
-    def both(plan, m, monkeypatch):
+    def both(plan, m):
         def run(certify):
             try:
                 return certify(plan, m)
             except ValueError as exc:
                 return repr(exc)
-        with monkeypatch.context() as mp:
-            mp.setattr(oracle, "_first_coupling", dense._first_coupling)
-            return run(sc.certify_plan), run(oracle.certify_plan)
+        return run(sc.certify_plan), run(dense.certify_plan)
 
-    def test_every_family_matches_the_oracle(self, monkeypatch):
+    def test_every_family_matches_the_oracle(self):
         plans = every_family()
         families = {plan.family.rsplit("-", 1)[0] if "rotation" in plan.family else plan.family
                     for plan, _ in plans}
@@ -440,12 +434,12 @@ class TestNonInterferenceOracle:
         assert {f"sym-si-case{c}" for c in (1, 2, 3, 4)} <= families
         outcomes = set()
         for plan, m in plans:
-            fast, slow = self.both(plan, m, monkeypatch)
+            fast, slow = self.both(plan, m)
             assert fast == slow, plan.family
             outcomes.add(fast.failure.split(" ")[0] if fast.failure else "ok")
         assert outcomes == {"ok", "rank", "transmitter"}
 
-    def test_antenna_across_a_cut_couples(self, monkeypatch):
+    def test_antenna_across_a_cut_couples(self):
         tampered = 0
         for plan, m in every_family():
             for i, sn in enumerate(plan.subnets[:-1]):
@@ -455,24 +449,24 @@ class TestNonInterferenceOracle:
                 bad = plan._replace(subnets=plan.subnets[:i] + (
                     sn._replace(rx_antennas=sn.rx_antennas + (nxt,)),)
                     + plan.subnets[i + 1:])
-                fast, slow = self.both(bad, m, monkeypatch)
+                fast, slow = self.both(bad, m)
                 assert fast == slow, plan.family
                 tampered += "couple through the channel" in (fast.failure or "")
         assert tampered > 50
 
-    def test_transmitter_in_two_subnets_couples(self, monkeypatch):
+    def test_transmitter_in_two_subnets_couples(self):
         p = P(K=9, t_left=1, t_right=1, r_left=1, r_right=1)
         plan = sc.sym_symmetric_si_plan(p, 0.3)
         a, b = plan.subnets[0], plan.subnets[1]
         bad = plan._replace(subnets=(
             a._replace(active_tx=a.active_tx + b.active_tx[:1]),) + plan.subnets[1:])
-        fast, slow = self.both(bad, model(p, nm.SYMMETRIC, 0.3), monkeypatch)
+        fast, slow = self.both(bad, model(p, nm.SYMMETRIC, 0.3))
         assert fast == slow
         assert fast.failure == "subnets 1 and 0 couple through the channel"
         assert fast.checks == ()
 
     @pytest.mark.parametrize("where", ["rx", "tx"])
-    def test_index_past_k_still_raises(self, monkeypatch, where):
+    def test_index_past_k_still_raises(self, where):
         p = P(K=8, t_left=1, r_left=1)
         plan = sc.asym_plan(p)
         last = plan.subnets[-1]
@@ -480,7 +474,7 @@ class TestNonInterferenceOracle:
         bad_sn = last._replace(**{field: getattr(last, field) + (p.K + 1,)})
         bad = plan._replace(subnets=plan.subnets[:-1] + (bad_sn,))
         m = model(p, nm.ASYMMETRIC, 0.5)
-        fast, slow = self.both(bad, m, monkeypatch)
+        fast, slow = self.both(bad, m)
         assert fast == slow == repr(ValueError("index 9 outside 1..8"))
 
     @pytest.mark.parametrize("bad_subnet", [0, 1, 2])
@@ -565,7 +559,8 @@ def hand_edited_plans():
 
 
 class TestDenseOracle:
-    """certify_plan on the band against the dense-matrix version it replaced."""
+    """certify_plan on the band against the reference certifier on the dense
+    matrix (tests/dense_certify.py)."""
 
     SIDES = [(0, 0, 0, 0), (1, 1, 1, 1), (0, 1, 1, 0), (1, 0, 0, 1), (2, 1, 1, 2), (1, 2, 0, 1)]
 
@@ -626,13 +621,32 @@ class TestDenseOracle:
         assert failure("claimed total") == "claimed 6 but steps certify 7"
 
     def test_a_step_index_outside_the_channel_raises(self):
-        # the dense version read H[-1, ...] here, which wraps to row K
+        # a dense read of H[-1, ...] here wraps to row K
         chain = sc.asym_plan(P(K=8, t_left=1, r_left=1))
         step = chain.subnets[0].scalar_steps[0]
         bad = _with_subnet(chain, 0, scalar_steps=(
             step._replace(antenna=0),) + chain.subnets[0].scalar_steps[1:])
-        with pytest.raises(ValueError, match=r"^index 0 outside 1\.\.8$"):
-            sc.certify_plan(bad, model(chain.params, nm.ASYMMETRIC, 0.5))
+        for certify in (sc.certify_plan, dense.certify_plan):
+            with pytest.raises(ValueError, match=r"^index 0 outside 1\.\.8$"):
+                certify(bad, model(chain.params, nm.ASYMMETRIC, 0.5))
+
+    @pytest.mark.parametrize("edit, bad", [
+        ("subnet antenna", 6), ("subnet tx", 0), ("step antenna", 0),
+    ])
+    def test_an_index_raises_where_it_is_read(self, edit, bad):
+        # a plan of one subnet, so no coupling scan reads the index; the
+        # reference once certified the first two ok and gave the third a
+        # zero pivot, reading H[-1, 0], which wraps to row K
+        p = P(K=5, t_left=2, r_left=2)
+        plan = sc.asym_plan(p)
+        sn, = plan.subnets
+        fields = {"subnet antenna": dict(rx_antennas=sn.rx_antennas + (bad,)),
+                  "subnet tx": dict(active_tx=(bad,) + sn.active_tx),
+                  "step antenna": dict(scalar_steps=(
+                      sn.scalar_steps[0]._replace(antenna=bad),) + sn.scalar_steps[1:])}[edit]
+        for certify in (dense.certify_plan, sc.certify_plan):
+            with pytest.raises(ValueError, match=rf"^index {bad} outside 1\.\.5$"):
+                certify(_with_subnet(plan, 0, **fields), model(p, nm.ASYMMETRIC, 0.5))
 
     def test_blocks_with_one_pattern_and_different_gains_get_their_own_rank(self):
         # blocks {1,2,3} and {5,6,7} share a pattern; the second is singular:
@@ -656,12 +670,11 @@ class TestDenseOracle:
         m = nm.build_channel(p, nm.SYMMETRIC, nm.CrossGainAssignment.explicit(sub, sup))
         assert self.same(plan, m)["failure"] == "rank 2 < required 3 in subnet 1"
         # with 0.3 and 0.91 the determinant is 1 - 0.3 * 0.3 - 0.91 = -2.4e-17
-        # in the floats given: exact rank 3, where the oracle's SVD sees 2
+        # in the floats given: exact rank 3 in both, where an SVD sees 2
         sub, sup = [0.3] * 8, [0.3] * 8
         sub[5], sup[5] = 1.0, 0.91
         near = nm.build_channel(p, nm.SYMMETRIC, nm.CrossGainAssignment.explicit(sub, sup))
-        assert sc.certify_plan(plan, near).ok
-        assert dense.certify_plan(plan, near).failure == "rank 2 < required 3 in subnet 1"
+        assert self.same(plan, near)["ok"]
 
     def test_certify_never_builds_the_dense_channel(self, monkeypatch):
         def boom(self):
@@ -901,17 +914,70 @@ class TestPlanRecords:
         assert got == self.PLAN_JSON
 
 
+def pair_silencing_grid():
+    """(params, gain the plan is made at, gain it is certified at) over
+    K <= 60 and sides 0..3 with t_l + r_l = t_r + r_r: per instance a
+    decimal and a root of one u_q the case split tests; every third size
+    also a plan made at 0.3, certified at a root of u_{L+1}."""
+    for K in range(1, 61):
+        for tl, tr, rl in product(range(4), repeat=3):
+            rr = tl + rl - tr
+            if not 0 <= rr <= 3:
+                continue
+            p, L = P(K, tl, tr, rl, rr), tl + rl
+            qs = [q for q in (L + 1, K % (L + 2), L) if q >= 2]
+            gains = [(0.3, -0.45)[K % 2]]
+            if qs:
+                gains.append(RootAlpha(qs[K % len(qs)], 1, (-1) ** K))
+            for alpha in gains:
+                yield p, alpha, alpha
+            if K % 3 == 0 and L >= 1:
+                yield p, 0.3, RootAlpha(L + 1, 1)
+
+
+def asymmetric_and_chain_grid():
+    """(params, family, build, channels) over K <= 16 and sides 0..2: the
+    asymmetric and rotation plans at 0.6, the four lb plans at 0.3 and
+    root:3:1."""
+    for K in range(1, 17):
+        for side in product(range(3), repeat=4):
+            p = P(K, *side)
+            asym = [model(p, nm.ASYMMETRIC, 0.6)]
+            yield p, "asym-silencing", lambda: sc.asym_plan(p), asym
+            for i in range(1, p.side_sum + 3):
+                yield p, f"asym-rotation-{i}", lambda: sc._rotation_plan(
+                    p, i, f"asym-rotation-{i}"), asym
+            sym = [model(p, nm.SYMMETRIC, a) for a in (0.3, ROOT3)]
+            for label in ("lb-combined", "lb-left-chain", "lb-right-chain", "lb-central-mimo"):
+                yield p, label, lambda: sc.sym_general_plan(p, label), sym
+
+
+def outcome(run):
+    """run(), or the type and text of the exception it raises."""
+    try:
+        return run()
+    except Exception as exc:  # NotApplicableError included
+        return f"{type(exc).__name__}: {exc}"
+
+
 class TestEveryPlanUnchanged:
-    """Every family's plan over K <= 12 and every side parameter 0..2, field
-    for field, against a digest recorded before the subnets' own `claimed`
-    counts and the chain blocks' unread transmit-reach argument were
-    deleted, and re-recorded when lb-right-chain's NotApplicable reasons
-    began to name the right side, and again when steps dropped `decoder`
-    and blocks `tx_of` (the earlier plans hash alike over the fields left)
-    and lb-combined began to say "nothing to prove" before delegating.  A
-    plan that changes on purpose must re-record it."""
+    """Plan synthesis against sha256 digests of plan reprs, field for field,
+    or of the error's type and text.  The K <= 12 digest was recorded before
+    the subnets' own `claimed` counts and the chain blocks' unread
+    transmit-reach argument were deleted, and re-recorded when
+    lb-right-chain's NotApplicable reasons began to name the right side, and
+    again when steps dropped `decoder` and blocks `tx_of` (the earlier plans
+    hash alike over the fields left) and lb-combined began to say "nothing
+    to prove" before delegating.  The other three were recorded where two
+    verbatim copies of earlier synthesis code (the per-offset MIMO subnet
+    and its three tag branches, and the chain blocks built in local
+    coordinates and shifted) gave the same plans on every case.  A plan
+    that changes on purpose must re-record its digest."""
 
     DIGEST = "59a700da2c5b6f7450a78de0f4c1cdce854bfd2fe06d3d122fa4f3a3e1da7439"
+    PAIR_SILENCING_DIGEST = "d599f3646511e3719fd2b09d6189daf67c7cd544a8cd6862549144c18c14ce98"
+    CHAIN_DIGEST = "cbdcd46b34359339bcfddd32cad225e17a6aff2c585496ce3d42bf75e569206e"
+    MIMO_SUBNET_DIGEST = "1c1736efa0e1cfd1cb2d9bb4690acd3cd342d8ea940cb40d0e65aca4324f824e"
 
     @staticmethod
     def every_family(p):
@@ -941,100 +1007,68 @@ class TestEveryPlanUnchanged:
                     h.update(f"{p} {name} {text}\n".encode())
         assert h.hexdigest() == self.DIGEST
 
+    def test_pair_silencing_plans_match_the_recorded_digest(self):
+        h = hashlib.sha256()
+        for p, alpha, _ in pair_silencing_grid():
+            text = outcome(lambda: repr(sc.sym_symmetric_si_plan(p, alpha)))
+            h.update(f"{p} {alpha!r} {text}\n".encode())
+        assert h.hexdigest() == self.PAIR_SILENCING_DIGEST
 
-class TestMimoSubnetMatchesTheBranches:
-    """The transmit/receive-dual MIMO subnet rule against the three
-    branches it replaced (tests/mimo_subnet_branches.py): equal subnets,
-    block fields, tags and deps."""
+    def test_asymmetric_and_chain_plans_match_the_recorded_digest(self):
+        h = hashlib.sha256()
+        for p, family, build, _ in asymmetric_and_chain_grid():
+            h.update(f"{p} {family} {outcome(lambda: repr(build()))}\n".encode())
+        assert h.hexdigest() == self.CHAIN_DIGEST
 
-    GAINS = [0.3, -0.45, 1.7] + [ra for p in range(2, 9)
-                                  for ra in critical_roots(p).root_alphas]
-
-    def test_every_split_size_offset_and_gain(self):
-        cases = 0
+    def test_every_mimo_subnet_matches_the_recorded_digest(self):
+        # every split, size, offset and gain: the subnet and its deps, sorted
+        gains = [0.3, -0.45, 1.7] + [ra for p in range(2, 9)
+                                      for ra in critical_roots(p).root_alphas]
+        h, cases = hashlib.sha256(), 0
         for L in range(7):
             for tl, tr in product(range(L + 1), repeat=2):
                 for kappa in range(1, L + 3):
                     for offset in (0, 7):
                         p = P(offset + kappa, tl, tr, L - tl, L - tr)
-                        for alpha in self.GAINS:
-                            got, got_deps = sc._mimo_subnet(sc._mimo_shape(p, kappa, alpha), offset)
-                            want, want_deps = branches._mimo_subnet(p, offset, kappa, alpha)
-                            where = (p, offset, kappa, alpha)
-                            assert got.mimo_blocks[0].tag == want.mimo_blocks[0].tag, where
-                            assert got == want, where
-                            assert got_deps == want_deps, where
+                        for alpha in gains:
+                            sn, deps = sc._mimo_subnet(sc._mimo_shape(p, kappa, alpha), offset)
+                            deps = sorted((t, sorted(d)) for t, d in deps.items())
+                            h.update(f"{p} {offset} {kappa} {alpha!r} {sn!r} {deps}\n".encode())
                             cases += 1
         assert cases == 64680
-        assert len(self.GAINS) == 3 + 2 * sum(p // 2 for p in range(2, 9))
-
-
-def outcome(run):
-    """run(), or the type and text of the exception it raises."""
-    try:
-        return run()
-    except Exception as exc:  # NotApplicableError included
-        return f"{type(exc).__name__}: {exc}"
+        assert len(gains) == 3 + 2 * sum(p // 2 for p in range(2, 9))
+        assert h.hexdigest() == self.MIMO_SUBNET_DIGEST
 
 
 class TestEveryFamilyMatchesTheOracles:
-    """Every family's plan against the synthesis and the certification they
-    replaced (tests/plan_synthesis_oracle.py, tests/certify_oracle.py):
-    equal plan reprs or the same error, then equal Certifications field for
-    field or the same exception type and text."""
+    """Every family's plan, on the grids of the recorded digests, certified
+    by certify_plan and by the reference certifier (tests/dense_certify.py):
+    equal Certifications field for field, or the same exception type and
+    text."""
 
     @staticmethod
-    def check(build, channels):
-        want = outcome(lambda: repr(build(synth_oracle)))
-        plan = outcome(lambda: build(sc))
-        if isinstance(plan, str):
-            assert plan == want
-            return set()
-        assert repr(plan) == want
+    def check(plan, channels):
         out = set()
         for m in channels:
             got = outcome(lambda: sc.certify_plan(plan, m))
-            assert got == outcome(lambda: oracle.certify_plan(plan, m)), (plan, m.gains)
+            assert got == outcome(lambda: dense.certify_plan(plan, m)), (plan, m.gains)
             out.add("ok" if got.ok else got.failure.split(" ")[0])
         return out
 
     def test_pair_silencing_plans_at_roots_and_decimals(self):
-        # per instance a decimal and a root of one u_q the case split tests;
-        # every third size also a plan made at 0.3, certified at a root of u_{L+1}
         outcomes, plans = set(), 0
-        for K in range(1, 61):
-            for tl, tr, rl in product(range(4), repeat=3):
-                rr = tl + rl - tr
-                if not 0 <= rr <= 3:
-                    continue
-                p, L = P(K, tl, tr, rl, rr), tl + rl
-                qs = [q for q in (L + 1, K % (L + 2), L) if q >= 2]
-                gains = [(0.3, -0.45)[K % 2]]
-                if qs:
-                    gains.append(RootAlpha(qs[K % len(qs)], 1, (-1) ** K))
-                for alpha in gains:
-                    outcomes |= self.check(lambda m: m.sym_symmetric_si_plan(p, alpha),
-                                           [model(p, nm.SYMMETRIC, alpha)])
-                if K % 3 == 0 and L >= 1:
-                    outcomes |= self.check(lambda m: m.sym_symmetric_si_plan(p, 0.3),
-                                           [model(p, nm.SYMMETRIC, RootAlpha(L + 1, 1))])
-                    plans += 1
-                plans += len(gains)
+        for p, alpha, at in pair_silencing_grid():
+            outcomes |= self.check(sc.sym_symmetric_si_plan(p, alpha),
+                                   [model(p, nm.SYMMETRIC, at)])
+            plans += 1
         assert plans > 5000 and outcomes == {"ok", "rank"}
 
     def test_asymmetric_and_chain_plans(self):
         outcomes = set()
-        for K in range(1, 17):
-            for side in product(range(3), repeat=4):
-                p = P(K, *side)
-                asym = [model(p, nm.ASYMMETRIC, 0.6)]
-                outcomes |= self.check(lambda m: m.asym_plan(p), asym)
-                for i in range(1, p.side_sum + 3):
-                    outcomes |= self.check(lambda m: m._rotation_plan(p, i, f"asym-rotation-{i}"),
-                                           asym)
-                sym = [model(p, nm.SYMMETRIC, a) for a in (0.3, ROOT3)]
-                for label in ("lb-combined", "lb-left-chain", "lb-right-chain", "lb-central-mimo"):
-                    outcomes |= self.check(lambda m: m.sym_general_plan(p, label), sym)
+        for _, _, build, channels in asymmetric_and_chain_grid():
+            plan = outcome(build)
+            if not isinstance(plan, str):
+                outcomes |= self.check(plan, channels)
         assert outcomes == {"ok", "rank"}
 
 
@@ -1088,14 +1122,14 @@ def mutations(plan):
 
 
 class TestCertifyMatchesTheOracle:
-    """certify_plan on edited plans against the certification it replaced
-    (tests/certify_oracle.py): equal Certifications field for field, or
-    the same exception type and text."""
+    """certify_plan on edited plans against the reference certifier
+    (tests/dense_certify.py): equal Certifications field for field, or the
+    same exception type and text."""
 
     @staticmethod
     def same(plan, m):
         got = outcome(lambda: sc.certify_plan(plan, m))
-        assert got == outcome(lambda: oracle.certify_plan(plan, m)), (plan, m.gains)
+        assert got == outcome(lambda: dense.certify_plan(plan, m)), (plan, m.gains)
         return got if isinstance(got, str) else got.failure or "ok"
 
     def test_edited_plans(self):

@@ -1,12 +1,12 @@
 import math
 import random
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_certify
 import exact_roots as ex
 import root_rounding_loop
 from wynerdof import netmodel as nm
@@ -319,11 +319,18 @@ class TestFloatZeroTest:
         assert pi >> guard == td._PI
 
 
+def window_rank(p, alpha):
+    """band_rank of H_p(alpha), the principal window 1..p at equal gains."""
+    band = nm.channel_band(p, nm.SYMMETRIC, nm.CrossGainAssignment.equal(alpha))
+    window = tuple(range(1, p + 1))
+    return td.band_rank(window, window, band, alpha)
+
+
 class TestRankDichotomy:
     def test_examples(self):
-        assert td.rank_h(3, 0.3) == 3
-        assert td.rank_h(3, math.sqrt(2) / 2) == 2
-        assert td.rank_h(1, 123.0) == 1
+        assert window_rank(3, 0.3) == 3
+        assert window_rank(3, math.sqrt(2) / 2) == 2
+        assert window_rank(1, 123.0) == 1
 
     def test_cross_validated_against_numeric_rank(self):
         rng = np.random.default_rng(1)
@@ -334,37 +341,13 @@ class TestRankDichotomy:
                 dense = td.h_matrix(p, td.alpha_float(a))
                 s = np.linalg.svd(dense, compute_uv=False)
                 numeric = int(np.sum(s > 1e-8 * s[0]))
-                assert td.rank_h(p, a) == numeric
+                assert window_rank(p, a) == numeric
 
     def test_rank_in_dichotomy(self):
         rng = np.random.default_rng(2)
         for a in rng.uniform(-2, 2, 50):
             for p in range(1, 12):
-                assert td.rank_h(p, float(a)) in (p, p - 1)
-
-
-def eliminated_rank(M, is_zero):
-    """Rank of the list-of-rows matrix M by Gaussian elimination, a pivot
-    counting as zero when is_zero(pivot)."""
-    M = [list(row) for row in M]
-    rank = 0
-    for j in range(len(M[0]) if M else 0):
-        piv = max(range(rank, len(M)), key=lambda i: abs(M[i][j]), default=None)
-        if piv is None or is_zero(M[piv][j]):
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        for i in range(rank + 1, len(M)):
-            f = M[i][j] / M[rank][j]
-            M[i] = [x - f * y for x, y in zip(M[i], M[rank])]
-        rank += 1
-    return rank
-
-
-def band_entries(band, rows, cols, number):
-    """H[rows, cols] of the unit-diagonal band, each entry as number(entry)."""
-    diag, sub, sup = band
-    return [[number(diag[a - 1] if a == t else sub[t - 1] if a == t + 1
-                    else sup[a - 1] if a == t - 1 else 0.0) for t in cols] for a in rows]
+                assert window_rank(p, float(a)) in (p, p - 1)
 
 
 def index_sets(rng, K):
@@ -379,7 +362,9 @@ def index_sets(rng, K):
 
 class TestBandRank:
     """tridiag.band_rank, the exact rank of any rows and columns of the band,
-    against elimination in exact or 60-digit arithmetic."""
+    against the reference certifier's elimination of the dense channel's
+    entries (dense_certify.exact_rank), in Fraction or, at root gains, in
+    80-digit Decimal on the closed-form root."""
 
     @pytest.mark.parametrize("topology", nm.TOPOLOGIES)
     def test_equals_fraction_elimination(self, topology):
@@ -398,37 +383,27 @@ class TestBandRank:
                 gains, alpha = nm.sample_generic_gains(K, topology, case), None
             if alpha is not None and topology == nm.ASYMMETRIC:
                 alpha = 0.0
-            band = nm.channel_band(K, topology, gains)
+            m = nm.build_channel(nm.NetworkParams(K), topology, gains)
             rows, cols = index_sets(rng, K)
-            want = eliminated_rank(band_entries(band, rows, cols, Fraction), lambda x: x == 0)
-            assert td.band_rank(rows, cols, band, alpha) == want, (K, gains, rows, cols)
+            want = dense_certify.exact_rank(dense_certify.submatrix(m, rows, cols))
+            assert td.band_rank(rows, cols, m.band, alpha) == want, (K, gains, rows, cols)
 
     def test_equals_60_digit_elimination_at_root_gains(self):
         # u_l(root:p:k) = 0 iff (p+1)/gcd(k, p+1) divides l+1: the zero test
         # decides each run, where elimination uses the closed-form root
         rng = random.Random(2)
-        with localcontext() as ctx:
-            ctx.prec = 80
-            pi = Decimal(td._PI) / 2 ** 256
-            for case in range(1200):
-                p = rng.randint(2, 11)
-                root = td.RootAlpha(p, rng.randint(1, p // 2), rng.choice((1, -1)))
-                x, term, cos, n = pi * root.k / (p + 1), Decimal(1), Decimal(1), 0
-                while abs(term) > Decimal(10) ** -70:
-                    n += 2
-                    term *= -x * x / (n * (n - 1))
-                    cos += term
-                a = root.sign / (2 * cos)
-                K = rng.randint(1, 14)
-                band = nm.channel_band(K, nm.SYMMETRIC, nm.CrossGainAssignment.equal(root))
-                rows, cols = index_sets(rng, K)
-                dec = lambda g: a if g == root.value else Decimal(g)
-                want = eliminated_rank(band_entries(band, rows, cols, dec),
-                                       lambda x: abs(x) < Decimal(10) ** -60)
-                assert td.band_rank(rows, cols, band, root) == want, (root, rows, cols)
-                if rows and rows == cols == tuple(range(rows[0], rows[-1] + 1)):
-                    # a principal window: the u_l rule of mg
-                    assert want == td.rank_h(len(rows), root)
+        for case in range(1200):
+            p = rng.randint(2, 11)
+            root = td.RootAlpha(p, rng.randint(1, p // 2), rng.choice((1, -1)))
+            K = rng.randint(1, 14)
+            m = nm.build_channel(nm.NetworkParams(K), nm.SYMMETRIC,
+                                 nm.CrossGainAssignment.equal(root))
+            rows, cols = index_sets(rng, K)
+            want = dense_certify.exact_rank(dense_certify.submatrix(m, rows, cols), root)
+            assert td.band_rank(rows, cols, m.band, root) == want, (root, rows, cols)
+            if rows and rows == cols == tuple(range(rows[0], rows[-1] + 1)):
+                # a principal window: the u_l rule of mg
+                assert want == len(rows) - td.u_is_zero(len(rows), root)
 
     def test_order_and_repeats_do_not_change_the_rank(self):
         band = nm.channel_band(6, nm.SYMMETRIC, nm.CrossGainAssignment.equal(1.0))
