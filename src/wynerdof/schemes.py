@@ -11,7 +11,8 @@ facts the degrees-of-freedom claims rest on:
 * subnets do not couple through the channel;
 * every encoder uses only messages inside its cognition window and every
   decoder only antennas inside its cluster: receiver m decodes message m,
-  whose encoders are the transmitters whose `signal_deps` name it;
+  whose encoders are the transmitters whose `signal_deps` name it, each
+  transmitter listed there once;
 * each scalar step is sent by an encoder of its message, and scalar chains
   are triangular with nonzero pivots once interference is removed either
   by earlier decoding or by sender-side precancellation;
@@ -173,12 +174,9 @@ def _finalize(params, topology, family, silenced_tx, silenced_rx, subnets, deps,
         for blk in sn.mimo_blocks:
             for msg, w in blk.prelog:
                 prelog[msg] = prelog.get(msg, 0) + w
-    signal_deps, last = [], None
-    for t in sorted(deps):
-        if deps[t] is not last:  # a MIMO block's consecutive transmitters may share one set
-            last = deps[t]
-            ordered = tuple(sorted(last)) if len(last) > 1 else tuple(last)
-        signal_deps.append((t, ordered))
+    signal_deps = sorted(deps.items())
+    if set(map(type, deps.values())) != {tuple}:  # MIMO subnets' deps are sorted tuples already
+        signal_deps = [(t, tuple(sorted(d))) for t, d in signal_deps]
     return TransmissionPlan(
         params=params,
         topology=topology,
@@ -331,25 +329,25 @@ def _mimo_shape(params: NetworkParams, kappa: int, alpha: AlphaLike):
     return tag, kind, kappa, prelog, senders, decoders
 
 
-def _mimo_subnet(shape, offset: int) -> Tuple[Subnet, Dict[int, set]]:
+def _mimo_subnet(shape, offset: int) -> Tuple[Subnet, Dict[int, Tuple[int, ...]]]:
     """The subnet of `shape` on transmitters and antennas offset+1 ..
-    offset+kappa, and its transmitters' message deps, one set per span."""
+    offset+kappa, and its transmitters' message deps: per sender span one
+    ascending tuple, a slice of the block's transmitters."""
     tag, kind, kappa, prelog, senders, decoders = shape
     txs = tuple(range(offset + 1, offset + kappa + 1))
     # positional: binding keywords took about 8% of this function's time (CPython 3.11)
     block = MimoBlock(tag, txs, txs, tuple([(txs[j], w) for j, w in prelog]),
                       tuple([(txs[j], txs[a:b]) for j, (a, b) in decoders]))
-    # each set shared by its span's transmitters: nothing mutates deps
-    deps = {}
-    for (a, b), (ma, mb) in senders:
-        deps.update(dict.fromkeys(txs[a:b], set(txs[ma:mb])))
+    # one tuple per span, shared by its transmitters: a set per span kept
+    # the cyclic collector busy at large K
+    deps = {t: msgs for (a, b), (ma, mb) in senders for msgs in (txs[ma:mb],) for t in txs[a:b]}
     return Subnet(txs, txs, kind, (), (block,)), deps
 
 
 def _pair_silencing_subnets(params, silenced_pairs, alpha):
     """The MIMO subnets between the silenced pairs, one shape per block size."""
     subnets = []
-    deps: Dict[int, set] = {}
+    deps: Dict[int, Tuple[int, ...]] = {}
     shapes: Dict[int, tuple] = {}
     prev = 0
     for s in sorted(silenced_pairs) + [params.K + 1]:
@@ -626,33 +624,52 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
                              failure=msg, checks=tuple(checks))
 
     # (a) subnets do not interfere: the lexicographically first coupled pair
-    # (i, j) is reported.  The owner lists keep every subnet naming a
-    # transmitter, so shared indices still couple.
-    owners: Dict[int, List[int]] = {}
-    for j, sn in enumerate(plan.subnets):
-        for t in sn.active_tx:
-            owners.setdefault(t, []).append(j)
-    if not owners.keys().isdisjoint(plan.silenced_tx):
+    # (i, j) is reported.  owner maps each transmitter to its subnet; when a
+    # transmitter is named twice, owner lists keep every subnet naming it,
+    # so shared indices still couple.
+    owner = {t: j for j, sn in enumerate(plan.subnets) for t in sn.active_tx}
+    if not owner.keys().isdisjoint(plan.silenced_tx):
         return fail("silenced transmitter listed as active")
-    # extremes per subnet: a set of every antenna, built per call, left the
-    # heap fragmented (certify-grid peak RSS +0.6 MB at 60 passes)
-    rxs = [sn.rx_antennas for sn in plan.subnets if sn.rx_antennas]
-    if (rxs and (min(map(min, rxs)) < 1 or max(map(max, rxs)) > K)
-            or owners and (min(owners) < 1 or max(owners) > K)):
+    # extremes only: a set of every antenna, built per call, left the heap
+    # fragmented (certify-grid peak RSS +0.6 MB at 60 passes); antennas that
+    # are their subnet's transmitters tuple are owner's keys
+    rxs = [a for sn in plan.subnets if sn.rx_antennas is not sn.active_tx for a in sn.rx_antennas]
+    if (rxs and (min(rxs) < 1 or max(rxs) > K)
+            or owner and (min(owner) < 1 or max(owner) > K)):
         for sn in plan.subnets:
             _check_range(sn.rx_antennas, K)
             _check_range(sn.active_tx, K)
-    for i, sn in enumerate(plan.subnets):
-        coupled = [j for a in sn.rx_antennas for t in (a - 1, a, a + 1)
-                   for j in owners.get(t, ()) if j != i and H(a, t) != 0]
-        if coupled:
-            return fail(f"subnets {i} and {min(coupled)} couple through the channel")
+    if len(owner) == sum(len(sn.active_tx) for sn in plan.subnets):
+        # H is read only where a neighbour has an owner other than subnet i
+        coupled = [(i, j) for i, sn in enumerate(plan.subnets) for a in sn.rx_antennas
+                   for t in (a - 1, a, a + 1) if (j := owner.get(t, i)) != i and H(a, t) != 0]
+    else:
+        owners: Dict[int, List[int]] = {}
+        for j, sn in enumerate(plan.subnets):
+            for t in sn.active_tx:
+                owners.setdefault(t, []).append(j)
+        coupled = [(i, j) for i, sn in enumerate(plan.subnets) for a in sn.rx_antennas
+                   for t in (a - 1, a, a + 1) for j in owners.get(t, ()) if j != i and H(a, t) != 0]
+    if coupled:
+        return fail("subnets {} and {} couple through the channel".format(*min(coupled)))
     checks.append("non-interference")
 
     # (b) encoder-side feasibility: transmitter t knows messages t-tl .. t+tr
+    if len(deps) < len(plan.signal_deps):
+        seen: set = set()
+        for t, _ in plan.signal_deps:
+            if t in seen:
+                return fail(f"transmitter {t} is listed twice in signal_deps")
+            seen.add(t)
+    last = None
     for t, d in deps.items():
-        # max(1, t - tl) <= min(d) and max(d) <= min(K, t + tr), in two calls
-        if d and not (1 <= min(d) >= t - tl and K >= max(d) <= t + tr):
+        if not d:
+            continue
+        if d is not last:  # a MIMO span's transmitters share one deps tuple
+            last = d
+            lo, hi = (d[0], d[0]) if len(d) == 1 else (min(d), max(d))
+        # max(1, t - tl) <= lo and hi <= min(K, t + tr), in two comparisons
+        if not (1 <= lo >= t - tl and K >= hi <= t + tr):
             outside = _outside(set(d), max(1, t - tl), min(K, t + tr))
             return fail(f"transmitter {t} uses messages {outside} outside its window")
     checks.append("encoder-feasibility")
@@ -660,10 +677,13 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
     # runs of diagonal pairs are H_l(alpha) at equal gains, and on the
     # asymmetric band unit lower-triangular at any gains (u_l(0) = 1)
     alpha = model.equal_alpha if plan.topology == SYMMETRIC else 0.0
+    ranks: Dict[int, int] = {}  # a window's rank at equal gains, by its size
     certified = 0
     for si, sn in enumerate(plan.subnets):
-        decoded: set = set()
-        needed: Dict[int, set] = {}
+        if sn.scalar_steps:
+            decoded: set = set()
+            needed: Dict[int, set] = {}
+            mine = set(sn.active_tx)
         for st in sn.scalar_steps:
             m, t, a = st.message, st.tx, st.antenna
             if not 1 <= m <= K:
@@ -680,7 +700,7 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
                 return fail(f"transmitter {t} does not encode message {m}")
             need = {a}
             rest = set(sent) - {m}
-            near = [x for x in (a - 1, a, a + 1) if x != t and si in owners.get(x, ())]
+            near = [x for x in (a - 1, a, a + 1) if x != t and x in mine]
             for t2 in sorted(near, key=sn.active_tx.index):  # in active_tx order
                 d2 = deps.get(t2, ())
                 if H(a, t2) == 0 or d2 and rest.issuperset(d2):
@@ -698,20 +718,27 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
             decoded.add(m)
             certified += 1
         for blk in sn.mimo_blocks:
-            covered: set = set()
-            for r, ants in blk.decoders:
+            ants, n = blk.antennas, len(blk.antennas)
+            # a principal window, as every synthesized block is: its ends are its extremes
+            window = n and blk.tx == ants and ants == tuple(range(ants[0], ants[0] + n))
+            amin, amax = (ants[0], ants[-1]) if window else (min(ants), max(ants)) if n else (1, K)
+            covered, whole = set(), False
+            for r, d in blk.decoders:
                 if not 1 <= r <= K:
                     _check_range((r,), K)
-                if ants and not (1 <= min(ants) >= r - rl and K >= max(ants) <= r + rr):
+                if d is ants:  # the block's own antennas cover it
+                    whole, lo, hi = True, amin, amax
+                elif d:
+                    covered.update(d)
+                    lo, hi = min(d), max(d)
+                if d and not (1 <= lo >= r - rl and K >= hi <= r + rr):
                     return fail(f"receiver {r} assigned antennas outside its cluster")
-                if not silenced_rx.isdisjoint(ants):
+                if not silenced_rx.isdisjoint(d):
                     return fail(f"receiver {r} assigned a silenced antenna")
-                covered.update(ants)
-            if not covered.issuperset(blk.antennas):
+            if not (whole or covered.issuperset(ants)):
                 return fail("joint decoder does not cover the block antennas")
-            ants = blk.antennas
-            # receiver m sees every antenna iff max(ants) - rr <= m <= min(ants) + rl
-            seen_lo, seen_hi = (max(ants) - rr, min(ants) + rl) if ants else (1, K)
+            # receiver m sees every antenna iff amax - rr <= m <= amin + rl
+            seen_lo, seen_hi = (amax - rr, amin + rl) if n else (1, K)
             own, blind = 0, None
             for m, w in blk.prelog:
                 if not 1 <= m <= K:
@@ -723,7 +750,7 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
             if blk.coupled:
                 _check_range(blk.coupled, K)
                 want += sum(prelog.get(m, 0) for m in blk.coupled)
-            if blk.tx != ants:  # the decoders put the antennas in 1..K
+            if not window and blk.tx != ants:  # the decoders put the antennas in 1..K
                 _check_range(blk.tx, K)
             if blind is not None:  # not jointly decoded: is it jointly precoded?
                 claimed, last = {m for m, w in blk.prelog if w}, None
@@ -736,7 +763,12 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
                         return fail(f"block in subnet {si}: receiver {blind} does not see "
                                     f"antennas {_outside(ants, blind - rl, blind + rr)}, and "
                                     f"transmitter {t} does not encode message {m}")
-            rank = band_rank(ants, blk.tx, model.band, alpha)
+            if window and alpha is not None:  # band_rank's zero test, once per size
+                rank = ranks.get(n)
+                if rank is None:
+                    rank = ranks[n] = n - u_is_zero(n, alpha)
+            else:
+                rank = band_rank(ants, blk.tx, model.band, alpha)
             if rank < want:
                 return fail(f"rank {rank} < required {want} in subnet {si}")
             certified += own

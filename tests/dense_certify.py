@@ -10,6 +10,7 @@ block's rank by Gaussian elimination of its dense submatrix
 (``exact_rank``).  Its rules:
 
 * subnets do not couple through the channel;
+* a transmitter is listed at most once in ``signal_deps``;
 * transmitter t encodes only messages in its window, receiver m decodes
   message m from antennas in its cluster, and a block's encoders are the
   transmitters whose ``signal_deps`` name a message;
@@ -144,7 +145,11 @@ def certify_plan(plan: TransmissionPlan, model: ChannelModel) -> Certification:
         return fail("subnets {} and {} couple through the channel".format(*coupling))
     checks.append("non-interference")
 
-    # (b) encoder-side feasibility
+    # (b) encoder-side feasibility: each transmitter's deps are stated once
+    keys = [t for t, _ in plan.signal_deps]
+    for i, t in enumerate(keys):
+        if t in keys[:i]:
+            return fail(f"transmitter {t} is listed twice in signal_deps")
     for t, dset in deps.items():
         win = set(params.tx_window(t))
         if not dset <= win:

@@ -312,6 +312,21 @@ class TestCertification:
             assert not cert.ok
             assert cert.failure == "transmitter 1 does not encode message 1"
 
+    def test_a_transmitter_is_listed_once_in_signal_deps(self):
+        # (1, ()) before (1, (1,)): transmitter 1 encodes nothing, then
+        # message 1; both certifiers once kept the last entry and certified
+        # ok at 2
+        p = P(K=3)
+        plan = sc.asym_plan(p)
+        assert plan.signal_deps[0] == (1, (1,))
+        bad = plan._replace(signal_deps=((1, ()),) + plan.signal_deps)
+        m = model(p, nm.ASYMMETRIC, 0.3)
+        assert sc.certify_plan(plan, m).ok
+        for certify in (sc.certify_plan, dense.certify_plan):
+            cert = certify(bad, m)
+            assert (cert.ok, cert.failure, cert.checks) == (
+                False, "transmitter 1 is listed twice in signal_deps", ("non-interference",))
+
     @pytest.mark.parametrize("side, deps, decoders, failure", [
         ((0, 0, 0, 0), ((1, (1,)), (2, (2,))), ((1, (1,)), (2, (2,))),
          "block in subnet 0: receiver 1 does not see antennas [2], and transmitter 1 "
@@ -1104,13 +1119,24 @@ def mutations(plan):
                            dict(coupled=(1,)), dict(coupled=(K + 1,)),
                            dict(tx=blk.tx + (0,)), dict(antennas=blk.antennas + (K + 1,))]:
                 yield _with_block(plan, i, **fields)
+            # a claimed message whose receiver misses an antenna of the block
+            # and which a block transmitter does not encode: the block is
+            # neither jointly decoded nor jointly precoded
+            encodes = dict(plan.signal_deps)
+            for far in (min(blk.antennas) + plan.params.r_left + 1,
+                        max(blk.antennas) - plan.params.r_right - 1):
+                if 1 <= far <= K and any(far not in encodes.get(t, ()) for t in blk.tx):
+                    yield _with_block(plan, i, prelog=blk.prelog + ((far, 1),))
+                    break
     deps = plan.signal_deps
     if deps:
         t, d = deps[-1]
         far = ((t, (t + plan.params.t_right + 1,)),)
-        yield plan._replace(signal_deps=deps + far)  # the last key wins
+        yield plan._replace(signal_deps=deps + far)  # transmitter t listed twice
         yield plan._replace(signal_deps=far + deps)
-        yield plan._replace(signal_deps=deps + ((t, (t - plan.params.t_left - 1,)),))
+        # t's deps one message past either end of its window
+        yield plan._replace(signal_deps=deps[:-1] + far)
+        yield plan._replace(signal_deps=deps[:-1] + ((t, (t - plan.params.t_left - 1,)),))
         yield plan._replace(signal_deps=tuple((t, d[::-1] + d) for t, d in deps))
         yield plan._replace(signal_deps=())
         yield plan._replace(message_prelog=plan.message_prelog + plan.message_prelog[:1])
@@ -1139,7 +1165,8 @@ class TestCertifyMatchesTheOracle:
             for bad in mutations(plan):
                 outcomes.add(self.same(bad, m).split(" ")[0])
         assert outcomes >= {"ok", "ValueError:", "subnets", "silenced", "transmitter", "message",
-                            "decoder", "zero", "step", "receiver", "joint", "rank", "claimed"}
+                            "decoder", "zero", "step", "receiver", "joint", "block", "rank",
+                            "claimed"}
 
     def test_edited_plans_at_random_gains(self):
         outcomes = set()
@@ -1182,6 +1209,74 @@ class TestCertifyMatchesTheOracle:
         bad = _with_subnet(plan, 0, active_tx=order, scalar_steps=(step,))
         assert self.same(bad, model(p, nm.SYMMETRIC, 0.3)) == (
             f"message 3: interference from transmitter {named} is not removable")
+
+
+def _one_block_plan(p, tx, antennas, decoders, prelog, deps):
+    """A hand-built plan of one subnet holding one MIMO block."""
+    block = sc.MimoBlock(sc.StrategyTag.MIMO_P2P, tx, antennas, prelog, decoders)
+    return sc.TransmissionPlan(p, nm.SYMMETRIC, "sym-si-case1", (), (),
+                               (sc.Subnet(tx, antennas, "generic", (), (block,)),),
+                               deps, prelog, sum(w for _, w in prelog))
+
+
+def shortcut_plans():
+    """Hand-built plans at the edges of certify_plan's shortcuts, by name:
+    (plan, the certification's failure text or None for ok)."""
+    wide, narrow = P(4, 3, 3, 3, 3), P(4, 1, 1, 1, 1)  # wide: every window is all of 1..4
+    claim4 = ((1, 1), (2, 1), (3, 1), (4, 1))
+    know_all = tuple((t, (1, 2, 3, 4)) for t in range(1, 5))
+
+    def block(ants, decoders=None, p=wide, deps=know_all, prelog=claim4):
+        return _one_block_plan(p, ants, ants, decoders or ((1, ants),), prelog, deps)
+
+    window = (1, 2, 3, 4)
+    shared = (1, 2, 3)
+    sym = sc.sym_symmetric_si_plan(P(K=9, t_left=1, t_right=1, r_left=1, r_right=1), 0.3)
+    return {
+        "window": (block(window), None),
+        # the same rows and columns in another order: the same rank
+        "permuted window": (block((1, 3, 2, 4)), None),
+        # H[(1, 2, 2, 4), (1, 2, 2, 4)] repeats a row: rank 3, although its
+        # ends are 3 apart as a window of size 4 would be
+        "duplicate index": (block((1, 2, 2, 4)), "rank 3 < required 4 in subnet 0"),
+        # ends 2 and 3, extremes 1 and 3: receiver 3 sees antennas 2..4 only
+        "permuted, ends no extremes": (
+            block((2, 1, 3), ((3, (2, 1, 3)),), narrow, ((2, (2,)),), ((2, 1),)),
+            "receiver 3 assigned antennas outside its cluster"),
+        "decoder equal to the antennas, another object": (
+            block(window, ((1, tuple(list(window))),)), None),
+        "decoder a part of the antennas": (
+            block(window, ((1, (1, 2)),)), "joint decoder does not cover the block antennas"),
+        "deps unsorted": (block(window, deps=((1, (4, 1)), (2, (3, 2, 1)))), None),
+        "deps unsorted, outside the window": (
+            block((1, 2, 3), p=narrow, prelog=((2, 1),), deps=((2, (3, 1)), (1, (1, 3, 2)))),
+            "transmitter 1 uses messages [3] outside its window"),
+        "deps shared by two windows": (
+            block((1, 2, 3), p=narrow, prelog=((2, 1),), deps=((2, shared), (3, shared))),
+            "transmitter 3 uses messages [1] outside its window"),
+        # transmitter 5 in subnets 1 and 2, which antenna 5 of subnet 1 hears
+        # (hand_edited_plans' "shared tx" names it in subnets 0 and 1)
+        "transmitter in a later subnet too": (
+            _with_subnet(sym, 2, active_tx=(5, 9)), "subnets 1 and 2 couple through the channel"),
+        "transmitter twice in one subnet": (_with_subnet(sym, 0, active_tx=(1, 2, 2, 3)), None),
+    }
+
+
+class TestShortcutsMatchTheOracle:
+    """certify_plan's shortcuts (a block of its own antennas, a principal
+    window, deps shared or of one message, one owner per transmitter) at
+    their edges, against the reference certifier (tests/dense_certify.py)."""
+
+    @pytest.mark.parametrize("name", list(shortcut_plans()))
+    def test_the_shortcut_gives_the_reference_verdict(self, name):
+        plan, failure = shortcut_plans()[name]
+        for alpha in (0.3, ROOT3):
+            m = model(plan.params, nm.SYMMETRIC, alpha)
+            got = outcome(lambda: sc.certify_plan(plan, m))
+            assert got == outcome(lambda: dense.certify_plan(plan, m)), (name, alpha)
+            if alpha == 0.3:
+                assert got.failure == failure
+                assert got.certified_dof == (0 if failure else plan.claimed_dof)
 
 
 class TestGainClassInvariance:
